@@ -231,7 +231,7 @@ def search_error_free(
                 truncated = True
             continue
         for label in machine.labels():
-            for nxt in sorted(step_exact(machine, config, label), key=lambda c: c.channel):
+            for nxt in sorted(step_exact(machine, config, label), key=lambda c: (c.state, c.channel)):
                 if nxt in seen:
                     continue
                 if len(nxt.channel) > max_channel_len:

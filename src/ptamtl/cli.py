@@ -14,9 +14,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import formats
-from .channel import search_error_free
+from .channel import max_channel, search_error_free
 from .errors import ParseError, ToolkitError
-from .encoding import decode, default_layout, encode, explain_membership
+from .encoding import EncodingLayout, decode, default_layout, encode, explain_membership
 from .modelcheck import bounded_modelcheck
 from .mtl import eval_at, satisfies
 from .pta import is_deterministic, membership
@@ -95,13 +95,9 @@ def _cmd_reduce(args) -> int:
 def _cmd_encode(args) -> int:
     machine, final = _machine_and_final(args.machine, args.final)
     computation = formats.parse_computation(machine, _maybe_file(args.computation))
-    from .channel import max_channel
-
     width = max_channel(computation)
     if args.slots:
         layout_slots = tuple(formats.parse_rational(s) for s in args.slots.split(","))
-        from .encoding import EncodingLayout
-
         layout = EncodingLayout(formats.parse_rational(args.delta), layout_slots)
     else:
         layout = default_layout(width, formats.parse_rational(args.delta))
@@ -143,12 +139,14 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_mc_bounded(args) -> int:
+    if args.k is not None and args.k < 1:
+        raise UsageError("--k must be at least 1")
     automaton = formats.parse_pta(_read(args.pta))
     formula = formats.parse_formula(_maybe_file(args.formula))
     if args.candidates:
         candidates = [formats.parse_valuation(part) for part in args.candidates.split(";")]
     else:
-        k = args.k or 4
+        k = 4 if args.k is None else args.k
         if len(automaton.parameters) != 1:
             raise UsageError("--k shorthand needs exactly one parameter")
         name = automaton.parameters[0]

@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .channel import ChannelMachine
+from .channel import ChannelMachine, Computation, Configuration, step_exact
 from .errors import ParseError
 from .mtl import (
     FULL,
@@ -480,8 +480,6 @@ def serialize_valuation(values) -> str:
 def parse_computation(machine: ChannelMachine, text: str):
     """Parse an alternating 'state label state ... state' sequence and replay
     it under the exact step relation."""
-    from .channel import Computation, Configuration, step_exact
-
     tokens = text.split()
     if len(tokens) % 2 == 0 or not tokens:
         raise ParseError("computation must alternate state label state ... state")

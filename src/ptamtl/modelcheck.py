@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .mtl import Formula, Not, prefix_may_satisfy, satisfies
+from .mtl import Formula, Not, compile_formula, prefix_may_satisfy, satisfies
 from .pta import Pta, iter_accepted, membership
 from .timedwords import TimedWord
 
@@ -58,12 +58,6 @@ class McVerdict:
         return bool(self.candidates) and all(c.refuted for c in self.candidates)
 
 
-def _falsifies(word: TimedWord, formula: Formula) -> bool:
-    """not satisfies(word, formula), with conjunction/negation splitting so
-    structurally broken words fail on an early cheap conjunct."""
-    return not satisfies(word, formula)
-
-
 def bounded_modelcheck(
     automaton: Pta,
     formula: Formula,
@@ -86,7 +80,8 @@ def bounded_modelcheck(
     # A subtree can be skipped once no extension of its prefix can violate
     # the property: the prefix monitor is sound, so absence claims stay
     # exact relative to the bounds.
-    negated = Not(formula)
+    program = compile_formula(formula)
+    negated = compile_formula(Not(formula))
 
     def viable(prefix: TimedWord) -> bool:
         return prefix_may_satisfy(prefix, negated)
@@ -107,8 +102,8 @@ def bounded_modelcheck(
             prefix_filter=viable,
         ):
             checked += 1
-            if _falsifies(word, formula):
-                if not membership(automaton, valuation, word) or satisfies(word, formula):
+            if not satisfies(word, program):
+                if not membership(automaton, valuation, word) or satisfies(word, program):
                     raise AssertionError("counterexample failed exact re-verification")
                 counterexample = word
                 break

@@ -7,16 +7,27 @@ next modality is derivable from until precisely because of this strictness.
 Formulas are immutable ASTs.  The core grammar is atoms, negation,
 conjunction, and interval-constrained until; disjunction, implication, the
 constants, next, eventually, and globally are kept as first-class nodes for
-display and are eliminated by :func:`desugar`.  The evaluator handles both
-forms and the two agree (this is tested against an independent reference).
+display and are eliminated by :func:`desugar`.
+
+One engine evaluates them.  :func:`compile_formula` hash-conses a formula
+into a post-order op array, keyed on integer child ids, so equal subformulas
+share one op.  One evaluator computes a row of Kleene values per op over a
+word whose timestamps are scaled to integers by their common denominator;
+each interval modality reads its windows by binary search and prefix counts.
+A closed word is a prefix with no future: :func:`satisfies` and the sound
+pruning monitor :func:`prefix_may_satisfy` are the same evaluation, closed
+or open-ended.  Results are checked against a naive evaluator in the tests.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Optional
+from itertools import accumulate
+from math import lcm
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .timedwords import TimedWord
 
@@ -202,249 +213,235 @@ def desugar(formula: Formula, alphabet: Iterable[str]) -> Formula:
     return walk(formula)
 
 
-def _truth_table(word: TimedWord, formula: Formula) -> list[bool]:
-    """Truth value of ``formula`` at every position, bottom-up over subformulas.
+# -- the compiled engine -------------------------------------------------------
+#
+# An op is (kind, first child or atom name, second child, interval index), -1
+# where absent; children precede their parent.  Kinds _NOT.._IMPLIES are the
+# boolean connectives, kinds from _NEXT on carry an interval.
 
-    Memoized by structural equality, so shared subterms are evaluated once.
-    O(|formula| * |word|^2) in the worst case, which is fine at desk scale.
-    """
-    n = len(word)
-    symbols = word.symbols
-    times = word.times
-    memo: dict[Formula, list[bool]] = {}
+_ATOM, _TRUE, _FALSE, _NOT, _AND, _OR, _IMPLIES, _NEXT, _EVENTUALLY, _GLOBALLY, _UNTIL = range(11)
+_KINDS = {
+    Atom: _ATOM, TrueConst: _TRUE, FalseConst: _FALSE, Not: _NOT, And: _AND, Or: _OR,
+    Implies: _IMPLIES, Next: _NEXT, Eventually: _EVENTUALLY, Globally: _GLOBALLY, Until: _UNTIL,
+}  # fmt: skip
+_UNARY = (_NOT, _NEXT, _EVENTUALLY, _GLOBALLY)
 
-    def row(node: Formula) -> list[bool]:
-        cached = memo.get(node)
-        if cached is not None:
-            return cached
-        if isinstance(node, Atom):
-            result = [s == node.name for s in symbols]
-        elif isinstance(node, TrueConst):
-            result = [True] * n
-        elif isinstance(node, FalseConst):
-            result = [False] * n
-        elif isinstance(node, Not):
-            result = [not v for v in row(node.operand)]
-        elif isinstance(node, And):
-            left, right = row(node.left), row(node.right)
-            result = [a and b for a, b in zip(left, right)]
-        elif isinstance(node, Or):
-            left, right = row(node.left), row(node.right)
-            result = [a or b for a, b in zip(left, right)]
-        elif isinstance(node, Implies):
-            left, right = row(node.left), row(node.right)
-            result = [(not a) or b for a, b in zip(left, right)]
-        elif isinstance(node, Until):
-            left, right = row(node.left), row(node.right)
-            contains = node.interval.contains
-            result = [False] * n
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if right[j] and contains(times[j] - times[i]):
-                        result[i] = True
-                        break
-                    if not left[j]:
-                        break
-        elif isinstance(node, Next):
-            inner = row(node.operand)
-            contains = node.interval.contains
-            result = [
-                i + 1 < n and inner[i + 1] and contains(times[i + 1] - times[i])
-                for i in range(n)
-            ]
-        elif isinstance(node, Eventually):
-            inner = row(node.operand)
-            contains = node.interval.contains
-            result = [
-                any(inner[j] and contains(times[j] - times[i]) for j in range(i + 1, n))
-                for i in range(n)
-            ]
-        elif isinstance(node, Globally):
-            inner = row(node.operand)
-            contains = node.interval.contains
-            result = [
-                all(inner[j] or not contains(times[j] - times[i]) for j in range(i + 1, n))
-                for i in range(n)
-            ]
-        else:
+
+class Program(NamedTuple):
+    """A formula compiled by :func:`compile_formula`; ``ops[root]`` is the whole formula."""
+
+    ops: tuple
+    intervals: tuple[Interval, ...]
+    root: int
+
+
+def compile_formula(formula: Union[Formula, Program]) -> Program:
+    """Compile a formula iteratively; equal subformulas get one op.  A
+    program is returned as it is."""
+    if isinstance(formula, Program):
+        return formula
+    op_ids: dict[tuple, int] = {}
+    interval_ids: dict[Interval, int] = {}
+    compiled: dict[int, int] = {}  # id(node) -> op id; ``formula`` keeps the nodes alive
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if id(node) in compiled:
+            continue
+        kind = _KINDS.get(type(node))
+        if kind is None:
             raise TypeError(f"unknown formula node {node!r}")
-        memo[node] = result
+        if kind == _ATOM:
+            key = (kind, node.name, -1, -1)
+        elif kind < _NOT:
+            key = (kind, -1, -1, -1)
+        else:
+            if kind in _UNARY:
+                left, right, b = node.operand, None, -1
+            else:
+                left, right = node.left, node.right
+                b = compiled.get(id(right))
+            a = compiled.get(id(left))
+            if a is None or b is None:  # operands first
+                stack.append(node)
+                if a is None:
+                    stack.append(left)
+                if b is None:
+                    stack.append(right)
+                continue
+            iv = -1 if kind < _NEXT else interval_ids.setdefault(node.interval, len(interval_ids))
+            key = (kind, a, b, iv)
+        compiled[id(node)] = op_ids.setdefault(key, len(op_ids))
+    return Program(tuple(op_ids), tuple(interval_ids), compiled[id(formula)])
+
+
+# Values are 0 (false), 1 (unknown) and 2 (true): not = 2 - v, and = min,
+# or = max.  On a prefix (``closed=False``) a modality whose window is still
+# open at the last event is unknown unless the events present decide it, as
+# events of any symbol may follow at or after the last timestamp.
+
+
+def _evaluator(word: TimedWord, program: Program, closed: bool):
+    """Return ``row(k)``, the values of op k at every position of the word."""
+    ops = program.ops
+    events = word.events
+    n = len(events)
+    symbols = [symbol for symbol, _ in events]
+    # exact integer times: scale by the common denominator of the timestamps
+    scale = lcm(*[time.denominator for _, time in events])
+    times = [time.numerator * (scale // time.denominator) for _, time in events]
+    rows: list = [None] * len(ops)
+    windows: list = [None] * len(program.intervals)
+    every = list(range(n + 1))
+
+    def window(iv: int) -> tuple[list[int], list[int]]:
+        """lo[i]:hi[i] are the positions j > i with t_j - t_i in the interval;
+        hi[i] == n means the window is still open at the end of the word."""
+        if windows[iv] is None:
+            interval = program.intervals[iv]
+            low = interval.lower * scale
+            start = bisect_left if interval.lower_closed else bisect_right
+            lo = [max(i + 1, start(times, t + low)) for i, t in enumerate(times)]
+            if interval.upper is None:
+                hi = [n] * n
+            else:
+                high = interval.upper * scale
+                end = bisect_right if interval.upper_closed else bisect_left
+                hi = [end(times, t + high) for t in times]
+            windows[iv] = (lo, hi)
+        return windows[iv]
+
+    def until(weak: list[int], strict: list[int], right: list[int], iv: int) -> list[int]:
+        """Some j in i's window has ``right`` true and ``left`` true strictly
+        between i and j.  weak[k] / strict[k] is the first position >= k where
+        ``left`` is not true / is false (n if none)."""
+        lo, hi = window(iv)  # sure[k] / maybe[k]: right values true / not false before k
+        sure = list(accumulate((v == 2 for v in right), initial=0))
+        maybe = list(accumulate((v != 0 for v in right), initial=0))
+        result = []
+        for i in range(n):
+            a, b = lo[i], hi[i]
+            clear = weak[i + 1] + 1  # witnesses before ``clear`` have left true in between
+            e = b if b < clear else clear
+            if sure[e] > sure[a]:
+                result.append(2)
+            elif maybe[e] > maybe[a]:
+                result.append(1)
+            else:
+                s = a if a > clear else clear
+                f = strict[i + 1]
+                e = b if b <= f else f + 1  # witnesses from ``s`` to ``e`` have no false in between
+                open_future = not closed and b == n and f == n
+                result.append(1 if open_future or (s < e and maybe[e] > maybe[s]) else 0)
         return result
 
-    return row(formula)
+    def reach(inner: list[int], iv: int, hit: int, miss: int) -> list[int]:
+        """Eventually (hit 2, miss 0) or globally (hit 0, miss 2) over i's window."""
+        lo, hi = window(iv)
+        decided = list(accumulate((v == hit for v in inner), initial=0))
+        doubtful = list(accumulate((v != miss for v in inner), initial=0))
+        return [
+            hit if decided[b] > decided[a]
+            else 1 if doubtful[b] > doubtful[a] or (not closed and b == n)
+            else miss
+            for a, b in zip(lo, hi)
+        ]  # fmt: skip
+
+    def compute(k: int) -> list[int]:
+        kind, a, b, iv = ops[k]
+        if kind == _ATOM:
+            return [2 if symbol == a else 0 for symbol in symbols]
+        if kind < _NOT:
+            return [2 if kind == _TRUE else 0] * n
+        x = rows[a]
+        if kind == _NOT:
+            return [2 - v for v in x]
+        if kind == _AND:
+            return list(map(min, x, rows[b]))
+        if kind == _OR:
+            return list(map(max, x, rows[b]))
+        if kind == _IMPLIES:
+            return list(map(max, [2 - v for v in x], rows[b]))
+        if kind == _UNTIL:
+            weak, strict = [n] * (n + 1), [n] * (n + 1)
+            for j in range(n - 1, -1, -1):
+                weak[j] = j if x[j] != 2 else weak[j + 1]
+                strict[j] = j if x[j] == 0 else strict[j + 1]
+            return until(weak, strict, rows[b], iv)
+        if kind == _NEXT:  # false U phi
+            return until(every, every, x, iv)
+        if kind == _EVENTUALLY:
+            return reach(x, iv, 2, 0)
+        return reach(x, iv, 0, 2)
+
+    def row(k: int) -> list[int]:
+        if rows[k] is None:
+            needed, stack = set(), [k]
+            while stack:
+                j = stack.pop()
+                if j in needed or rows[j] is not None:
+                    continue
+                needed.add(j)
+                kind, a, b, _ = ops[j]
+                if kind >= _NOT:
+                    stack.append(a)
+                    if b >= 0:
+                        stack.append(b)
+            for j in sorted(needed):
+                rows[j] = compute(j)
+        return rows[k]
+
+    return row
 
 
-def eval_at(word: TimedWord, position: int, formula: Formula) -> bool:
+def _value(word: TimedWord, program: Program, closed: bool) -> int:
+    """Value at position 1.  The connectives above the first temporal
+    operators are evaluated at that position alone, left operand first,
+    skipping the right operand once the left decides the result."""
+    ops = program.ops
+    row = _evaluator(word, program, closed)
+    stack = [(program.root, 0, 0)]  # (op, phase, left value)
+    value = 0
+    while stack:
+        k, phase, left = stack.pop()
+        kind, a, b, _ = ops[k]
+        if phase == 0:
+            if _NOT <= kind <= _IMPLIES:
+                stack.append((k, 1, 0))
+                stack.append((a, 0, 0))
+            else:
+                value = row(k)[0]
+        elif kind == _NOT:
+            value = 2 - value
+        elif phase == 1:
+            if kind == _IMPLIES:
+                value = 2 - value  # a -> b is !a | b
+            if value != (0 if kind == _AND else 2):
+                stack.append((k, 2, value))
+                stack.append((b, 0, 0))
+        else:
+            value = min(left, value) if kind == _AND else max(left, value)
+    return value
+
+
+def eval_at(word: TimedWord, position: int, formula: Union[Formula, Program]) -> bool:
     """Truth of ``formula`` at a 1-based position of ``word``."""
     if not 1 <= position <= len(word):
         raise IndexError(f"position {position} out of range 1..{len(word)}")
-    return _truth_table(word, formula)[position - 1]
+    program = compile_formula(formula)
+    return _evaluator(word, program, True)(program.root)[position - 1] == 2
 
 
-def satisfies(word: TimedWord, formula: Formula) -> bool:
-    """Whether the word satisfies the formula (evaluation at position 1).
-
-    Top-level conjunctions and negations are split so large conjunction
-    formulas fail fast; the result is identical to ``eval_at(word, 1, ...)``.
-    """
-    if isinstance(formula, And):
-        return satisfies(word, formula.left) and satisfies(word, formula.right)
-    if isinstance(formula, Not):
-        return not satisfies(word, formula.operand)
-    return eval_at(word, 1, formula)
+def satisfies(word: TimedWord, formula: Union[Formula, Program]) -> bool:
+    """Whether the word satisfies the formula (evaluation at position 1)."""
+    return _value(word, compile_formula(formula), True) == 2
 
 
-# -- three-valued prefix monitoring -------------------------------------------
-#
-# For search pruning: given a prefix, can SOME extension (events appended at
-# or after the last timestamp) still satisfy the formula?  The monitor is a
-# Kleene evaluation where future positions may carry any symbol at any such
-# time; it answers False only when no extension can work, so pruning on it
-# never discards a word the search was looking for.
-
-_T, _F, _U = True, False, None
-
-
-def _not3(v):
-    return None if v is None else (not v)
-
-
-def _and3(a, b):
-    if a is False or b is False:
-        return False
-    if a is True and b is True:
-        return True
-    return None
-
-
-def _or3(a, b):
-    if a is True or b is True:
-        return True
-    if a is False and b is False:
-        return False
-    return None
-
-
-def _future_possible(interval: Interval, elapsed: Fraction) -> bool:
-    """Can a future event (at distance >= elapsed from the anchor) fall in
-    the interval?  ``elapsed`` is last-timestamp minus anchor timestamp."""
-    if interval.upper is None:
-        return True
-    if interval.upper_closed:
-        return elapsed <= interval.upper
-    return elapsed < interval.upper
-
-
-def prefix_may_satisfy(word: TimedWord, formula: Formula) -> bool:
+def prefix_may_satisfy(word: TimedWord, formula: Union[Formula, Program]) -> bool:
     """False only when no extension of the word can satisfy the formula.
 
     Extensions append events at timestamps at or after the word's last
     timestamp (lengths and horizons are not modelled, which only widens the
     future and keeps the answer sound for any bounded search).
     """
-    n = len(word)
-    symbols = word.symbols
-    times = word.times
-    last = times[-1]
-    memo: dict[Formula, list] = {}
-
-    def row(node: Formula) -> list:
-        cached = memo.get(node)
-        if cached is not None:
-            return cached
-        if isinstance(node, Atom):
-            result = [s == node.name for s in symbols]
-        elif isinstance(node, TrueConst):
-            result = [True] * n
-        elif isinstance(node, FalseConst):
-            result = [False] * n
-        elif isinstance(node, Not):
-            result = [_not3(v) for v in row(node.operand)]
-        elif isinstance(node, And):
-            left, right = row(node.left), row(node.right)
-            result = [_and3(a, b) for a, b in zip(left, right)]
-        elif isinstance(node, Or):
-            left, right = row(node.left), row(node.right)
-            result = [_or3(a, b) for a, b in zip(left, right)]
-        elif isinstance(node, Implies):
-            left, right = row(node.left), row(node.right)
-            result = [_or3(_not3(a), b) for a, b in zip(left, right)]
-        elif isinstance(node, Next):
-            inner = row(node.operand)
-            contains = node.interval.contains
-            result = []
-            for i in range(n):
-                if i + 1 < n:
-                    result.append(inner[i + 1] if contains(times[i + 1] - times[i]) else False)
-                else:
-                    result.append(None if _future_possible(node.interval, last - times[i]) else False)
-        elif isinstance(node, Eventually):
-            inner = row(node.operand)
-            contains = node.interval.contains
-            result = []
-            for i in range(n):
-                value = False
-                for j in range(i + 1, n):
-                    if contains(times[j] - times[i]):
-                        v = inner[j]
-                        if v is True:
-                            value = True
-                            break
-                        if v is None:
-                            value = None
-                if value is not True and _future_possible(node.interval, last - times[i]):
-                    value = None
-                result.append(value)
-        elif isinstance(node, Globally):
-            inner = row(node.operand)
-            contains = node.interval.contains
-            result = []
-            for i in range(n):
-                value = True
-                for j in range(i + 1, n):
-                    if contains(times[j] - times[i]):
-                        v = inner[j]
-                        if v is False:
-                            value = False
-                            break
-                        if v is None:
-                            value = None
-                if value is not False and _future_possible(node.interval, last - times[i]):
-                    value = None  # a future event inside the window could violate
-                result.append(value)
-        elif isinstance(node, Until):
-            left, right = row(node.left), row(node.right)
-            contains = node.interval.contains
-            result = []
-            for i in range(n):
-                value = False
-                intermediates = True  # three-valued status of all left values so far
-                for j in range(i + 1, n):
-                    if contains(times[j] - times[i]):
-                        witness = _and3(right[j], intermediates)
-                        if witness is True:
-                            value = True
-                            break
-                        if witness is None:
-                            value = None
-                    intermediates = _and3(intermediates, left[j])
-                    if intermediates is False:
-                        break
-                if (
-                    value is not True
-                    and intermediates is not False
-                    and _future_possible(node.interval, last - times[i])
-                ):
-                    value = None
-                result.append(value)
-        else:
-            raise TypeError(f"unknown formula node {node!r}")
-        memo[node] = result
-        return result
-
-    def may(node: Formula) -> bool:
-        if isinstance(node, And):
-            return may(node.left) and may(node.right)
-        return row(node)[0] is not False
-
-    return may(formula)
+    return _value(word, compile_formula(formula), False) != 0

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,17 @@ def cadence_file(tmp_path):
 
 
 W_C1_TEXT = "s0@0 #@1/2 m!@1 s1@2 m@5/2 m?@3 s2@4 #@9/2 *@5"
+
+# two equally short witnesses, through a and through b, with equal channels
+FORK_MACHINE = """states: s0 a b t
+init: s0
+messages: m
+trans: s0 m! a
+trans: s0 m! b
+trans: a m? t
+trans: b m? t
+"""
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestBasicCommands:
@@ -153,6 +168,46 @@ class TestMcBounded:
         )
         assert code == 0
         assert "no-counterexample-within-bounds" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_a_usage_error(self, capsys, cadence_file, k):
+        code = main(
+            [
+                "mc-bounded",
+                str(cadence_file),
+                "G (a | b)",
+                "--k",
+                k,
+                "--grid",
+                "1/2",
+                "--horizon",
+                "2",
+                "--max-events",
+                "4",
+            ]
+        )
+        assert code == 1
+        assert "--k must be at least 1" in capsys.readouterr().err
+
+
+class TestDeterminism:
+    def test_search_output_independent_of_hash_seed(self, tmp_path):
+        path = tmp_path / "fork.cm"
+        path.write_text(FORK_MACHINE)
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        outputs = set()
+        for seed in range(1, 5):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=pythonpath)
+            done = subprocess.run(
+                [sys.executable, "-m", "ptamtl.cli", "search", str(path), "t", "--steps", "4", "--chan", "2"],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs.add(done.stdout)
+        assert outputs == {"s0 m! a m? t\n"}
 
 
 class TestVerdictShapes:

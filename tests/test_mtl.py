@@ -13,15 +13,20 @@ from ptamtl.mtl import (
     Interval,
     Next,
     Not,
+    Or,
     TrueConst,
     Until,
+    and_all,
+    compile_formula,
     desugar,
     eval_at,
     prefix_may_satisfy,
     satisfies,
 )
+from ptamtl.reduction import build_formula
 from ptamtl.timedwords import TimedWord
 
+from conftest import two_message_machine
 from util import naive_eval, random_formula, random_word
 
 
@@ -176,3 +181,62 @@ class TestPrefixMonitor:
         assert not prefix_may_satisfy(W(("b", 0)), formula)
         assert not prefix_may_satisfy(W(("a", 0), ("b", 1)), formula)
         assert prefix_may_satisfy(W(("a", 0), ("a", 1)), formula)
+
+
+class TestCompiledEngine:
+    def test_equal_subtrees_share_one_op(self):
+        window = Interval(1, 2, True, False)
+        left = Eventually(window, And(Atom("a"), Not(Atom("b"))))
+        right = Eventually(window, And(Atom("a"), Not(Atom("b"))))
+        assert left is not right
+        program = compile_formula(Or(left, right))
+        _, first, second, _ = program.ops[program.root]
+        assert first == second
+        assert len(program.ops) == 6  # a, b, !b, a & !b, F, the disjunction
+
+    def test_op_count_is_the_number_of_distinct_subformulas(self):
+        formula = build_formula(two_message_machine(), "q3")
+        distinct = set()
+        stack = [formula]
+        while stack:
+            node = stack.pop()
+            if node in distinct:
+                continue
+            distinct.add(node)
+            for name in ("operand", "left", "right"):
+                if hasattr(node, name):
+                    stack.append(getattr(node, name))
+        assert len(compile_formula(formula).ops) == len(distinct)
+
+    def test_compiled_program_gives_the_same_answers(self):
+        # one program serves many words, so it must carry no state between them
+        rng = random.Random(12)
+        alphabet = ["a", "b"]
+        for _ in range(100):
+            formula = random_formula(rng, alphabet, 4)
+            program = compile_formula(formula)
+            for _ in range(3):
+                word = random_word(rng, alphabet, 6)
+                assert satisfies(word, program) == satisfies(word, formula)
+                for cut in range(1, len(word) + 1):
+                    prefix = TimedWord(word.events[:cut])
+                    assert prefix_may_satisfy(prefix, program) == prefix_may_satisfy(prefix, formula)
+                    assert eval_at(word, cut, program) == eval_at(word, cut, formula)
+
+    def test_deep_conjunction(self):
+        formula = and_all([Atom("a")] * 3000)
+        program = compile_formula(formula)
+        assert len(program.ops) == 3000  # the atom and 2999 conjunctions
+        good = W(("a", 0), ("a", 1))
+        bad = W(("a", 0), ("b", 1))
+        for target in (formula, program):
+            assert satisfies(good, target)
+            assert prefix_may_satisfy(good, target)
+            assert eval_at(good, 2, target)
+            assert not eval_at(bad, 2, target)
+            assert not satisfies(W(("b", 0)), target)
+            assert not prefix_may_satisfy(W(("b", 0)), target)
+        deep_temporal = and_all([Eventually(FULL, Atom("b"))] * 3000)
+        assert satisfies(bad, deep_temporal)
+        assert not satisfies(good, deep_temporal)
+        assert prefix_may_satisfy(good, deep_temporal)
