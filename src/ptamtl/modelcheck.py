@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .mtl import Formula, Not, compile_formula, prefix_may_satisfy, satisfies
+from .mtl import Formula, Program, compile_formula, desugar, negate, prefix_may_satisfy, satisfies
 from .pta import Pta, iter_accepted, membership
 from .timedwords import TimedWord
 
@@ -81,7 +81,11 @@ def bounded_modelcheck(
     # the property: the prefix monitor is sound, so absence claims stay
     # exact relative to the bounds.
     program = compile_formula(formula)
-    negated = compile_formula(Not(formula))
+    negated = negate(program)
+    # Counterexamples are re-checked on the core-only expansion of the
+    # formula, a different op array run through other engine branches, and
+    # against the automaton by exact membership.  Compiled on first use.
+    core: Optional[Program] = None
 
     def viable(prefix: TimedWord) -> bool:
         return prefix_may_satisfy(prefix, negated)
@@ -103,7 +107,9 @@ def bounded_modelcheck(
         ):
             checked += 1
             if not satisfies(word, program):
-                if not membership(automaton, valuation, word) or satisfies(word, program):
+                if core is None:
+                    core = compile_formula(desugar(formula, automaton.alphabet))
+                if not membership(automaton, valuation, word) or satisfies(word, core):
                     raise AssertionError("counterexample failed exact re-verification")
                 counterexample = word
                 break

@@ -185,32 +185,69 @@ def desugar(formula: Formula, alphabet: Iterable[str]) -> Formula:
     true_core = Not(And(Not(pivot), Not(Not(pivot))))  # p | !p, expanded
     false_core = Not(true_core)
 
-    def walk(node: Formula) -> Formula:
-        if isinstance(node, Atom):
+    def expand(node: Formula, x: Formula, y: Formula) -> Formula:
+        """The core form of ``node`` given the core forms of its operands."""
+        cls = type(node)
+        if cls is Atom:
             return node
-        if isinstance(node, TrueConst):
+        if cls is TrueConst:
             return true_core
-        if isinstance(node, FalseConst):
+        if cls is FalseConst:
             return false_core
-        if isinstance(node, Not):
-            return Not(walk(node.operand))
-        if isinstance(node, And):
-            return And(walk(node.left), walk(node.right))
-        if isinstance(node, Or):
-            return Not(And(Not(walk(node.left)), Not(walk(node.right))))
-        if isinstance(node, Implies):
-            return walk(Or(Not(node.left), node.right))
-        if isinstance(node, Until):
-            return Until(node.interval, walk(node.left), walk(node.right))
-        if isinstance(node, Next):
-            return Until(node.interval, false_core, walk(node.operand))
-        if isinstance(node, Eventually):
-            return Until(node.interval, true_core, walk(node.operand))
-        if isinstance(node, Globally):
-            return Not(Until(node.interval, true_core, Not(walk(node.operand))))
-        raise TypeError(f"unknown formula node {node!r}")
+        if cls is Not:
+            return Not(x)
+        if cls is Next:
+            return Until(node.interval, false_core, x)
+        if cls is Eventually:
+            return Until(node.interval, true_core, x)
+        if cls is Globally:
+            return Not(Until(node.interval, true_core, Not(x)))
+        if cls is And:
+            return And(x, y)
+        if cls is Or:
+            return Not(And(Not(x), Not(y)))
+        if cls is Implies:  # !x | y
+            return Not(And(Not(Not(x)), Not(y)))
+        return Until(node.interval, x, y)
 
-    return walk(formula)
+    # Iterative post-order, so deep formulas do not exhaust the stack.  Equal
+    # subformulas are expanded once, which keeps the result small to compile.
+    done: dict[int, Formula] = {}  # id(node) -> core form; ``formula`` keeps the nodes alive
+    made: dict[tuple, Formula] = {}  # (class, name or interval, operand core ids) -> core form
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if id(node) in done:
+            continue
+        cls = type(node)
+        x = y = None
+        if cls is Atom:
+            key = (cls, node.name)
+        elif cls is TrueConst or cls is FalseConst:
+            key = (cls,)
+        elif cls in (Not, Next, Eventually, Globally):
+            x = done.get(id(node.operand))
+            if x is None:  # operand first
+                stack += (node, node.operand)
+                continue
+            key = (cls, id(x)) if cls is Not else (cls, node.interval, id(x))
+        elif cls in (And, Or, Implies, Until):
+            x, y = done.get(id(node.left)), done.get(id(node.right))
+            if x is None or y is None:  # operands first
+                stack.append(node)
+                if x is None:
+                    stack.append(node.left)
+                if y is None:
+                    stack.append(node.right)
+                continue
+            key = (cls, node.interval, id(x), id(y)) if cls is Until else (cls, id(x), id(y))
+        else:
+            raise TypeError(f"unknown formula node {node!r}")
+        result = made.get(key)
+        if result is None:
+            result = made[key] = expand(node, x, y)
+        done[id(node)] = result
+    return done[id(formula)]
 
 
 # -- the compiled engine -------------------------------------------------------
@@ -273,6 +310,13 @@ def compile_formula(formula: Union[Formula, Program]) -> Program:
             key = (kind, a, b, iv)
         compiled[id(node)] = op_ids.setdefault(key, len(op_ids))
     return Program(tuple(op_ids), tuple(interval_ids), compiled[id(formula)])
+
+
+def negate(program: Program) -> Program:
+    """The program of the negated formula: ``compile_formula(Not(f))`` from
+    ``compile_formula(f)`` without compiling ``f`` again.  The new root is
+    larger than every subformula of ``f``, so its op is always new."""
+    return Program(program.ops + ((_NOT, program.root, -1, -1),), program.intervals, len(program.ops))
 
 
 # Values are 0 (false), 1 (unknown) and 2 (true): not = 2 - v, and = min,

@@ -4,7 +4,15 @@ Guards compare a single clock against a natural constant or a parameter.
 A parameter valuation fixes the semantics; membership of a timed word is
 decided by simulating the set of reachable global states along the word,
 tracking each clock by its last reset time (a finite canonical
-representation along a fixed word).
+representation along a fixed word).  :func:`membership` evaluates every
+guard on exact rationals and is the reference.
+
+The grid-word search :func:`iter_accepted` counts time in integer ticks of
+the grid instead: on a grid every clock value is a whole number of ticks,
+so each guard reduces to an integer range check on elapsed ticks
+(Henzinger, Manna & Pnueli, "What good are digital clocks?", ICALP 1992).
+It shares no guard code with :func:`membership`, which re-checks the words
+it finds.
 """
 
 from __future__ import annotations
@@ -12,6 +20,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import ceil, floor
 from typing import Iterator, Mapping, Optional, Union
 
 from .errors import EnumerationLimitError
@@ -114,10 +124,16 @@ class Pta:
                 if isinstance(atom.bound, str) and atom.bound not in parameters:
                     raise ValueError(f"guard uses undeclared parameter {atom.bound!r}")
 
+    @cached_property
+    def edge_index(self) -> dict[tuple[str, str], tuple[Edge, ...]]:
+        """The edges grouped by (source, symbol), each group in declaration order."""
+        index: dict[tuple[str, str], list[Edge]] = {}
+        for edge in self.edges:
+            index.setdefault((edge.source, edge.symbol), []).append(edge)
+        return {key: tuple(group) for key, group in index.items()}
+
     def edges_from(self, location: str, symbol: str) -> tuple[Edge, ...]:
-        return tuple(
-            e for e in self.edges if e.source == location and e.symbol == symbol
-        )
+        return self.edge_index.get((location, symbol), ())
 
 
 @dataclass(frozen=True)
@@ -388,6 +404,65 @@ def _min_events_to_final(automaton: Pta) -> dict[str, int]:
     return bound
 
 
+# A grid move: (target, checks, reset flags).  Each check (clock index, lo,
+# hi) bounds the ticks elapsed since that clock's reset, hi None when
+# unbounded; reset flags is None when the edge resets no clock.
+_Move = tuple[str, tuple[tuple[int, int, Optional[int]], ...], Optional[tuple[bool, ...]]]
+
+
+def _grid_move(
+    edge: Edge,
+    clocks: tuple[str, ...],
+    parameters: Mapping[str, Fraction],
+    grid: Fraction,
+) -> Optional[_Move]:
+    """The edge with its guard compiled to tick ranges on the grid, or None
+    when an equality pins a clock between two grid points.
+
+    A clock that has run d ticks holds the value d * grid, so with
+    q = bound / grid the atom ``clock ~ bound`` holds iff ``d ~ q``, which
+    for an integer d is: ``<`` d <= ceil(q) - 1, ``<=`` d <= floor(q),
+    ``>=`` d >= ceil(q), ``>`` d >= floor(q) + 1, and ``=`` d == q when q is
+    an integer, never otherwise.  Elapsed ticks are never negative, so lo
+    starts at 0.
+    """
+    ranges: dict[int, tuple[int, Optional[int]]] = {}
+    for atom in edge.guard.atoms:
+        if isinstance(atom.bound, str):
+            if atom.bound not in parameters:
+                raise KeyError(f"undeclared parameter {atom.bound!r}")
+            q = rat(parameters[atom.bound]) / grid
+        else:
+            q = atom.bound / grid
+        lo, hi = 0, None
+        if atom.relation == "<":
+            hi = ceil(q) - 1
+        elif atom.relation == "<=":
+            hi = floor(q)
+        elif atom.relation == ">=":
+            lo = ceil(q)
+        elif atom.relation == ">":
+            lo = floor(q) + 1
+        elif q.denominator == 1:
+            lo = hi = q.numerator
+        else:
+            return None
+        index = clocks.index(atom.clock)
+        if index in ranges:
+            old_lo, old_hi = ranges[index]
+            lo = max(lo, old_lo)
+            if old_hi is not None:
+                hi = old_hi if hi is None else min(hi, old_hi)
+        ranges[index] = (lo, hi)
+    checks = tuple(
+        (index, lo, hi)
+        for index, (lo, hi) in sorted(ranges.items())
+        if lo > 0 or hi is not None
+    )
+    flags = tuple(clock in edge.resets for clock in clocks) if edge.resets else None
+    return edge.target, checks, flags
+
+
 def iter_accepted(
     automaton: Pta,
     parameters: Mapping[str, Fraction],
@@ -406,6 +481,11 @@ def iter_accepted(
     is called on every candidate prefix (a TimedWord); returning False skips
     the prefix and its whole subtree, so the filter must only reject prefixes
     whose extensions are all irrelevant to the caller.
+
+    Time is counted in integer ticks of ``grid``: frontier states hold each
+    clock's last reset tick, and each guard is compiled once per call into
+    integer tick ranges (see :func:`_grid_move`), so no guard check here
+    uses rational arithmetic.  :func:`membership` stays the exact reference.
     """
     grid = rat(grid)
     horizon = rat(horizon)
@@ -416,66 +496,55 @@ def iter_accepted(
     symbols = sorted(automaton.alphabet)
     min_left = _min_events_to_final(automaton)
     finals = automaton.final
-    zero = tuple(Fraction(0) for _ in automaton.clocks)
-    start = frozenset((loc, zero) for loc in automaton.initial)
-    by_key: dict[tuple[str, str], list[Edge]] = {}
-    for edge in automaton.edges:
-        by_key.setdefault((edge.source, edge.symbol), []).append(edge)
-
-    ticks = []
-    t = Fraction(0)
-    while t <= horizon:
-        ticks.append(t)
-        t += grid
-
     clocks = automaton.clocks
+    last_tick = horizon // grid
+    start = frozenset((loc, (0,) * len(clocks)) for loc in automaton.initial)
+    moves: dict[tuple[str, str], tuple[_Move, ...]] = {}
+    times: dict[int, Fraction] = {}
 
-    def successors(frontier, symbol, now):
+    def successors(frontier, symbol, tick):
         found = set()
         for location, resets in frontier:
-            edges = by_key.get((location, symbol))
-            if not edges:
-                continue
-            values = {clock: now - reset_at for clock, reset_at in zip(clocks, resets)}
-            for edge in edges:
-                if constraint_sat(values, parameters, edge.guard):
-                    found.add(
-                        (
-                            edge.target,
-                            tuple(
-                                now if clock in edge.resets else reset_at
-                                for clock, reset_at in zip(clocks, resets)
-                            ),
-                        )
-                    )
+            key = (location, symbol)
+            compiled = moves.get(key)
+            if compiled is None:
+                grid_moves = (_grid_move(e, clocks, parameters, grid) for e in automaton.edges_from(*key))
+                compiled = moves[key] = tuple(m for m in grid_moves if m is not None)
+            for target, checks, flags in compiled:
+                for clock, lo, hi in checks:
+                    elapsed = tick - resets[clock]
+                    if elapsed < lo or (hi is not None and elapsed > hi):
+                        break
+                else:
+                    if flags is not None:
+                        found.add((target, tuple(tick if f else r for f, r in zip(flags, resets))))
+                    else:
+                        found.add((target, resets))
         return found
 
-    def recurse(events: list, frontier, last_time: Fraction | None):
-        if events and any(loc in finals for loc, _ in frontier):
-            yield TimedWord(list(events))
-        if len(events) == max_events:
+    def recurse(word: Optional[TimedWord], frontier, first: int):
+        depth = 0 if word is None else len(word)
+        if depth and any(loc in finals for loc, _ in frontier):
+            yield word
+        if depth == max_events:
             return
-        remaining = max_events - len(events)
-        for time in ticks:
-            if last_time is not None:
-                if strict and time <= last_time:
-                    continue
-                if time < last_time:
-                    continue
+        remaining = max_events - depth - 1
+        for tick in range(first, last_tick + 1):
             for symbol in symbols:
-                nxt = successors(frontier, symbol, time)
-                if not nxt:
+                nxt = successors(frontier, symbol, tick)
+                if not nxt or min(min_left[loc] for loc, _ in nxt) > remaining:
                     continue
-                if min(min_left[loc] for loc, _ in nxt) > remaining - 1 and not any(
-                    loc in finals for loc, _ in nxt
-                ):
-                    continue
-                events.append((symbol, time))
-                if prefix_filter is None or prefix_filter(TimedWord(list(events))):
-                    yield from recurse(events, nxt, time)
-                events.pop()
+                time = times.get(tick)
+                if time is None:
+                    time = times[tick] = tick * grid
+                if word is None:
+                    prefix = TimedWord(((symbol, time),))
+                else:
+                    prefix = word.extended(symbol, time)
+                if prefix_filter is None or prefix_filter(prefix):
+                    yield from recurse(prefix, nxt, tick + 1 if strict else tick)
 
-    yield from recurse([], start, None)
+    yield from recurse(None, start, 0)
 
 
 def enumerate_accepted(

@@ -237,3 +237,39 @@ class TestVerdictReverification:
         assert verdict.outcome == "counterexample-found"
         assert membership(automaton, dict(verdict.valuation), verdict.counterexample)
         assert not satisfies(verdict.counterexample, formula)
+
+    @staticmethod
+    def one_a_automaton():
+        """Accepts exactly the one-event words reading a, at any time."""
+        from ptamtl.pta import TRUE_GUARD, Edge, Pta
+
+        return Pta(
+            ("a", "b"), ("1", "2"), frozenset({"1"}), (), (),
+            (Edge("1", "a", TRUE_GUARD, frozenset(), "2"),), frozenset({"2"}),
+        )  # fmt: skip
+
+    def test_deep_formula_counterexample_reverifies(self):
+        from ptamtl.mtl import FULL, Atom, Eventually, and_all
+        from ptamtl.timedwords import TimedWord
+
+        automaton = self.one_a_automaton()
+        formula = and_all([Eventually(FULL, Atom("b"))] * 3000)
+        verdict = bounded_modelcheck(automaton, formula, [{}], F(1), F(1), 1)
+        assert verdict.counterexample == TimedWord([("a", 0)])
+
+    def test_a_wrong_engine_verdict_is_caught(self, monkeypatch):
+        from ptamtl import modelcheck
+        from ptamtl.mtl import Atom, Or, compile_formula
+
+        automaton = self.one_a_automaton()
+        formula = Or(Atom("a"), Atom("b"))  # holds on every accepted word
+        lying = compile_formula(formula)
+        honest = modelcheck.satisfies
+
+        def satisfies(word, program):
+            return False if compile_formula(program) == lying else honest(word, program)
+
+        monkeypatch.setattr(modelcheck, "prefix_may_satisfy", lambda word, program: True)
+        monkeypatch.setattr(modelcheck, "satisfies", satisfies)
+        with pytest.raises(AssertionError, match="re-verification"):
+            bounded_modelcheck(automaton, formula, [{}], F(1), F(1), 1)

@@ -20,6 +20,7 @@ from ptamtl.mtl import (
     compile_formula,
     desugar,
     eval_at,
+    negate,
     prefix_may_satisfy,
     satisfies,
 )
@@ -194,6 +195,18 @@ class TestCompiledEngine:
         assert first == second
         assert len(program.ops) == 6  # a, b, !b, a & !b, F, the disjunction
 
+    def test_negate_equals_compiling_the_negation(self):
+        rng = random.Random(17)
+        formulas = [random_formula(rng, ["a", "b"], 4) for _ in range(200)]
+        formulas.append(Not(build_formula(two_message_machine(), "q3")))
+        for formula in formulas:
+            assert negate(compile_formula(formula)) == compile_formula(Not(formula))
+
+    def test_desugar_builds_equal_subformulas_once(self):
+        core = desugar(Or(Eventually(FULL, Atom("a")), Eventually(FULL, Atom("a"))), ["a"])
+        left, right = core.operand.left.operand, core.operand.right.operand
+        assert left is right
+
     def test_op_count_is_the_number_of_distinct_subformulas(self):
         formula = build_formula(two_message_machine(), "q3")
         distinct = set()
@@ -240,3 +253,6 @@ class TestCompiledEngine:
         assert satisfies(bad, deep_temporal)
         assert not satisfies(good, deep_temporal)
         assert prefix_may_satisfy(good, deep_temporal)
+        core = desugar(deep_temporal, ["a", "b"])
+        assert satisfies(bad, core)
+        assert not satisfies(good, core)

@@ -13,6 +13,7 @@ from ptamtl.pta import (
     constraint_sat,
     enumerate_accepted,
     is_deterministic,
+    iter_accepted,
     membership,
     membership_trace,
     run_word,
@@ -21,7 +22,7 @@ from ptamtl.pta import (
 from ptamtl.timedwords import TimedWord
 
 from conftest import two_phase_automaton
-from util import feasible_on_grid
+from util import brute_accepted, feasible_on_grid, random_pta
 
 F = Fraction
 
@@ -208,3 +209,56 @@ class TestEnumeration:
     def test_all_enumerated_words_pass_membership(self, cadence_automaton, half):
         for word in enumerate_accepted(cadence_automaton, {"p": half}, F(1, 4), F(2), 4):
             assert membership(cadence_automaton, {"p": half}, word)
+
+
+class TestGridSearch:
+    """iter_accepted against a brute-force enumeration of every grid word."""
+
+    PARAMETERS = (F(1, 3), F(1, 2), F(2, 3), F(1))
+    GRIDS = (F(1, 2), F(1, 3))
+    HORIZONS = (F(3, 2), F(5, 3), F(2))
+
+    def cases(self):
+        rng = random.Random(29)
+        for seed in range(12):
+            automaton = random_pta(rng)
+            horizon = self.HORIZONS[seed % len(self.HORIZONS)]
+            for p in self.PARAMETERS:
+                for grid in self.GRIDS:
+                    yield automaton, {"p": p}, grid, horizon
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("rejecting", [False, True])
+    def test_matches_brute_force(self, strict, rejecting):
+        def rule(word):
+            # skip every subtree below a b-event at an even position
+            return not (rejecting and len(word) % 2 == 0 and word.symbols[-1] == "b")
+
+        total = 0
+        for automaton, rho, grid, horizon in self.cases():
+            offered = []
+
+            def recording(word):
+                offered.append(word)
+                return rule(word)
+
+            words = list(iter_accepted(automaton, rho, grid, horizon, 3, strict, recording))
+            expected, viable = brute_accepted(automaton, rho, grid, horizon, 3, strict, rule)
+            assert words == expected, (automaton, rho, grid, horizon)
+            assert offered == viable, (automaton, rho, grid, horizon)
+            assert len(set(offered)) == len(offered)
+            total += len(words)
+        assert total > 0
+
+    def test_equality_with_an_off_grid_parameter_never_fires(self):
+        automaton = Pta(
+            ("a",), ("1", "2"), frozenset({"1"}), ("x",), ("p",),
+            (Edge("1", "a", ClockConstraint.of(("x", "=", "p")), frozenset(), "2"),),
+            frozenset({"2"}),
+        )  # fmt: skip
+        assert list(iter_accepted(automaton, {"p": F(1, 3)}, F(1, 2), F(2), 2)) == []
+        assert list(iter_accepted(automaton, {"p": F(1)}, F(1, 2), F(2), 2)) == [W(("a", 1))]
+
+    def test_undeclared_parameter(self, cadence_automaton, half):
+        with pytest.raises(KeyError):
+            list(iter_accepted(cadence_automaton, {}, half, F(2), 4))

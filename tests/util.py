@@ -26,7 +26,7 @@ from ptamtl.mtl import (
     TrueConst,
     Until,
 )
-from ptamtl.pta import ClockConstraint, constraint_sat
+from ptamtl.pta import ClockConstraint, ConstraintAtom, Edge, Pta, constraint_sat
 from ptamtl.timedwords import TimedWord
 
 
@@ -149,6 +149,109 @@ def feasible_on_grid(constraint: ClockConstraint, max_denominator: int, box: int
         if constraint_sat(clock_vals, param_vals, constraint):
             return True
     return False
+
+
+# -- brute-force oracle for the grid-word search -------------------------------
+
+
+def _run_states(automaton: Pta, parameters, events) -> set:
+    """(location, clock values) pairs reachable along the events, clocks
+    advanced by each delay, every edge scanned and every guard checked with
+    constraint_sat."""
+    clocks = automaton.clocks
+    states = {(loc, tuple(Fraction(0) for _ in clocks)) for loc in automaton.initial}
+    now = Fraction(0)
+    for symbol, time in events:
+        delay, now = time - now, time
+        successors = set()
+        for location, values in states:
+            elapsed = {clock: value + delay for clock, value in zip(clocks, values)}
+            for edge in automaton.edges:
+                if edge.source != location or edge.symbol != symbol:
+                    continue
+                if constraint_sat(elapsed, parameters, edge.guard):
+                    after = tuple(Fraction(0) if c in edge.resets else elapsed[c] for c in clocks)
+                    successors.add((edge.target, after))
+        states = successors
+    return states
+
+
+def _hops_to_final(automaton: Pta) -> dict:
+    """Fewest edges from each location to a final one, ignoring guards
+    (absent when unreachable), by repeated relaxation."""
+    hops = {loc: 0 for loc in automaton.final}
+    changed = True
+    while changed:
+        changed = False
+        for edge in automaton.edges:
+            if edge.target in hops and hops[edge.target] + 1 < hops.get(edge.source, len(automaton.locations) + 1):
+                hops[edge.source] = hops[edge.target] + 1
+                changed = True
+    return hops
+
+
+def brute_accepted(automaton: Pta, parameters, grid, horizon, max_events: int, strict=False, prefix_filter=None):
+    """(accepted words, offered prefixes) of the grid-word search, both in
+    depth-first (time, symbol) order.
+
+    Every grid sequence extending an offered prefix that passed
+    ``prefix_filter`` is simulated from scratch.  It is offered when its run
+    has a location that can reach a final one, ignoring guards, within the
+    events left; it is accepted when it is offered, passes the filter and
+    its run can end in a final location.
+    """
+    times = []
+    t = Fraction(0)
+    while t <= horizon:
+        times.append(t)
+        t += grid
+    symbols = sorted(automaton.alphabet)
+    hops = _hops_to_final(automaton)
+    accepted, offered = [], []
+
+    def visit(events):
+        states = _run_states(automaton, parameters, events)
+        left = max_events - len(events)
+        if not any(hops.get(loc, left + 1) <= left for loc, _ in states):
+            return
+        word = TimedWord(events)
+        offered.append(word)
+        if prefix_filter is not None and not prefix_filter(word):
+            return
+        if any(loc in automaton.final for loc, _ in states):
+            accepted.append(word)
+        for t in times:
+            if left and (t > events[-1][1] or (t == events[-1][1] and not strict)):
+                for symbol in symbols:
+                    visit(events + ((symbol, t),))
+
+    for t in times:
+        for symbol in symbols:
+            visit(((symbol, t),))
+    return accepted, offered
+
+
+def random_pta(rng: random.Random) -> Pta:
+    """A small automaton over {a, b} with one or two clocks and parameter p:
+    a path 0 -> 1 -> 2 to the final location 2 plus random edges, guards of
+    0-2 atoms drawn from all five relations, and random resets."""
+    clocks = ("x",) if rng.random() < 0.5 else ("x", "y")
+    locations = ("0", "1", "2")
+    relations = ["<", "<=", "=", ">=", ">"]
+
+    def edge(source, target):
+        atoms = tuple(
+            ConstraintAtom(rng.choice(clocks), rng.choice(relations), rng.choice([0, 1, 2, "p", "p", "p"]))
+            for _ in range(rng.choice([0, 1, 1, 2]))
+        )
+        resets = frozenset(c for c in clocks if rng.random() < 0.4)
+        return Edge(source, rng.choice("ab"), ClockConstraint(atoms), resets, target)
+
+    edges = [edge("0", "1"), edge("1", "2")]
+    edges += [edge(rng.choice(locations), rng.choice(locations)) for _ in range(rng.randint(1, 4))]
+    initial = frozenset({"0"}) if rng.random() < 0.7 else frozenset({"0", "1"})
+    final = frozenset({"2"}) if rng.random() < 0.7 else frozenset({"1", "2"})
+    return Pta(("a", "b"), locations, initial, clocks, ("p",), tuple(edges), final)
 
 
 # -- random value generators (seeded, deterministic) ---------------------------
