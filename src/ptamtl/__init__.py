@@ -52,9 +52,7 @@ from .pta import (
     ClockConstraint,
     ConstraintAtom,
     Edge,
-    GlobalState,
     Pta,
-    PtaRun,
     constraint_feasible,
     constraint_sat,
     enumerate_accepted,
@@ -62,8 +60,6 @@ from .pta import (
     iter_accepted,
     membership,
     membership_trace,
-    run_word,
-    step,
 )
 from .reduction import (
     ReductionBundle,

@@ -11,11 +11,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import formats
 from .channel import max_channel, search_error_free
-from .errors import ParseError, ToolkitError
+from .errors import ToolkitError
 from .encoding import EncodingLayout, decode, default_layout, encode, explain_membership
 from .modelcheck import bounded_modelcheck
 from .mtl import eval_at, satisfies
@@ -45,14 +46,6 @@ def _read(path: str) -> str:
 def _machine_and_final(path: str, final: str):
     machine, file_final = formats.parse_machine(_read(path))
     return machine, final or file_final
-
-
-def _print(payload: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, default=str))
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
 
 
 def _cmd_eval(args) -> int:
@@ -231,6 +224,7 @@ def _cmd_verify_reduction(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ptamtl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -321,10 +315,7 @@ def main(argv=None) -> int:
     except UsageError as error:
         print(f"usage error: {error}", file=sys.stderr)
         return 1
-    except (ParseError, FileNotFoundError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except ToolkitError as error:
+    except (ToolkitError, FileNotFoundError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     except AssertionError as error:

@@ -35,19 +35,6 @@ class InjectionError(ToolkitError):
     """inject_insertion() was given a colliding or structurally unusable offset."""
 
 
-class EnumerationLimitError(ToolkitError):
-    """Bounded language enumeration exceeded its node budget.
-
-    Carries the words found so far in ``partial`` so callers can distinguish
-    a truncated answer from an exhaustive one.
-    """
-
-    def __init__(self, message: str, partial: frozenset, nodes: int):
-        super().__init__(message)
-        self.partial = partial
-        self.nodes = nodes
-
-
 class ParseError(ToolkitError):
     """Syntax error in one of the text formats."""
 

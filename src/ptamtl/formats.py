@@ -80,7 +80,8 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*[!?]?)|(?P<num>\d+)"
     r"|(?P<arrow>->)|(?P<punct>[()\[\],&|!#*=]))"
 )
-_RESERVED_WORDS = {"true", "false", "U", "X", "F", "G", "inf"}
+# identifiers the syntax reserves: none of them can be read back as an atom
+KEYWORDS = frozenset({"true", "false", "U", "X", "F", "G", "inf"})
 
 
 class _Tokens:
@@ -281,12 +282,19 @@ def _render(node: Formula, parent: int) -> str:
         op = {Next: "X", Eventually: "F", Globally: "G"}[type(node)]
         text = f"{op}{serialize_interval(node.interval)} {_render(node.operand, 4)}"
         return f"({text})" if parent > 4 else text
-    if isinstance(node, And):
-        text = f"{_render(node.left, 3)} & {_render(node.right, 4)}"
-        return f"({text})" if parent > 3 else text
-    if isinstance(node, Or):
-        text = f"{_render(node.left, 2)} | {_render(node.right, 3)}"
-        return f"({text})" if parent > 2 else text
+    if isinstance(node, (And, Or)):
+        # and_all/or_all build long left chains: walk them in a loop, not by
+        # recursion; an inner link renders unbracketed, as parent == level
+        kind = type(node)
+        level, joiner = (3, " & ") if kind is And else (2, " | ")
+        rights = []
+        while type(node) is kind:
+            rights.append(node.right)
+            node = node.left
+        parts = [_render(node, level)]
+        parts.extend(_render(right, level + 1) for right in reversed(rights))
+        text = joiner.join(parts)
+        return f"({text})" if parent > level else text
     if isinstance(node, Implies):
         text = f"{_render(node.left, 2)} -> {_render(node.right, 1)}"
         return f"({text})" if parent > 1 else text

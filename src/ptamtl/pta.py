@@ -2,10 +2,11 @@
 
 Guards compare a single clock against a natural constant or a parameter.
 A parameter valuation fixes the semantics; membership of a timed word is
-decided by simulating the set of reachable global states along the word,
-tracking each clock by its last reset time (a finite canonical
-representation along a fixed word).  :func:`membership` evaluates every
-guard on exact rationals and is the reference.
+decided by carrying a frontier of (location, per-clock last reset time)
+pairs along the word (:func:`membership_trace`): at an event at time t a
+clock reset at r holds t - r, so the frontier is a finite, exact stand-in
+for every run on that prefix.  :func:`membership` evaluates every guard on
+exact rationals and is the reference.
 
 The grid-word search :func:`iter_accepted` counts time in integer ticks of
 the grid instead: on a grid every clock value is a whole number of ticks,
@@ -24,7 +25,6 @@ from functools import cached_property
 from math import ceil, floor
 from typing import Iterator, Mapping, Optional, Union
 
-from .errors import EnumerationLimitError
 from .timedwords import TimedWord, rat
 
 Bound = Union[int, str]  # a natural constant or a parameter name
@@ -136,41 +136,6 @@ class Pta:
         return self.edge_index.get((location, symbol), ())
 
 
-@dataclass(frozen=True)
-class GlobalState:
-    """A location together with a clock valuation (clock name, value) pairs,
-    sorted by clock name."""
-
-    location: str
-    valuation: tuple[tuple[str, Fraction], ...]
-
-    @classmethod
-    def make(cls, location: str, values: Mapping[str, Fraction]) -> "GlobalState":
-        return cls(location, tuple(sorted((c, rat(v)) for c, v in values.items())))
-
-    def value(self, clock: str) -> Fraction:
-        for name, v in self.valuation:
-            if name == clock:
-                return v
-        raise KeyError(clock)
-
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(self.valuation)
-
-
-@dataclass(frozen=True)
-class PtaRun:
-    """A run: an initial global state plus (symbol, delay, successor) steps."""
-
-    initial: GlobalState
-    steps: tuple[tuple[str, Fraction, GlobalState], ...] = ()
-
-    def __post_init__(self):
-        for _, delay, _ in self.steps:
-            if delay < 0:
-                raise ValueError("delays must be non-negative")
-
-
 def constraint_sat(
     valuation: Mapping[str, Fraction],
     parameters: Mapping[str, Fraction],
@@ -194,49 +159,6 @@ def constraint_sat(
         if not _compare(value, atom.relation, bound):
             return False
     return True
-
-
-def step(
-    automaton: Pta,
-    parameters: Mapping[str, Fraction],
-    state: GlobalState,
-    event: tuple[str, Fraction],
-) -> frozenset[GlobalState]:
-    """All successor global states on (symbol, delay); empty when no edge fires."""
-    symbol, delay = event[0], rat(event[1])
-    if delay < 0:
-        raise ValueError("delay must be non-negative")
-    elapsed = {clock: value + delay for clock, value in state.valuation}
-    successors = set()
-    for edge in automaton.edges_from(state.location, symbol):
-        if constraint_sat(elapsed, parameters, edge.guard):
-            after = {
-                clock: (Fraction(0) if clock in edge.resets else value)
-                for clock, value in elapsed.items()
-            }
-            successors.add(GlobalState.make(edge.target, after))
-    return frozenset(successors)
-
-
-def run_word(run: PtaRun) -> TimedWord:
-    """The timed word associated with a run: timestamps are prefix sums of delays."""
-    if not run.steps:
-        raise ValueError("a run with no steps has no associated timed word")
-    events = []
-    clock = Fraction(0)
-    for symbol, delay, _ in run.steps:
-        clock += delay
-        events.append((symbol, clock))
-    return TimedWord(events)
-
-
-def initial_states(automaton: Pta) -> frozenset[GlobalState]:
-    zero = {clock: Fraction(0) for clock in automaton.clocks}
-    return frozenset(GlobalState.make(loc, zero) for loc in sorted(automaton.initial))
-
-
-# Frontier states during word simulation: (location, per-clock last reset time).
-_Frontier = frozenset
 
 
 def _frontier_successors(
@@ -554,20 +476,6 @@ def enumerate_accepted(
     horizon: Fraction,
     max_events: int,
     strict: bool = False,
-    max_words: Optional[int] = None,
 ) -> frozenset[TimedWord]:
-    """Exhaustively collect the accepted words within the given bounds.
-
-    Raises EnumerationLimitError (carrying the partial result) when more than
-    ``max_words`` accepted words are found.
-    """
-    found: set[TimedWord] = set()
-    for word in iter_accepted(automaton, parameters, grid, horizon, max_events, strict):
-        found.add(word)
-        if max_words is not None and len(found) > max_words:
-            raise EnumerationLimitError(
-                f"more than {max_words} accepted words within bounds",
-                partial=frozenset(found),
-                nodes=len(found),
-            )
-    return frozenset(found)
+    """Exhaustively collect the accepted words within the given bounds."""
+    return frozenset(iter_accepted(automaton, parameters, grid, horizon, max_events, strict))

@@ -40,6 +40,7 @@ from .encoding import (
     inject_insertion,
     max_width,
 )
+from .formats import KEYWORDS
 from .mtl import (
     FULL,
     POSITIVE,
@@ -62,8 +63,6 @@ from .mtl import (
 from .pta import ClockConstraint, Edge, Pta, membership
 from .timedwords import TimedWord
 
-_RESERVED = {HASH, STAR, EPS, "true", "false", "inf", "U", "X", "F", "G"}
-
 
 def machine_alphabet(machine: ChannelMachine) -> tuple[str, ...]:
     """The encoding alphabet: states, messages, labels, hash, end marker."""
@@ -76,17 +75,14 @@ def machine_alphabet(machine: ChannelMachine) -> tuple[str, ...]:
 
 
 def _validate_symbols(machine: ChannelMachine, target: str) -> None:
+    """The target is a state, and no state or message is spelled like a
+    formula keyword.  ChannelMachine itself keeps names distinct and apart
+    from labels, hash, end marker and eps."""
     if target not in machine.states:
         raise ValueError(f"target state {target!r} undeclared")
-    names = list(machine.states) + list(machine.messages)
-    labels = set(machine.labels())
-    for name in names:
-        if name in _RESERVED or name in labels:
+    for name in (*machine.states, *machine.messages):
+        if name in KEYWORDS:
             raise ValueError(f"symbol {name!r} collides with a reserved spelling")
-    if set(machine.states) & set(machine.messages):
-        raise ValueError("state and message names must be disjoint")
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate symbol names")
 
 
 def build_automaton(machine: ChannelMachine, target: str) -> Pta:

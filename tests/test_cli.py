@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ptamtl import formats
+from ptamtl import cli, formats
 from ptamtl.cli import main
 from ptamtl.modelcheck import bounded_modelcheck
 from ptamtl.mtl import Not
@@ -72,6 +72,16 @@ class TestBasicCommands:
 
     def test_missing_file_exit_code(self, capsys, tmp_path):
         assert main(["det-check", str(tmp_path / "nope.pta")]) == 1
+
+    def test_reused_parser_keeps_no_state_between_calls(self, capsys):
+        # the parser is built once per process: an option given in one call
+        # must not carry over into the next
+        assert main(["eval", "--at", "2", "b", "a@0 b@1"]) == 0
+        assert main(["eval", "b", "a@0 b@1"]) == 0
+        assert main(["eval"]) == 1
+        assert main(["eval", "--at", "2", "b", "a@0 b@1"]) == 0
+        assert capsys.readouterr().out.split() == ["true", "false", "true"]
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestPipelineCommands:

@@ -6,7 +6,7 @@ import pytest
 from ptamtl import formats
 from ptamtl.channel import ChannelMachine
 from ptamtl.errors import ParseError
-from ptamtl.mtl import And, Atom, Interval, Not, Until
+from ptamtl.mtl import And, Atom, Interval, Not, Until, and_all, or_all
 from ptamtl.pta import ClockConstraint, Edge, Pta
 from ptamtl.timedwords import TimedWord
 
@@ -71,6 +71,20 @@ class TestFormulaFormat:
             formula = random_formula(rng, alphabet, 4)
             rendered = formats.serialize_formula(formula)
             assert formats.parse_formula(rendered) == formula, rendered
+
+    def test_long_conjunction_chain_round_trips(self):
+        # left-folded, as and_all builds it; compare text, since == and hash
+        # on the chain recurse as deep as it goes
+        formula = and_all([Atom(f"a{i % 7}") for i in range(3000)])
+        rendered = formats.serialize_formula(formula)
+        assert rendered == " & ".join(f"a{i % 7}" for i in range(3000))
+        assert formats.serialize_formula(formats.parse_formula(rendered)) == rendered
+
+    def test_long_disjunction_chain_keeps_its_brackets(self):
+        formula = And(or_all([Atom("a"), Not(Atom("b"))] * 1500), Atom("c"))
+        rendered = formats.serialize_formula(formula)
+        assert rendered == "(" + " | ".join(["a", "!b"] * 1500) + ") & c"
+        assert formats.serialize_formula(formats.parse_formula(rendered)) == rendered
 
 
 class TestMachineFormat:

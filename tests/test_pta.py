@@ -6,9 +6,7 @@ import pytest
 from ptamtl.pta import (
     ClockConstraint,
     Edge,
-    GlobalState,
     Pta,
-    PtaRun,
     constraint_feasible,
     constraint_sat,
     enumerate_accepted,
@@ -16,8 +14,6 @@ from ptamtl.pta import (
     iter_accepted,
     membership,
     membership_trace,
-    run_word,
-    step,
 )
 from ptamtl.timedwords import TimedWord
 
@@ -50,36 +46,34 @@ class TestConstraintSat:
 
 
 class TestStep:
+    """One event's successors, read off the frontier trace: each frontier
+    state is (location, (reset time of x, reset time of y))."""
+
     def test_loop_fires(self, cadence_automaton, half):
-        state = GlobalState.make("1", {"x": F(0), "y": F(0)})
-        successors = step(cadence_automaton, {"p": half}, state, ("a", half))
-        assert successors == frozenset(
-            {GlobalState.make("1", {"x": F(0), "y": half})}
-        )
+        trace = membership_trace(cadence_automaton, {"p": half}, W(("a", half)))
+        assert trace[1] == {("1", (half, F(0)))}
 
     def test_wrong_delay(self, cadence_automaton, half):
-        state = GlobalState.make("1", {"x": F(0), "y": F(0)})
-        assert step(cadence_automaton, {"p": half}, state, ("a", F(1, 4))) == frozenset()
+        trace = membership_trace(cadence_automaton, {"p": half}, W(("a", F(1, 4))))
+        assert trace[-1] == frozenset()
 
     def test_nondeterministic_branching(self, cadence_automaton):
-        state = GlobalState.make("1", {"x": F(0), "y": F(0)})
-        successors = step(cadence_automaton, {"p": F(1)}, state, ("a", F(1)))
-        assert successors == frozenset(
-            {
-                GlobalState.make("1", {"x": F(0), "y": F(1)}),
-                GlobalState.make("2", {"x": F(0), "y": F(0)}),
-            }
-        )
+        trace = membership_trace(cadence_automaton, {"p": F(1)}, W(("a", 1)))
+        assert trace[1] == {("1", (F(1), F(0))), ("2", (F(1), F(1)))}
 
     def test_removing_an_edge_never_adds_successors(self, cadence_automaton):
         rng = random.Random(3)
+        rho = {"p": F(1, 2)}
+        live = 0
         for _ in range(20):
-            state = GlobalState.make(
-                rng.choice(cadence_automaton.locations),
-                {"x": F(rng.randint(0, 4), 2), "y": F(rng.randint(0, 4), 2)},
-            )
-            event = (rng.choice(["a", "b"]), F(rng.randint(0, 4), 2))
-            full = step(cadence_automaton, {"p": F(1, 2)}, state, event)
+            # mostly on the p = 1/2 cadence, so that many frontiers are non-empty
+            time, events = F(0), []
+            for _ in range(rng.randint(1, 5)):
+                time += rng.choice([F(1, 2), F(1, 2), F(1, 2), F(1, 4)])
+                events.append((rng.choice("aaab" if time <= 1 else "abbb"), time))
+            word = TimedWord(events)
+            full = membership_trace(cadence_automaton, rho, word)
+            live += sum(1 for frontier in full[1:] if frontier)
             for drop in range(len(cadence_automaton.edges)):
                 pruned = Pta(
                     cadence_automaton.alphabet,
@@ -90,33 +84,24 @@ class TestStep:
                     cadence_automaton.edges[:drop] + cadence_automaton.edges[drop + 1 :],
                     cadence_automaton.final,
                 )
-                assert step(pruned, {"p": F(1, 2)}, state, event) <= full
+                trace = membership_trace(pruned, rho, word)
+                assert len(trace) <= len(full)
+                for smaller, larger in zip(trace, full):
+                    assert smaller <= larger
+        assert live >= 10
 
 
 class TestRunWord:
-    def test_prefix_sums(self):
-        s = GlobalState.make("1", {"x": F(0)})
-        run = PtaRun(s, ((("a"), F(1), s), (("b"), F(1, 2), s)))
-        assert run_word(run) == W(("a", 1), ("b", "3/2"))
-
-    def test_zero_delay_start(self):
-        s = GlobalState.make("1", {"x": F(0)})
-        run = PtaRun(s, ((("a"), F(0), s),))
-        assert run_word(run) == W(("a", 0))
-
     def test_accepting_run_of_the_cadence_automaton(self, cadence_automaton, half):
         rho = {"p": half}
-        state = GlobalState.make("1", {"x": F(0), "y": F(0)})
-        events = [("a", half), ("a", half), ("b", half), ("b", half)]
-        steps = []
-        for symbol, delay in events:
-            candidates = step(cadence_automaton, rho, state, (symbol, delay))
-            # drive towards acceptance: prefer leaving the current location last
-            state = sorted(candidates, key=lambda s: s.location)[-1]
-            steps.append((symbol, delay, state))
-        run = PtaRun(GlobalState.make("1", {"x": F(0), "y": F(0)}), tuple(steps))
-        word = run_word(run)
-        assert word == W(("a", "1/2"), ("a", 1), ("b", "3/2"), ("b", 2))
+        word = W(("a", "1/2"), ("a", 1), ("b", "3/2"), ("b", 2))
+        assert membership_trace(cadence_automaton, rho, word) == [
+            {("1", (F(0), F(0)))},
+            {("1", (half, F(0)))},
+            {("1", (F(1), F(0))), ("2", (F(1), F(1)))},
+            {("2", (F(3, 2), F(1)))},
+            {("2", (F(2), F(1))), ("3", (F(3, 2), F(1)))},
+        ]
         assert membership(cadence_automaton, rho, word)
 
 

@@ -62,11 +62,16 @@ class TestBuildAutomaton:
         assert membership(automaton, {"p": F(1, 2)}, w_c1)
         assert not membership(automaton, {"p": F(1, 3)}, w_c1)
 
-    def test_rejects_colliding_names(self):
+    @pytest.mark.parametrize("keyword", ["true", "false", "inf", "U", "X", "F", "G"])
+    def test_rejects_colliding_names(self, keyword):
         with pytest.raises(ValueError):
             ChannelMachine(("eps", "b"), "eps", ("m",), ())
-        # grammar-reserved words are rejected when building the bundle
-        machine = ChannelMachine(("true", "b"), "true", ("m",), ())
+        # formula keywords are rejected when building the bundle, as state
+        # and as message names
+        machine = ChannelMachine((keyword, "b"), keyword, ("m",), ())
+        with pytest.raises(ValueError):
+            build_automaton(machine, "b")
+        machine = ChannelMachine(("a", "b"), "a", (keyword,), ())
         with pytest.raises(ValueError):
             build_automaton(machine, "b")
 
