@@ -78,7 +78,7 @@ def serialize_timed_word(word: TimedWord) -> str:
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*[!?]?)|(?P<num>\d+)"
-    r"|(?P<arrow>->)|(?P<punct>[()\[\],&|!#*=]))"
+    r"|(?P<op>->|[()\[\],&|!#*=])|(?P<bad>\S))"
 )
 # identifiers the syntax reserves: none of them can be read back as an atom
 KEYWORDS = frozenset({"true", "false", "U", "X", "F", "G", "inf"})
@@ -86,39 +86,25 @@ KEYWORDS = frozenset({"true", "false", "U", "X", "F", "G", "inf"})
 
 class _Tokens:
     def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []
-        position = 0
-        while position < len(text):
-            match = _TOKEN.match(text, position)
-            if match is None:
-                rest = text[position:].lstrip()
-                if not rest:
-                    break
-                raise ParseError(f"unexpected character {rest[0]!r}", column=position + 1)
-            position = match.end()
-            if match.lastgroup == "ident":
-                self.items.append(("ident", match.group("ident"), match.start()))
-            elif match.lastgroup == "num":
-                self.items.append(("num", match.group("num"), match.start()))
-            elif match.lastgroup == "arrow":
-                self.items.append(("op", "->", match.start()))
-            else:
-                self.items.append(("op", match.group("punct"), match.start()))
+        self.items: list[tuple[str, str]] = []  # (ident | num | op, text)
+        for match in _TOKEN.finditer(text):
+            kind = match.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {match.group(kind)!r}", column=match.start() + 1)
+            self.items.append((kind, match.group(kind)))
         self.index = 0
 
     def peek(self) -> Optional[tuple[str, str]]:
         if self.index < len(self.items):
-            kind, value, _ = self.items[self.index]
-            return kind, value
+            return self.items[self.index]
         return None
 
     def next(self) -> tuple[str, str]:
         if self.index >= len(self.items):
             raise ParseError("unexpected end of formula")
-        kind, value, _ = self.items[self.index]
+        item = self.items[self.index]
         self.index += 1
-        return kind, value
+        return item
 
     def expect(self, value: str) -> None:
         got = self.peek()
@@ -168,43 +154,51 @@ def _parse_interval(tokens: _Tokens) -> Optional[Interval]:
         return None
 
 
+_PREFIXES = {Not: "!", Next: "X", Eventually: "F", Globally: "G"}  # the unary operators
+_MODALITIES = {op: cls for cls, op in _PREFIXES.items() if cls is not Not}
+
+
 def _parse_unary(tokens: _Tokens) -> Formula:
-    got = tokens.peek()
-    if got is None:
-        raise ParseError("unexpected end of formula")
-    kind, value = got
-    if value == "!" and kind == "op":
-        tokens.next()
-        return Not(_parse_unary(tokens))
-    if kind == "ident" and value in ("X", "F", "G"):
-        tokens.next()
-        interval = _parse_interval(tokens) or FULL
-        operand = _parse_unary(tokens)
-        if value == "X":
-            return Next(interval, operand)
-        if value == "F":
-            return Eventually(interval, operand)
-        return Globally(interval, operand)
+    # a run of prefix operators is read in a loop and built inside out, so
+    # deep nesting does not recurse
+    prefixes: list[tuple[type, Optional[Interval]]] = []
+    while True:
+        got = tokens.peek()
+        if got is None:
+            raise ParseError("unexpected end of formula")
+        kind, value = got
+        if value == "!" and kind == "op":
+            tokens.next()
+            prefixes.append((Not, None))
+        elif kind == "ident" and value in _MODALITIES:
+            tokens.next()
+            prefixes.append((_MODALITIES[value], _parse_interval(tokens) or FULL))
+        else:
+            break
     if value == "(" and kind == "op":
         tokens.next()
-        inner = _parse_until(tokens)
+        node = _parse_until(tokens)
         tokens.expect(")")
-        return inner
-    if kind == "ident":
+    elif kind == "ident":
         tokens.next()
         if value == "true":
-            return TrueConst()
-        if value == "false":
-            return FalseConst()
-        if value == "U":
+            node = TrueConst()
+        elif value == "false":
+            node = FalseConst()
+        elif value == "U":
             raise ParseError("'U' is an operator, not an atom")
-        if value == "inf":
+        elif value == "inf":
             raise ParseError("'inf' is reserved for interval endpoints")
-        return Atom(value)
-    if value in ("#", "*") and kind == "op":
+        else:
+            node = Atom(value)
+    elif value in ("#", "*") and kind == "op":
         tokens.next()
-        return Atom(value)
-    raise ParseError(f"unexpected token {value!r}")
+        node = Atom(value)
+    else:
+        raise ParseError(f"unexpected token {value!r}")
+    for make, interval in reversed(prefixes):
+        node = make(node) if interval is None else make(interval, node)
+    return node
 
 
 def _parse_and(tokens: _Tokens) -> Formula:
@@ -230,21 +224,26 @@ def _parse_or(tokens: _Tokens) -> Formula:
 
 
 def _parse_implies(tokens: _Tokens) -> Formula:
-    node = _parse_or(tokens)
-    got = tokens.peek()
-    if got is not None and got == ("op", "->"):
+    parts = [_parse_or(tokens)]
+    while tokens.peek() == ("op", "->"):
         tokens.next()
-        return Implies(node, _parse_implies(tokens))  # right-associative
+        parts.append(_parse_or(tokens))
+    node = parts.pop()
+    while parts:  # right-associative: fold from the right
+        node = Implies(parts.pop(), node)
     return node
 
 
 def _parse_until(tokens: _Tokens) -> Formula:
+    links = []  # (left operand, interval)
     node = _parse_implies(tokens)
-    got = tokens.peek()
-    if got is not None and got == ("ident", "U"):
+    while tokens.peek() == ("ident", "U"):
         tokens.next()
-        interval = _parse_interval(tokens) or FULL
-        return Until(interval, node, _parse_until(tokens))  # right-associative
+        links.append((node, _parse_interval(tokens) or FULL))
+        node = _parse_implies(tokens)
+    while links:  # right-associative: fold from the right
+        left, interval = links.pop()
+        node = Until(interval, left, node)
     return node
 
 
@@ -276,12 +275,15 @@ def _render(node: Formula, parent: int) -> str:
         return "true"
     if isinstance(node, FalseConst):
         return "false"
-    if isinstance(node, Not):
-        return "!" + _render(node.operand, 4)
-    if isinstance(node, (Next, Eventually, Globally)):
-        op = {Next: "X", Eventually: "F", Globally: "G"}[type(node)]
-        text = f"{op}{serialize_interval(node.interval)} {_render(node.operand, 4)}"
-        return f"({text})" if parent > 4 else text
+    if type(node) in _PREFIXES:
+        # unary chains are walked in a loop; an operand of a unary operator
+        # renders at level 4, so no link of the chain is bracketed
+        prefixes = []
+        while type(node) in _PREFIXES:
+            op = _PREFIXES[type(node)]
+            prefixes.append(op if type(node) is Not else f"{op}{serialize_interval(node.interval)} ")
+            node = node.operand
+        return "".join(prefixes) + _render(node, 4)
     if isinstance(node, (And, Or)):
         # and_all/or_all build long left chains: walk them in a loop, not by
         # recursion; an inner link renders unbracketed, as parent == level
@@ -296,13 +298,19 @@ def _render(node: Formula, parent: int) -> str:
         text = joiner.join(parts)
         return f"({text})" if parent > level else text
     if isinstance(node, Implies):
-        text = f"{_render(node.left, 2)} -> {_render(node.right, 1)}"
+        # right-associative: walk the right spine in a loop
+        parts = []
+        while type(node) is Implies:
+            parts.append(_render(node.left, 2) + " -> ")
+            node = node.right
+        text = "".join(parts) + _render(node, 1)
         return f"({text})" if parent > 1 else text
     if isinstance(node, Until):
-        text = (
-            f"{_render(node.left, 1)} U{serialize_interval(node.interval)} "
-            f"{_render(node.right, 0)}"
-        )
+        parts = []
+        while type(node) is Until:
+            parts.append(f"{_render(node.left, 1)} U{serialize_interval(node.interval)} ")
+            node = node.right
+        text = "".join(parts) + _render(node, 0)
         return f"({text})" if parent > 0 else text
     raise TypeError(f"unknown formula node {node!r}")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .mtl import Formula, Program, compile_formula, desugar, negate, prefix_may_satisfy, satisfies
+from .mtl import Formula, Monitor, Program, compile_formula, desugar, negate, prefix_may_satisfy, satisfies
 from .pta import Pta, iter_accepted, membership
 from .timedwords import TimedWord
 
@@ -79,16 +79,17 @@ def bounded_modelcheck(
         raise ValueError("need at least one candidate valuation")
     # A subtree can be skipped once no extension of its prefix can violate
     # the property: the prefix monitor is sound, so absence claims stay
-    # exact relative to the bounds.
+    # exact relative to the bounds.  The search offers each prefix right
+    # after its parent, so the monitor extends the parent's state by one event.
     program = compile_formula(formula)
-    negated = negate(program)
+    monitor = Monitor(negate(program))
     # Counterexamples are re-checked on the core-only expansion of the
     # formula, a different op array run through other engine branches, and
     # against the automaton by exact membership.  Compiled on first use.
     core: Optional[Program] = None
 
     def viable(prefix: TimedWord) -> bool:
-        return prefix_may_satisfy(prefix, negated)
+        return prefix_may_satisfy(prefix, monitor)
 
     results: list[CandidateResult] = []
     first_hit: Optional[tuple[tuple[tuple[str, Fraction], ...], TimedWord]] = None

@@ -17,6 +17,19 @@ each interval modality reads its windows by binary search and prefix counts.
 A closed word is a prefix with no future: :func:`satisfies` and the sound
 pruning monitor :func:`prefix_may_satisfy` are the same evaluation, closed
 or open-ended.  Results are checked against a naive evaluator in the tests.
+
+A depth-first search asks about a prefix right after asking about its parent,
+which differs by one event.  A :class:`Monitor` answers such calls
+incrementally: its :class:`MonitorState` per prefix keeps the symbols, the
+timestamps as integers over their common denominator (rescaled when an event
+brings a new denominator) and one row per op, built lazily.  :func:`extend`
+makes the child state: an atom gets one new entry, a boolean connective is
+recomputed from its operands' rows, and a temporal op copies the parent's
+row and re-evaluates only the entries that were unknown (1) there and the new
+last position.  That rests on one invariant, which the tests check: an entry
+the open-ended evaluation decides (0 or 2) on a prefix keeps its value on
+every extension by events at or after the last timestamp, and in the closed
+evaluation of the whole word.  It is the invariant that makes pruning sound.
 """
 
 from __future__ import annotations
@@ -27,9 +40,9 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from math import lcm
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .timedwords import TimedWord
+from .timedwords import RationalLike, TimedWord, rat
 
 
 @dataclass(frozen=True)
@@ -325,6 +338,46 @@ def negate(program: Program) -> Program:
 # events of any symbol may follow at or after the last timestamp.
 
 
+def _connective(op: tuple, rows: list, symbols: list[str]) -> list[int]:
+    """The row of an atom, a constant or a boolean connective, from the rows
+    of its operands: one step for a whole word and for a monitor state (which
+    extends an atom's row by one entry instead)."""
+    kind, a, b, _ = op
+    if kind == _ATOM:
+        return [2 if symbol == a else 0 for symbol in symbols]
+    if kind < _NOT:
+        return [2 if kind == _TRUE else 0] * len(symbols)
+    x = rows[a]
+    if kind == _NOT:
+        return [2 - v for v in x]
+    if kind == _AND:
+        return list(map(min, x, rows[b]))
+    if kind == _OR:
+        return list(map(max, x, rows[b]))
+    return list(map(max, [2 - v for v in x], rows[b]))  # implies
+
+
+def _fill(ops: tuple, rows: list, k: int, compute) -> list[int]:
+    """``rows[k]``, computing first every missing row it depends on, children
+    before parents, with ``compute(j)``.  Once ``rows[k]`` is set, so are the
+    rows of all of op k's descendants."""
+    if rows[k] is None:
+        needed, stack = set(), [k]
+        while stack:
+            j = stack.pop()
+            if j in needed or rows[j] is not None:
+                continue
+            needed.add(j)
+            kind, a, b, _ = ops[j]
+            if kind >= _NOT:
+                stack.append(a)
+                if b >= 0:
+                    stack.append(b)
+        for j in sorted(needed):
+            rows[j] = compute(j)
+    return rows[k]
+
+
 def _evaluator(word: TimedWord, program: Program, closed: bool):
     """Return ``row(k)``, the values of op k at every position of the word."""
     ops = program.ops
@@ -392,20 +445,10 @@ def _evaluator(word: TimedWord, program: Program, closed: bool):
         ]  # fmt: skip
 
     def compute(k: int) -> list[int]:
-        kind, a, b, iv = ops[k]
-        if kind == _ATOM:
-            return [2 if symbol == a else 0 for symbol in symbols]
-        if kind < _NOT:
-            return [2 if kind == _TRUE else 0] * n
+        kind, a, b, iv = op = ops[k]
+        if kind < _NEXT:
+            return _connective(op, rows, symbols)
         x = rows[a]
-        if kind == _NOT:
-            return [2 - v for v in x]
-        if kind == _AND:
-            return list(map(min, x, rows[b]))
-        if kind == _OR:
-            return list(map(max, x, rows[b]))
-        if kind == _IMPLIES:
-            return list(map(max, [2 - v for v in x], rows[b]))
         if kind == _UNTIL:
             weak, strict = [n] * (n + 1), [n] * (n + 1)
             for j in range(n - 1, -1, -1):
@@ -418,32 +461,15 @@ def _evaluator(word: TimedWord, program: Program, closed: bool):
             return reach(x, iv, 2, 0)
         return reach(x, iv, 0, 2)
 
-    def row(k: int) -> list[int]:
-        if rows[k] is None:
-            needed, stack = set(), [k]
-            while stack:
-                j = stack.pop()
-                if j in needed or rows[j] is not None:
-                    continue
-                needed.add(j)
-                kind, a, b, _ = ops[j]
-                if kind >= _NOT:
-                    stack.append(a)
-                    if b >= 0:
-                        stack.append(b)
-            for j in sorted(needed):
-                rows[j] = compute(j)
-        return rows[k]
-
-    return row
+    return lambda k: _fill(ops, rows, k, compute)
 
 
-def _value(word: TimedWord, program: Program, closed: bool) -> int:
-    """Value at position 1.  The connectives above the first temporal
-    operators are evaluated at that position alone, left operand first,
-    skipping the right operand once the left decides the result."""
+def _value(program: Program, row) -> int:
+    """Value at position 1, reading the rows of the temporal operators and
+    atoms from ``row(k)``.  The connectives above them are evaluated at that
+    position alone, left operand first, skipping the right operand once the
+    left decides the result."""
     ops = program.ops
-    row = _evaluator(word, program, closed)
     stack = [(program.root, 0, 0)]  # (op, phase, left value)
     value = 0
     while stack:
@@ -468,6 +494,147 @@ def _value(word: TimedWord, program: Program, closed: bool) -> int:
     return value
 
 
+# -- the incremental monitor ----------------------------------------------------
+
+
+def _first(row: list[int], value: int, start: int) -> int:
+    """The first position from ``start`` holding ``value``, or len(row)."""
+    try:
+        return row.index(value, start)
+    except ValueError:
+        return len(row)
+
+
+class MonitorState:
+    """The open-ended evaluation of a program on one prefix.
+
+    Holds the prefix's symbols, its timestamps as integers over their common
+    denominator, and one row per op, equal to the from-scratch open-ended
+    row.  Rows are built on demand from the parent prefix's row of the same
+    op (see :func:`extend`).  ``MonitorState(program)`` is the empty word,
+    whose rows are all empty.
+    """
+
+    __slots__ = ("program", "parent", "symbols", "times", "scale", "rows")
+
+    def __init__(
+        self,
+        program: Program,
+        parent: Optional["MonitorState"] = None,
+        symbols: Sequence[str] = (),
+        times: Sequence[int] = (),
+        scale: int = 1,
+    ):
+        self.program = program
+        self.parent = parent
+        self.symbols = symbols
+        self.times = times
+        self.scale = scale
+        self.rows: list = [[] if parent is None else None] * len(program.ops)
+
+    def row(self, k: int) -> list[int]:
+        """The values of op k at every position of the prefix."""
+        if self.rows[k] is None:
+            # ancestors missing this row get it first, top down, so each
+            # state extends a parent row (the empty word has every row)
+            chain, state = [], self
+            while state.rows[k] is None:
+                chain.append(state)
+                state = state.parent
+            for state in reversed(chain):
+                _fill(self.program.ops, state.rows, k, state._step)
+        return self.rows[k]
+
+    def _step(self, k: int) -> list[int]:
+        """Row k from the parent's row k and this state's rows of op k's
+        operands.  A temporal op re-evaluates only the parent's unknown
+        entries and the new last position: a decided entry never changes
+        when events are appended at or after the last timestamp."""
+        kind, a, b, iv = op = self.program.ops[k]
+        before = self.parent.rows[k]
+        if kind == _ATOM:
+            return before + [2 if self.symbols[-1] == a else 0]
+        if kind < _NEXT:
+            return _connective(op, self.rows, self.symbols)
+        times = self.times
+        n = len(times)
+        interval = self.program.intervals[iv]
+        low = interval.lower * self.scale
+        start = bisect_left if interval.lower_closed else bisect_right
+        high = None if interval.upper is None else interval.upper * self.scale
+        end = bisect_right if interval.upper_closed else bisect_left
+        x = self.rows[a]
+        y = x if b < 0 else self.rows[b]  # the witness row of U and X
+        row = before + [1]
+        i = -1
+        while i < n - 1:
+            i = row.index(1, i + 1)  # the next unknown; the new last entry is one
+            t = times[i]
+            lo = start(times, t + low, i + 1)  # i's window is lo:hi, as in _evaluator
+            hi = n if high is None else end(times, t + high, i + 1)
+            if kind == _EVENTUALLY or kind == _GLOBALLY:
+                inside = x[lo:hi]
+                hit = 2 if kind == _EVENTUALLY else 0
+                row[i] = hit if hit in inside else 1 if hi == n or 1 in inside else 2 - hit
+                continue
+            if kind == _NEXT:  # false U phi
+                weak = strict = i + 1
+            else:  # the first position after i where the left operand is not true / is false
+                strict = _first(x, 0, i + 1)
+                weak = min(strict, _first(x, 1, i + 1))
+            if 2 in y[lo:min(hi, weak + 1)]:
+                row[i] = 2
+            elif (hi == n and strict == n) or any(y[lo:min(hi, strict + 1)]):
+                row[i] = 1
+            else:
+                row[i] = 0
+        return row
+
+
+def extend(state: MonitorState, symbol: str, time: RationalLike) -> MonitorState:
+    """The state of ``state``'s prefix followed by ``(symbol, time)``, with
+    ``time`` at least the last timestamp.  Rows are built when asked for."""
+    time = rat(time)
+    scale = lcm(state.scale, time.denominator)
+    times = state.times
+    if scale != state.scale:
+        factor = scale // state.scale
+        times = [t * factor for t in times]
+    now = time.numerator * (scale // time.denominator)
+    if times and now < times[-1]:
+        raise ValueError("timestamps must be non-decreasing")
+    return MonitorState(state.program, state, [*state.symbols, symbol], [*times, now], scale)
+
+
+class Monitor:
+    """The prefix monitor of one formula, incremental along a depth-first
+    search.  It keeps the states of every prefix of the last word it was
+    given.  A word that extends one of them by one event extends that state
+    and drops the deeper ones; any other word is evaluated again from the
+    empty word, so answers never depend on the order of the calls."""
+
+    def __init__(self, formula: Union[Formula, Program]):
+        self.program = compile_formula(formula)
+        self._events: tuple = ()  # the last word seen; _states[d] holds its first d events
+        self._states = [MonitorState(self.program)]
+
+    def state(self, word: TimedWord) -> MonitorState:
+        """The state of ``word``, built from the stored state of its parent
+        prefix when there is one."""
+        events = word.events
+        keep = len(events) - 1
+        states = self._states
+        # the search shares event tuples between a word and its extensions,
+        # so this comparison is by identity, element by element
+        if keep >= len(states) or events[:keep] != self._events[:keep]:
+            keep = 0
+        del states[keep + 1 :]
+        for symbol, time in events[keep:]:
+            states.append(extend(states[-1], symbol, time))
+        self._events = events
+        return states[-1]
+
+
 def eval_at(word: TimedWord, position: int, formula: Union[Formula, Program]) -> bool:
     """Truth of ``formula`` at a 1-based position of ``word``."""
     if not 1 <= position <= len(word):
@@ -478,14 +645,20 @@ def eval_at(word: TimedWord, position: int, formula: Union[Formula, Program]) ->
 
 def satisfies(word: TimedWord, formula: Union[Formula, Program]) -> bool:
     """Whether the word satisfies the formula (evaluation at position 1)."""
-    return _value(word, compile_formula(formula), True) == 2
+    program = compile_formula(formula)
+    return _value(program, _evaluator(word, program, True)) == 2
 
 
-def prefix_may_satisfy(word: TimedWord, formula: Union[Formula, Program]) -> bool:
+def prefix_may_satisfy(word: TimedWord, formula: Union[Formula, Program, Monitor]) -> bool:
     """False only when no extension of the word can satisfy the formula.
 
     Extensions append events at timestamps at or after the word's last
     timestamp (lengths and horizons are not modelled, which only widens the
-    future and keeps the answer sound for any bounded search).
+    future and keeps the answer sound for any bounded search).  A
+    :class:`Monitor` gives the same answer incrementally; a formula or a
+    program is evaluated from scratch.
     """
-    return _value(word, compile_formula(formula), False) != 0
+    if isinstance(formula, Monitor):
+        return _value(formula.program, formula.state(word).row) != 0
+    program = compile_formula(formula)
+    return _value(program, _evaluator(word, program, False)) != 0

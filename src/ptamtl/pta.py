@@ -402,7 +402,11 @@ def iter_accepted(
     words (repeated timestamps are skipped).  ``prefix_filter``, when given,
     is called on every candidate prefix (a TimedWord); returning False skips
     the prefix and its whole subtree, so the filter must only reject prefixes
-    whose extensions are all irrelevant to the caller.
+    whose extensions are all irrelevant to the caller.  The filter is offered
+    each prefix right after its parent was offered and accepted (depth
+    first), and the prefix is ``TimedWord.extended`` from its parent, so it
+    shares the parent's events.  :class:`ptamtl.mtl.Monitor` uses this order
+    only as a fast path: its answers do not depend on it.
 
     Time is counted in integer ticks of ``grid``: frontier states hold each
     clock's last reset tick, and each guard is compiled once per call into

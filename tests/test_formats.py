@@ -6,7 +6,7 @@ import pytest
 from ptamtl import formats
 from ptamtl.channel import ChannelMachine
 from ptamtl.errors import ParseError
-from ptamtl.mtl import And, Atom, Interval, Not, Until, and_all, or_all
+from ptamtl.mtl import FULL, And, Atom, Implies, Interval, Not, Until, and_all, or_all
 from ptamtl.pta import ClockConstraint, Edge, Pta
 from ptamtl.timedwords import TimedWord
 
@@ -85,6 +85,39 @@ class TestFormulaFormat:
         rendered = formats.serialize_formula(formula)
         assert rendered == "(" + " | ".join(["a", "!b"] * 1500) + ") & c"
         assert formats.serialize_formula(formats.parse_formula(rendered)) == rendered
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "X " * 1000 + "a",
+            "!" * 1000 + "a",
+            "F[1,2] !G(0,1) " * 500 + "a",
+            "a -> " * 1000 + "a",
+            "a U[1,2] " * 1000 + "a",
+        ],
+        ids=["next", "not", "mixed-unary", "implies", "until"],
+    )
+    def test_deep_chains_round_trip(self, text):
+        # compare text: == and hash on the parsed formula recurse as deep as it goes
+        assert formats.serialize_formula(formats.parse_formula(text)) == text
+
+    def test_deep_negation_serializes(self):
+        formula = Atom("a")
+        for _ in range(1000):
+            formula = Not(formula)
+        assert formats.serialize_formula(formula) == "!" * 1000 + "a"
+
+    def test_right_associative_chains(self):
+        a, b, c = Atom("a"), Atom("b"), Atom("c")
+        assert formats.parse_formula("a -> b -> c") == Implies(a, Implies(b, c))
+        window = Interval(1, 2, True, True)
+        assert formats.parse_formula("a U[1,2] b U c") == Until(window, a, Until(FULL, b, c))
+        assert formats.parse_formula("(a U b) U c") == Until(FULL, Until(FULL, a, b), c)
+
+    def test_unexpected_character_names_its_column(self):
+        with pytest.raises(ParseError, match="unexpected character") as caught:
+            formats.parse_formula("a $")
+        assert caught.value.column == 2
 
 
 class TestMachineFormat:

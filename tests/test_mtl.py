@@ -11,6 +11,8 @@ from ptamtl.mtl import (
     FalseConst,
     Globally,
     Interval,
+    Monitor,
+    MonitorState,
     Next,
     Not,
     Or,
@@ -18,8 +20,10 @@ from ptamtl.mtl import (
     Until,
     and_all,
     compile_formula,
+    _evaluator,
     desugar,
     eval_at,
+    extend,
     negate,
     prefix_may_satisfy,
     satisfies,
@@ -182,6 +186,91 @@ class TestPrefixMonitor:
         assert not prefix_may_satisfy(W(("b", 0)), formula)
         assert not prefix_may_satisfy(W(("a", 0), ("b", 1)), formula)
         assert prefix_may_satisfy(W(("a", 0), ("a", 1)), formula)
+
+
+def mixed_word(rng, alphabet, max_len):
+    """Timestamps step by quarters and thirds, so the common denominator
+    grows along the word."""
+    time, events = Fraction(0), []
+    for _ in range(rng.randint(1, max_len)):
+        time += Fraction(rng.randint(0, 4), rng.choice((3, 4)))
+        events.append((rng.choice(alphabet), time))
+    return TimedWord(events)
+
+
+def open_rows(word, program):
+    row = _evaluator(word, program, False)
+    return [row(k) for k in range(len(program.ops))]
+
+
+class TestIncrementalMonitor:
+    def test_agrees_with_the_batch_evaluation_in_depth_first_order(self):
+        rng = random.Random(31)
+        alphabet = ["a", "b", "c"]
+        prefixes = 0
+        for _ in range(120):
+            program = compile_formula(random_formula(rng, alphabet, 5))
+            monitor = Monitor(program)
+            # a random tree of words, visited depth first as the search does
+            stack = [None]
+            while stack:
+                word = stack.pop()
+                if word is not None:
+                    assert prefix_may_satisfy(word, monitor) == prefix_may_satisfy(word, program)
+                    state = monitor.state(word)
+                    assert [state.row(k) for k in range(len(program.ops))] == open_rows(word, program)
+                    prefixes += 1
+                if word is None or len(word) < 6:
+                    last = Fraction(0) if word is None else word.events[-1][1]
+                    for _ in range(rng.randint(1, 2)):
+                        event = (rng.choice(alphabet), last + Fraction(rng.randint(0, 4), rng.choice((3, 4))))
+                        stack.append(TimedWord([event]) if word is None else word.extended(*event))
+        assert prefixes > 3000
+
+    def test_any_call_order_gives_the_same_verdicts(self):
+        rng = random.Random(32)
+        alphabet = ["a", "b"]
+        for _ in range(150):
+            formula = random_formula(rng, alphabet, 5)
+            monitor = Monitor(formula)
+            words = [mixed_word(rng, alphabet, 6) for _ in range(3)]
+            prefixes = [TimedWord(w.events[:cut]) for w in words for cut in range(1, len(w) + 1)]
+            rng.shuffle(prefixes)
+            for prefix in prefixes:
+                assert prefix_may_satisfy(prefix, monitor) == prefix_may_satisfy(prefix, formula)
+
+    def test_rows_are_built_on_demand_along_the_chain(self):
+        # only the deepest state is asked; its ancestors fill in on the way
+        rng = random.Random(33)
+        for _ in range(100):
+            program = compile_formula(random_formula(rng, ["a", "b"], 5))
+            word = mixed_word(rng, ["a", "b"], 7)
+            state = MonitorState(program)
+            for symbol, time in word:
+                state = extend(state, symbol, time)
+            k = rng.randrange(len(program.ops))
+            assert state.row(k) == open_rows(word, program)[k]
+
+    def test_extend_rejects_a_timestamp_going_back(self):
+        state = extend(MonitorState(compile_formula(Atom("a"))), "a", Fraction(1, 3))
+        with pytest.raises(ValueError):
+            extend(state, "a", Fraction(1, 4))
+
+    def test_decided_entries_never_change_on_extension(self):
+        # the invariant the incremental monitor and the pruning rely on
+        rng = random.Random(34)
+        alphabet = ["a", "b"]
+        for _ in range(300):
+            program = compile_formula(random_formula(rng, alphabet, 5))
+            word = mixed_word(rng, alphabet, 6)
+            rows = [open_rows(TimedWord(word.events[:cut]), program) for cut in range(1, len(word) + 1)]
+            closed = _evaluator(word, program, True)
+            rows.append([closed(k) for k in range(len(program.ops))])
+            for cut, before in enumerate(rows[:-1]):
+                for k, row in enumerate(before):
+                    for i, value in enumerate(row):
+                        if value != 1:
+                            assert all(later[k][i] == value for later in rows[cut + 1 :]), (program, word, k, i)
 
 
 class TestCompiledEngine:
