@@ -134,10 +134,20 @@ def _cmd_search(args) -> int:
 def _cmd_mc_bounded(args) -> int:
     if args.k is not None and args.k < 1:
         raise UsageError("--k must be at least 1")
+    if args.max_events < 1:
+        raise UsageError("--max-events must be at least 1")
+    grid = formats.parse_rational(args.grid)
+    if grid <= 0:
+        raise UsageError("--grid must be positive")
     automaton = formats.parse_pta(_read(args.pta))
     formula = formats.parse_formula(_maybe_file(args.formula))
     if args.candidates:
         candidates = [formats.parse_valuation(part) for part in args.candidates.split(";")]
+        for candidate in candidates:
+            if set(candidate) != set(automaton.parameters):
+                text = formats.serialize_valuation(candidate)
+                names = ", ".join(automaton.parameters) or "none"
+                raise UsageError(f"candidate {text} must set exactly the automaton's parameters ({names})")
     else:
         k = 4 if args.k is None else args.k
         if len(automaton.parameters) != 1:
@@ -148,7 +158,7 @@ def _cmd_mc_bounded(args) -> int:
         automaton,
         formula,
         candidates,
-        formats.parse_rational(args.grid),
+        grid,
         formats.parse_rational(args.horizon),
         args.max_events,
         strict_only=args.strict_only,

@@ -158,9 +158,8 @@ _PREFIXES = {Not: "!", Next: "X", Eventually: "F", Globally: "G"}  # the unary o
 _MODALITIES = {op: cls for cls, op in _PREFIXES.items() if cls is not Not}
 
 
-def _parse_unary(tokens: _Tokens) -> Formula:
-    # a run of prefix operators is read in a loop and built inside out, so
-    # deep nesting does not recurse
+def _parse_prefixes(tokens: _Tokens) -> list[tuple[type, Optional[Interval]]]:
+    """A run of prefix operators, outermost first."""
     prefixes: list[tuple[type, Optional[Interval]]] = []
     while True:
         got = tokens.peek()
@@ -174,86 +173,86 @@ def _parse_unary(tokens: _Tokens) -> Formula:
             tokens.next()
             prefixes.append((_MODALITIES[value], _parse_interval(tokens) or FULL))
         else:
-            break
-    if value == "(" and kind == "op":
-        tokens.next()
-        node = _parse_until(tokens)
-        tokens.expect(")")
-    elif kind == "ident":
-        tokens.next()
+            return prefixes
+
+
+def _parse_leaf(tokens: _Tokens) -> Formula:
+    kind, value = tokens.next()
+    if kind == "ident":
         if value == "true":
-            node = TrueConst()
-        elif value == "false":
-            node = FalseConst()
-        elif value == "U":
+            return TrueConst()
+        if value == "false":
+            return FalseConst()
+        if value == "U":
             raise ParseError("'U' is an operator, not an atom")
-        elif value == "inf":
+        if value == "inf":
             raise ParseError("'inf' is reserved for interval endpoints")
-        else:
-            node = Atom(value)
-    elif value in ("#", "*") and kind == "op":
-        tokens.next()
-        node = Atom(value)
-    else:
-        raise ParseError(f"unexpected token {value!r}")
+        return Atom(value)
+    if kind == "op" and value in ("#", "*"):
+        return Atom(value)
+    raise ParseError(f"unexpected token {value!r}")
+
+
+def _wrap(node: Formula, prefixes: list[tuple[type, Optional[Interval]]]) -> Formula:
+    """``node`` under its prefix operators, built inside out."""
     for make, interval in reversed(prefixes):
         node = make(node) if interval is None else make(interval, node)
     return node
 
 
-def _parse_and(tokens: _Tokens) -> Formula:
-    node = _parse_unary(tokens)
-    while True:
-        got = tokens.peek()
-        if got is not None and got == ("op", "&"):
-            tokens.next()
-            node = And(node, _parse_unary(tokens))
-        else:
-            return node
+# binary operators by token: (precedence, class); & and | associate to the
+# left, -> and U to the right
+_BINARY = {
+    ("op", "&"): (3, And), ("op", "|"): (2, Or), ("op", "->"): (1, Implies), ("ident", "U"): (0, Until),
+}  # fmt: skip
 
 
-def _parse_or(tokens: _Tokens) -> Formula:
-    node = _parse_and(tokens)
-    while True:
-        got = tokens.peek()
-        if got is not None and got == ("op", "|"):
-            tokens.next()
-            node = Or(node, _parse_and(tokens))
-        else:
-            return node
-
-
-def _parse_implies(tokens: _Tokens) -> Formula:
-    parts = [_parse_or(tokens)]
-    while tokens.peek() == ("op", "->"):
-        tokens.next()
-        parts.append(_parse_or(tokens))
-    node = parts.pop()
-    while parts:  # right-associative: fold from the right
-        node = Implies(parts.pop(), node)
-    return node
-
-
-def _parse_until(tokens: _Tokens) -> Formula:
-    links = []  # (left operand, interval)
-    node = _parse_implies(tokens)
-    while tokens.peek() == ("ident", "U"):
-        tokens.next()
-        links.append((node, _parse_interval(tokens) or FULL))
-        node = _parse_implies(tokens)
-    while links:  # right-associative: fold from the right
-        left, interval = links.pop()
-        node = Until(interval, left, node)
-    return node
+def _reduce(operands: list[Formula], operator: tuple[int, type, Optional[Interval]]) -> None:
+    """Replace the last two operands by ``operator`` applied to them."""
+    _, make, interval = operator
+    right = operands.pop()
+    left = operands.pop()
+    operands.append(make(left, right) if interval is None else make(interval, left, right))
 
 
 def parse_formula(text: str) -> Formula:
+    # Operator precedence parsing with explicit stacks, so deep nesting does
+    # not recurse.  ``pending`` holds the binary operators still waiting for
+    # their right operand, as (precedence, class, interval) tuples, and, for
+    # each open parenthesis, the list of prefix operators in front of it.
     tokens = _Tokens(text)
-    node = _parse_until(tokens)
-    leftover = tokens.peek()
-    if leftover is not None:
-        raise ParseError(f"trailing input starting at {leftover[1]!r}")
-    return node
+    operands: list[Formula] = []
+    pending: list = []
+    while True:
+        prefixes = _parse_prefixes(tokens)
+        if tokens.peek() == ("op", "("):
+            tokens.next()
+            pending.append(prefixes)
+            continue
+        operands.append(_wrap(_parse_leaf(tokens), prefixes))
+        while True:
+            got = tokens.peek()
+            binary = _BINARY.get(got)
+            if binary is not None:
+                tokens.next()
+                level, make = binary
+                while pending and type(pending[-1]) is tuple and (
+                    pending[-1][0] > level or (pending[-1][0] == level and make in (And, Or))
+                ):
+                    _reduce(operands, pending.pop())
+                pending.append((level, make, (_parse_interval(tokens) or FULL) if make is Until else None))
+                break
+            while pending and type(pending[-1]) is tuple:  # the group or the text ends here
+                _reduce(operands, pending.pop())
+            if got == ("op", ")") and pending:
+                tokens.next()
+                operands.append(_wrap(operands.pop(), pending.pop()))
+                continue
+            if pending:
+                tokens.expect(")")
+            if got is not None:
+                raise ParseError(f"trailing input starting at {got[1]!r}")
+            return operands[0]
 
 
 def serialize_interval(interval: Interval) -> str:

@@ -79,22 +79,18 @@ def bounded_modelcheck(
         raise ValueError("need at least one candidate valuation")
     # A subtree can be skipped once no extension of its prefix can violate
     # the property: the prefix monitor is sound, so absence claims stay
-    # exact relative to the bounds.  The search offers each prefix right
-    # after its parent, so the monitor extends the parent's state by one event.
+    # exact relative to the bounds.  The search offers each prefix as
+    # (symbol, tick) pairs right after its parent, so the monitor, counting
+    # time in ticks of the same grid, extends the parent's state by one event.
     program = compile_formula(formula)
-    monitor = Monitor(negate(program))
+    monitor = Monitor(negate(program), grid)
     # Counterexamples are re-checked on the core-only expansion of the
     # formula, a different op array run through other engine branches, and
     # against the automaton by exact membership.  Compiled on first use.
     core: Optional[Program] = None
 
-    def viable(prefix: TimedWord) -> bool:
-        return prefix_may_satisfy(prefix, monitor)
-
     results: list[CandidateResult] = []
-    first_hit: Optional[tuple[tuple[tuple[str, Fraction], ...], TimedWord]] = None
     for valuation in candidates:
-        frozen = tuple(sorted(valuation.items()))
         counterexample = None
         checked = 0
         for word in iter_accepted(
@@ -104,7 +100,7 @@ def bounded_modelcheck(
             horizon,
             max_events,
             strict=strict_only,
-            prefix_filter=viable,
+            prefix_filter=lambda prefix: prefix_may_satisfy(prefix, monitor),
         ):
             checked += 1
             if not satisfies(word, program):
@@ -114,26 +110,15 @@ def bounded_modelcheck(
                     raise AssertionError("counterexample failed exact re-verification")
                 counterexample = word
                 break
-        results.append(CandidateResult(frozen, counterexample, checked))
-        if counterexample is not None and first_hit is None:
-            first_hit = (frozen, counterexample)
-    if first_hit is not None:
-        valuation, word = first_hit
-        return McVerdict(
-            outcome=COUNTEREXAMPLE_FOUND,
-            candidates=tuple(results),
-            grid=Fraction(grid),
-            horizon=Fraction(horizon),
-            max_events=max_events,
-            strict_only=strict_only,
-            valuation=valuation,
-            counterexample=word,
-        )
+        results.append(CandidateResult(tuple(sorted(valuation.items())), counterexample, checked))
+    hit = next((result for result in results if result.refuted), None)
     return McVerdict(
-        outcome=NO_COUNTEREXAMPLE,
+        outcome=NO_COUNTEREXAMPLE if hit is None else COUNTEREXAMPLE_FOUND,
         candidates=tuple(results),
         grid=Fraction(grid),
         horizon=Fraction(horizon),
         max_events=max_events,
         strict_only=strict_only,
+        valuation=None if hit is None else hit.valuation,
+        counterexample=None if hit is None else hit.counterexample,
     )

@@ -20,10 +20,11 @@ or open-ended.  Results are checked against a naive evaluator in the tests.
 
 A depth-first search asks about a prefix right after asking about its parent,
 which differs by one event.  A :class:`Monitor` answers such calls
-incrementally: its :class:`MonitorState` per prefix keeps the symbols, the
-timestamps as integers over their common denominator (rescaled when an event
-brings a new denominator) and one row per op, built lazily.  :func:`extend`
-makes the child state: an atom gets one new entry, a boolean connective is
+incrementally, on words of integer grid ticks.  Its :class:`MonitorState`
+per prefix keeps the symbols, the times as integers on one scale fixed for
+the whole search (so nothing is ever rescaled) and one row per op, built
+lazily in an order computed once per op and monitor.  :func:`extend` makes
+the child state: an atom gets one new entry, a boolean connective is
 recomputed from its operands' rows, and a temporal op copies the parent's
 row and re-evaluates only the entries that were unknown (1) there and the new
 last position.  That rests on one invariant, which the tests check: an entry
@@ -357,25 +358,30 @@ def _connective(op: tuple, rows: list, symbols: list[str]) -> list[int]:
     return list(map(max, [2 - v for v in x], rows[b]))  # implies
 
 
-def _fill(ops: tuple, rows: list, k: int, compute) -> list[int]:
-    """``rows[k]``, computing first every missing row it depends on, children
-    before parents, with ``compute(j)``.  Once ``rows[k]`` is set, so are the
-    rows of all of op k's descendants."""
-    if rows[k] is None:
-        needed, stack = set(), [k]
-        while stack:
-            j = stack.pop()
-            if j in needed or rows[j] is not None:
-                continue
+def _order(ops: tuple, k: int, rows: Optional[list] = None) -> tuple[int, ...]:
+    """Op k and every op its row depends on, children before parents: the
+    order in which their rows are filled.  Given ``rows``, ops whose row is
+    already there are left out, and so are their descendants."""
+    needed, stack = set(), [k]
+    while stack:
+        j = stack.pop()
+        if j not in needed and (rows is None or rows[j] is None):
             needed.add(j)
             kind, a, b, _ = ops[j]
             if kind >= _NOT:
                 stack.append(a)
                 if b >= 0:
                     stack.append(b)
-        for j in sorted(needed):
+    return tuple(sorted(needed))
+
+
+def _fill(order: tuple[int, ...], rows: list, compute) -> list[int]:
+    """The row of the last op in ``order`` (see :func:`_order`), computing
+    first, with ``compute(j)``, every missing row it depends on."""
+    for j in order:
+        if rows[j] is None:
             rows[j] = compute(j)
-    return rows[k]
+    return rows[order[-1]]
 
 
 def _evaluator(word: TimedWord, program: Program, closed: bool):
@@ -461,7 +467,7 @@ def _evaluator(word: TimedWord, program: Program, closed: bool):
             return reach(x, iv, 2, 0)
         return reach(x, iv, 0, 2)
 
-    return lambda k: _fill(ops, rows, k, compute)
+    return lambda k: rows[k] if rows[k] is not None else _fill(_order(ops, k, rows), rows, compute)
 
 
 def _value(program: Program, row) -> int:
@@ -508,14 +514,15 @@ def _first(row: list[int], value: int, start: int) -> int:
 class MonitorState:
     """The open-ended evaluation of a program on one prefix.
 
-    Holds the prefix's symbols, its timestamps as integers over their common
-    denominator, and one row per op, equal to the from-scratch open-ended
-    row.  Rows are built on demand from the parent prefix's row of the same
-    op (see :func:`extend`).  ``MonitorState(program)`` is the empty word,
-    whose rows are all empty.
+    Holds the prefix's symbols, its timestamps as integers over the fixed
+    ``scale`` (the time ``t`` is ``t / scale``), and one row per op, equal
+    to the from-scratch open-ended row.  Rows are built on demand from the
+    parent prefix's row of the same op (see :func:`extend`).
+    ``MonitorState(program, scale=s)`` is the empty word, whose rows are all
+    empty; its extensions share its scale and its fill orders.
     """
 
-    __slots__ = ("program", "parent", "symbols", "times", "scale", "rows")
+    __slots__ = ("program", "scale", "orders", "parent", "symbols", "times", "rows")
 
     def __init__(
         self,
@@ -529,12 +536,17 @@ class MonitorState:
         self.parent = parent
         self.symbols = symbols
         self.times = times
-        self.scale = scale
-        self.rows: list = [[] if parent is None else None] * len(program.ops)
+        root = parent is None
+        self.scale = scale if root else parent.scale
+        self.orders: list = [None] * len(program.ops) if root else parent.orders  # op k -> _order(ops, k)
+        self.rows: list = [[] if root else None] * len(program.ops)
 
     def row(self, k: int) -> list[int]:
         """The values of op k at every position of the prefix."""
         if self.rows[k] is None:
+            order = self.orders[k]
+            if order is None:
+                order = self.orders[k] = _order(self.program.ops, k)
             # ancestors missing this row get it first, top down, so each
             # state extends a parent row (the empty word has every row)
             chain, state = [], self
@@ -542,7 +554,7 @@ class MonitorState:
                 chain.append(state)
                 state = state.parent
             for state in reversed(chain):
-                _fill(self.program.ops, state.rows, k, state._step)
+                _fill(order, state.rows, state._step)
         return self.rows[k]
 
     def _step(self, k: int) -> list[int]:
@@ -591,47 +603,48 @@ class MonitorState:
         return row
 
 
-def extend(state: MonitorState, symbol: str, time: RationalLike) -> MonitorState:
+def extend(state: MonitorState, symbol: str, time: int) -> MonitorState:
     """The state of ``state``'s prefix followed by ``(symbol, time)``, with
-    ``time`` at least the last timestamp.  Rows are built when asked for."""
-    time = rat(time)
-    scale = lcm(state.scale, time.denominator)
+    ``time`` an integer over the state's scale, at least the last one."""
     times = state.times
-    if scale != state.scale:
-        factor = scale // state.scale
-        times = [t * factor for t in times]
-    now = time.numerator * (scale // time.denominator)
-    if times and now < times[-1]:
+    if times and time < times[-1]:
         raise ValueError("timestamps must be non-decreasing")
-    return MonitorState(state.program, state, [*state.symbols, symbol], [*times, now], scale)
+    return MonitorState(state.program, state, [*state.symbols, symbol], [*times, time])
 
 
 class Monitor:
     """The prefix monitor of one formula, incremental along a depth-first
-    search.  It keeps the states of every prefix of the last word it was
-    given.  A word that extends one of them by one event extends that state
-    and drops the deeper ones; any other word is evaluated again from the
-    empty word, so answers never depend on the order of the calls."""
+    search.  A word is a sequence of ``(symbol, tick)`` pairs, an event's
+    time being ``tick * unit``, held as ``tick * unit.numerator`` over the
+    fixed scale ``unit.denominator``.  It keeps the states of every prefix
+    of the last word it was given.  A word that extends one of them by one
+    event extends that state and drops the deeper ones; any other word is
+    evaluated again from the empty word, so answers never depend on the
+    order of the calls."""
 
-    def __init__(self, formula: Union[Formula, Program]):
+    def __init__(self, formula: Union[Formula, Program], unit: RationalLike):
+        unit = rat(unit)
+        if unit <= 0:
+            raise ValueError("the monitor's time unit must be positive")
         self.program = compile_formula(formula)
-        self._events: tuple = ()  # the last word seen; _states[d] holds its first d events
-        self._states = [MonitorState(self.program)]
+        self._factor = unit.numerator
+        self._word: tuple = ()  # the last word seen; _states[d] holds its first d events
+        self._states = [MonitorState(self.program, scale=unit.denominator)]
 
-    def state(self, word: TimedWord) -> MonitorState:
+    def state(self, word: Sequence[tuple[str, int]]) -> MonitorState:
         """The state of ``word``, built from the stored state of its parent
         prefix when there is one."""
-        events = word.events
-        keep = len(events) - 1
+        keep = len(word) - 1
         states = self._states
-        # the search shares event tuples between a word and its extensions,
-        # so this comparison is by identity, element by element
-        if keep >= len(states) or events[:keep] != self._events[:keep]:
+        # the search shares pairs between a word and its extensions, so this
+        # comparison is by identity, element by element
+        if keep >= len(states) or word[:keep] != self._word[:keep]:
             keep = 0
         del states[keep + 1 :]
-        for symbol, time in events[keep:]:
-            states.append(extend(states[-1], symbol, time))
-        self._events = events
+        factor = self._factor
+        for symbol, tick in word[keep:]:
+            states.append(extend(states[-1], symbol, tick * factor))
+        self._word = word
         return states[-1]
 
 
@@ -649,14 +662,15 @@ def satisfies(word: TimedWord, formula: Union[Formula, Program]) -> bool:
     return _value(program, _evaluator(word, program, True)) == 2
 
 
-def prefix_may_satisfy(word: TimedWord, formula: Union[Formula, Program, Monitor]) -> bool:
+def prefix_may_satisfy(word: Union[TimedWord, Sequence], formula: Union[Formula, Program, Monitor]) -> bool:
     """False only when no extension of the word can satisfy the formula.
 
     Extensions append events at timestamps at or after the word's last
     timestamp (lengths and horizons are not modelled, which only widens the
     future and keeps the answer sound for any bounded search).  A
-    :class:`Monitor` gives the same answer incrementally; a formula or a
-    program is evaluated from scratch.
+    :class:`Monitor` gives the same answer incrementally, on a word of
+    ``(symbol, tick)`` pairs on its unit; a formula or a program is
+    evaluated from scratch on a :class:`TimedWord`, and is the reference.
     """
     if isinstance(formula, Monitor):
         return _value(formula.program, formula.state(word).row) != 0

@@ -12,8 +12,9 @@ The grid-word search :func:`iter_accepted` counts time in integer ticks of
 the grid instead: on a grid every clock value is a whole number of ticks,
 so each guard reduces to an integer range check on elapsed ticks
 (Henzinger, Manna & Pnueli, "What good are digital clocks?", ICALP 1992).
-It shares no guard code with :func:`membership`, which re-checks the words
-it finds.
+Its prefix filter is offered each prefix as ``(symbol, tick)`` pairs, and a
+:class:`TimedWord` is built only for a word it yields.  It shares no guard
+code with :func:`membership`, which re-checks the words it finds.
 """
 
 from __future__ import annotations
@@ -400,18 +401,21 @@ def iter_accepted(
     Deterministic depth-first order: events are extended by (time, symbol)
     ascending.  With ``strict`` the search is limited to strictly monotonic
     words (repeated timestamps are skipped).  ``prefix_filter``, when given,
-    is called on every candidate prefix (a TimedWord); returning False skips
-    the prefix and its whole subtree, so the filter must only reject prefixes
-    whose extensions are all irrelevant to the caller.  The filter is offered
-    each prefix right after its parent was offered and accepted (depth
-    first), and the prefix is ``TimedWord.extended`` from its parent, so it
-    shares the parent's events.  :class:`ptamtl.mtl.Monitor` uses this order
-    only as a fast path: its answers do not depend on it.
+    is offered every candidate prefix as a tuple of ``(symbol, tick)``
+    pairs, an event's time being ``tick * grid``; returning False skips the
+    prefix and its whole subtree, so the filter must only reject prefixes
+    whose extensions are all irrelevant to the caller.  Each prefix is
+    offered right after its parent was offered and accepted (depth first),
+    as the parent's tuple plus one pair.  :class:`ptamtl.mtl.Monitor` uses
+    this order only as a fast path: its answers do not depend on it.
 
     Time is counted in integer ticks of ``grid``: frontier states hold each
     clock's last reset tick, and each guard is compiled once per call into
     integer tick ranges (see :func:`_grid_move`), so no guard check here
-    uses rational arithmetic.  :func:`membership` stays the exact reference.
+    uses rational arithmetic, and a :class:`TimedWord` is built only for a
+    yielded word.  A frontier state is dropped once it cannot reach a final
+    location, ignoring guards, within the events left.  :func:`membership`
+    stays the exact reference.
     """
     grid = rat(grid)
     horizon = rat(horizon)
@@ -426,9 +430,11 @@ def iter_accepted(
     last_tick = horizon // grid
     start = frozenset((loc, (0,) * len(clocks)) for loc in automaton.initial)
     moves: dict[tuple[str, str], tuple[_Move, ...]] = {}
-    times: dict[int, Fraction] = {}
+    times: dict[int, Fraction] = {}  # tick -> time, for the words yielded
 
-    def successors(frontier, symbol, tick):
+    def successors(frontier, symbol, tick, remaining):
+        # a state needing more events than remain is dropped: its successors
+        # need at most one fewer, so they would be dropped a level down
         found = set()
         for location, resets in frontier:
             key = (location, symbol)
@@ -437,6 +443,8 @@ def iter_accepted(
                 grid_moves = (_grid_move(e, clocks, parameters, grid) for e in automaton.edges_from(*key))
                 compiled = moves[key] = tuple(m for m in grid_moves if m is not None)
             for target, checks, flags in compiled:
+                if min_left[target] > remaining:
+                    continue
                 for clock, lo, hi in checks:
                     elapsed = tick - resets[clock]
                     if elapsed < lo or (hi is not None and elapsed > hi):
@@ -448,29 +456,25 @@ def iter_accepted(
                         found.add((target, resets))
         return found
 
-    def recurse(word: Optional[TimedWord], frontier, first: int):
-        depth = 0 if word is None else len(word)
+    def recurse(prefix: tuple, frontier, first: int):
+        depth = len(prefix)
         if depth and any(loc in finals for loc, _ in frontier):
-            yield word
+            yield TimedWord([(symbol, times[tick]) for symbol, tick in prefix])
         if depth == max_events:
             return
         remaining = max_events - depth - 1
         for tick in range(first, last_tick + 1):
+            if tick not in times:
+                times[tick] = tick * grid
             for symbol in symbols:
-                nxt = successors(frontier, symbol, tick)
-                if not nxt or min(min_left[loc] for loc, _ in nxt) > remaining:
+                nxt = successors(frontier, symbol, tick, remaining)
+                if not nxt:
                     continue
-                time = times.get(tick)
-                if time is None:
-                    time = times[tick] = tick * grid
-                if word is None:
-                    prefix = TimedWord(((symbol, time),))
-                else:
-                    prefix = word.extended(symbol, time)
-                if prefix_filter is None or prefix_filter(prefix):
-                    yield from recurse(prefix, nxt, tick + 1 if strict else tick)
+                longer = prefix + ((symbol, tick),)
+                if prefix_filter is None or prefix_filter(longer):
+                    yield from recurse(longer, nxt, tick + 1 if strict else tick)
 
-    yield from recurse(None, start, 0)
+    yield from recurse((), start, 0)
 
 
 def enumerate_accepted(

@@ -80,19 +80,6 @@ class TimedWord:
     def times(self) -> tuple[Fraction, ...]:
         return tuple(t for _, t in self.events)
 
-    def extended(self, symbol: str, time: RationalLike) -> "TimedWord":
-        """This word with one more event appended.
-
-        Only the new event is checked: this word is already valid, so a
-        timestamp at least the last one keeps the result valid.
-        """
-        time = rat(time)
-        if time < self.events[-1][1]:
-            raise ValueError("timestamps must be non-decreasing")
-        word = object.__new__(TimedWord)
-        object.__setattr__(word, "events", self.events + ((str(symbol), time),))
-        return word
-
     def symbol_at(self, position: int) -> str:
         """Symbol at a 1-based position."""
         return self.events[position - 1][0]

@@ -268,6 +268,20 @@ def test_criterion_8_counterexample_wiring():
     gamma = next(iter(enumerate_error_free(c1, "s2", 8, 3)))
     assert witness == encode(c1, "s2", gamma, default_layout(1))
 
+    # m2 at the Baseline bounds: the first accepted word the monitor lets
+    # through is already a counterexample
+    m2 = two_message_machine()
+    m2_automaton = build_automaton(m2, "q3")
+    m2_violation = Not(build_formula(m2, "q3"))
+    m2_verdict = bounded_modelcheck(
+        m2_automaton, m2_violation, [{"p": F(1, 3)}],
+        grid=F(1, 3), horizon=F(7), max_events=16, strict_only=True,
+    )  # fmt: skip
+    assert m2_verdict.outcome == "counterexample-found"
+    assert m2_verdict.candidates[0].words_checked == 1
+    assert membership(m2_automaton, dict(m2_verdict.valuation), m2_verdict.counterexample)
+    assert not satisfies(m2_verdict.counterexample, m2_violation)
+
     stripped = ChannelMachine(c1.states, c1.initial, c1.messages, (("s0", "m!", "s1"),))
     report = check_theorem(stripped, "s2", 6, 3)
     assert report.outcome == "no-witness"
@@ -278,4 +292,4 @@ def test_criterion_8_counterexample_wiring():
     )
     assert verdict2.outcome == "no-counterexample-within-bounds"
     clock.check()
-    _report(8, clock, "witness re-verifies; stripped machine inconclusive, no counterexample")
+    _report(8, clock, "c1 and m2 witnesses re-verify; stripped machine inconclusive, no counterexample")

@@ -200,6 +200,23 @@ class TestMcBounded:
         assert code == 1
         assert "--k must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--grid", "0", "--grid must be positive"),
+            ("--grid", "-1/2", "--grid must be positive"),
+            ("--max-events", "0", "--max-events must be at least 1"),
+            ("--max-events", "-3", "--max-events must be at least 1"),
+            ("--candidates", "q=1", "must set exactly the automaton's parameters (p)"),
+            ("--candidates", "p=1/2;p=1,q=1", "must set exactly the automaton's parameters (p)"),
+        ],
+    )
+    def test_bad_bounds_are_usage_errors(self, capsys, cadence_file, option, value, message):
+        bounds = {"--grid": "1/2", "--horizon": "2", "--max-events": "4", option: value}
+        code = main(["mc-bounded", str(cadence_file), "G (a | b)", *(f"{k}={v}" for k, v in bounds.items())])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_search_output_independent_of_hash_seed(self, tmp_path):

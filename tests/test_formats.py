@@ -101,6 +101,20 @@ class TestFormulaFormat:
         # compare text: == and hash on the parsed formula recurse as deep as it goes
         assert formats.serialize_formula(formats.parse_formula(text)) == text
 
+    @pytest.mark.parametrize(
+        "text, rendered",
+        [
+            ("(" * 1000 + "a" + ")" * 1000, "a"),
+            ("!(" * 1000 + "a" + ")" * 1000, "!" * 1000 + "a"),
+            ("(" * 1000 + "a" + ") & b" * 1000, "a" + " & b" * 1000),
+            ("(" * 1000 + "a U b" + ") | c" * 1000, "(a U b)" + " | c" * 1000),
+        ],
+        ids=["bare", "negated", "left-conjunction", "left-disjunction"],
+    )
+    def test_deep_parentheses_round_trip(self, text, rendered):
+        assert formats.serialize_formula(formats.parse_formula(text)) == rendered
+        assert formats.serialize_formula(formats.parse_formula(rendered)) == rendered
+
     def test_deep_negation_serializes(self):
         formula = Atom("a")
         for _ in range(1000):

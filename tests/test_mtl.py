@@ -198,6 +198,21 @@ def mixed_word(rng, alphabet, max_len):
     return TimedWord(events)
 
 
+UNIT = Fraction(1, 12)  # one tick; quarters and thirds are whole numbers of it
+
+
+def timed(path):
+    """The timed word a path of (symbol, tick) pairs stands for."""
+    return TimedWord([(symbol, tick * UNIT) for symbol, tick in path])
+
+
+def ticks(word):
+    """The (symbol, tick) path of a timed word whose times are on UNIT."""
+    path = tuple((symbol, time / UNIT) for symbol, time in word)
+    assert all(tick.denominator == 1 for _, tick in path)
+    return tuple((symbol, int(tick)) for symbol, tick in path)
+
+
 def open_rows(word, program):
     row = _evaluator(word, program, False)
     return [row(k) for k in range(len(program.ops))]
@@ -210,21 +225,23 @@ class TestIncrementalMonitor:
         prefixes = 0
         for _ in range(120):
             program = compile_formula(random_formula(rng, alphabet, 5))
-            monitor = Monitor(program)
-            # a random tree of words, visited depth first as the search does
-            stack = [None]
+            monitor = Monitor(program, UNIT)
+            # a random tree of tick paths, visited depth first as the search does
+            stack = [()]
             while stack:
-                word = stack.pop()
-                if word is not None:
-                    assert prefix_may_satisfy(word, monitor) == prefix_may_satisfy(word, program)
-                    state = monitor.state(word)
+                path = stack.pop()
+                if path:
+                    word = timed(path)
+                    assert prefix_may_satisfy(path, monitor) == prefix_may_satisfy(word, program)
+                    state = monitor.state(path)
                     assert [state.row(k) for k in range(len(program.ops))] == open_rows(word, program)
                     prefixes += 1
-                if word is None or len(word) < 6:
-                    last = Fraction(0) if word is None else word.events[-1][1]
+                if len(path) < 6:
+                    last = path[-1][1] if path else 0
                     for _ in range(rng.randint(1, 2)):
-                        event = (rng.choice(alphabet), last + Fraction(rng.randint(0, 4), rng.choice((3, 4))))
-                        stack.append(TimedWord([event]) if word is None else word.extended(*event))
+                        symbol = rng.choice(alphabet)
+                        step = rng.randint(0, 4) * (12 // rng.choice((3, 4)))
+                        stack.append(path + ((symbol, last + step),))
         assert prefixes > 3000
 
     def test_any_call_order_gives_the_same_verdicts(self):
@@ -232,12 +249,25 @@ class TestIncrementalMonitor:
         alphabet = ["a", "b"]
         for _ in range(150):
             formula = random_formula(rng, alphabet, 5)
-            monitor = Monitor(formula)
+            monitor = Monitor(formula, UNIT)
             words = [mixed_word(rng, alphabet, 6) for _ in range(3)]
             prefixes = [TimedWord(w.events[:cut]) for w in words for cut in range(1, len(w) + 1)]
             rng.shuffle(prefixes)
             for prefix in prefixes:
-                assert prefix_may_satisfy(prefix, monitor) == prefix_may_satisfy(prefix, formula)
+                assert prefix_may_satisfy(ticks(prefix), monitor) == prefix_may_satisfy(prefix, formula)
+
+    def test_ticks_are_read_on_the_unit(self):
+        # a tick stands for tick * unit also when the unit's numerator is not 1
+        rng = random.Random(35)
+        for _ in range(200):
+            formula = random_formula(rng, ["a", "b"], 4)
+            unit = rng.choice((Fraction(3, 4), Fraction(2, 3), Fraction(3, 2), Fraction(2)))
+            path, tick = (), 0
+            for _ in range(rng.randint(1, 5)):
+                tick += rng.randint(0, 2)
+                path += ((rng.choice("ab"), tick),)
+            word = TimedWord([(symbol, tick * unit) for symbol, tick in path])
+            assert prefix_may_satisfy(path, Monitor(formula, unit)) == prefix_may_satisfy(word, formula)
 
     def test_rows_are_built_on_demand_along_the_chain(self):
         # only the deepest state is asked; its ancestors fill in on the way
@@ -245,16 +275,16 @@ class TestIncrementalMonitor:
         for _ in range(100):
             program = compile_formula(random_formula(rng, ["a", "b"], 5))
             word = mixed_word(rng, ["a", "b"], 7)
-            state = MonitorState(program)
-            for symbol, time in word:
-                state = extend(state, symbol, time)
+            state = MonitorState(program, scale=UNIT.denominator)
+            for symbol, tick in ticks(word):
+                state = extend(state, symbol, tick)
             k = rng.randrange(len(program.ops))
             assert state.row(k) == open_rows(word, program)[k]
 
     def test_extend_rejects_a_timestamp_going_back(self):
-        state = extend(MonitorState(compile_formula(Atom("a"))), "a", Fraction(1, 3))
+        state = extend(MonitorState(compile_formula(Atom("a")), scale=12), "a", 4)
         with pytest.raises(ValueError):
-            extend(state, "a", Fraction(1, 4))
+            extend(state, "a", 3)
 
     def test_decided_entries_never_change_on_extension(self):
         # the invariant the incremental monitor and the pruning rely on

@@ -216,21 +216,25 @@ class TestGridSearch:
     @pytest.mark.parametrize("rejecting", [False, True])
     def test_matches_brute_force(self, strict, rejecting):
         def rule(word):
-            # skip every subtree below a b-event at an even position
-            return not (rejecting and len(word) % 2 == 0 and word.symbols[-1] == "b")
+            # skip every subtree below a b-event at an even position; the
+            # search offers (symbol, tick) pairs, the oracle a TimedWord
+            return not (rejecting and len(word) % 2 == 0 and word[-1][0] == "b")
 
         total = 0
         for automaton, rho, grid, horizon in self.cases():
             offered = []
 
-            def recording(word):
-                offered.append(word)
-                return rule(word)
+            def recording(prefix):
+                offered.append(prefix)
+                return rule(prefix)
 
             words = list(iter_accepted(automaton, rho, grid, horizon, 3, strict, recording))
             expected, viable = brute_accepted(automaton, rho, grid, horizon, 3, strict, rule)
             assert words == expected, (automaton, rho, grid, horizon)
-            assert offered == viable, (automaton, rho, grid, horizon)
+            assert [W(*((s, t * grid) for s, t in prefix)) for prefix in offered] == viable, (
+                automaton, rho, grid, horizon,
+            )  # fmt: skip
+            assert all(type(t) is int for prefix in offered for _, t in prefix)
             assert len(set(offered)) == len(offered)
             total += len(words)
         assert total > 0

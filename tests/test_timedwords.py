@@ -39,24 +39,6 @@ class TestConstruction:
         assert word.time_at(2) == Fraction(3, 2)
 
 
-class TestExtended:
-    def test_equals_the_constructor(self):
-        word = W(("a", 0), ("b", "1/2"))
-        for symbol, time in [("c", "1/2"), ("a", 3), ("b", Fraction(7, 3))]:
-            longer = word.extended(symbol, time)
-            assert longer == TimedWord(list(word.events) + [(symbol, time)])
-            assert hash(longer) == hash(TimedWord(list(word.events) + [(symbol, time)]))
-        assert word == W(("a", 0), ("b", "1/2"))
-
-    def test_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            W(("a", 1)).extended("b", "1/2")
-
-    def test_rejects_floats(self):
-        with pytest.raises(TypeError):
-            W(("a", 0)).extended("b", 0.5)
-
-
 class TestConcat:
     def test_disjoint_times(self):
         assert concat(W(("a", 0)), W(("b", 1))) == W(("a", 0), ("b", 1))
