@@ -139,6 +139,9 @@ def _cmd_mc_bounded(args) -> int:
     grid = formats.parse_rational(args.grid)
     if grid <= 0:
         raise UsageError("--grid must be positive")
+    horizon = formats.parse_rational(args.horizon)
+    if horizon < 0:
+        raise UsageError("--horizon must not be negative")
     automaton = formats.parse_pta(_read(args.pta))
     formula = formats.parse_formula(_maybe_file(args.formula))
     if args.candidates:
@@ -159,7 +162,7 @@ def _cmd_mc_bounded(args) -> int:
         formula,
         candidates,
         grid,
-        formats.parse_rational(args.horizon),
+        horizon,
         args.max_events,
         strict_only=args.strict_only,
     )
@@ -175,6 +178,8 @@ def _cmd_mc_bounded(args) -> int:
                     else None
                 ),
                 "words_checked": c.words_checked,
+                "nodes_expanded": c.nodes_expanded,
+                "memo_hits": c.memo_hits,
             }
             for c in verdict.candidates
         ],

@@ -266,56 +266,58 @@ def serialize_interval(interval: Interval) -> str:
     return f"{left}{interval.lower},{upper}{right}"
 
 
-# precedence: unary 4 > & 3 > | 2 > -> 1 > U 0
-def _render(node: Formula, parent: int) -> str:
-    if isinstance(node, Atom):
-        return node.name
-    if isinstance(node, TrueConst):
-        return "true"
-    if isinstance(node, FalseConst):
-        return "false"
-    if type(node) in _PREFIXES:
-        # unary chains are walked in a loop; an operand of a unary operator
-        # renders at level 4, so no link of the chain is bracketed
-        prefixes = []
-        while type(node) in _PREFIXES:
-            op = _PREFIXES[type(node)]
-            prefixes.append(op if type(node) is Not else f"{op}{serialize_interval(node.interval)} ")
-            node = node.operand
-        return "".join(prefixes) + _render(node, 4)
-    if isinstance(node, (And, Or)):
-        # and_all/or_all build long left chains: walk them in a loop, not by
-        # recursion; an inner link renders unbracketed, as parent == level
-        kind = type(node)
-        level, joiner = (3, " & ") if kind is And else (2, " | ")
-        rights = []
-        while type(node) is kind:
-            rights.append(node.right)
-            node = node.left
-        parts = [_render(node, level)]
-        parts.extend(_render(right, level + 1) for right in reversed(rights))
-        text = joiner.join(parts)
-        return f"({text})" if parent > level else text
-    if isinstance(node, Implies):
-        # right-associative: walk the right spine in a loop
-        parts = []
-        while type(node) is Implies:
-            parts.append(_render(node.left, 2) + " -> ")
-            node = node.right
-        text = "".join(parts) + _render(node, 1)
-        return f"({text})" if parent > 1 else text
-    if isinstance(node, Until):
-        parts = []
-        while type(node) is Until:
-            parts.append(f"{_render(node.left, 1)} U{serialize_interval(node.interval)} ")
-            node = node.right
-        text = "".join(parts) + _render(node, 0)
-        return f"({text})" if parent > 0 else text
-    raise TypeError(f"unknown formula node {node!r}")
-
-
 def serialize_formula(formula: Formula) -> str:
-    return _render(formula, 0)
+    """The formula's text, with the fewest brackets that parse back to it.
+
+    Walked with an explicit stack of pending items, each either literal text
+    or a node with the precedence of its context (unary 4 > & 3 > | 2 > -> 1
+    > U 0), so no depth of nesting exhausts the call stack.
+    """
+    out: list[str] = []
+    stack: list = [(formula, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, parent = item
+        kind = type(node)
+        if kind is Atom:
+            out.append(node.name)
+        elif kind is TrueConst or kind is FalseConst:
+            out.append("true" if kind is TrueConst else "false")
+        elif kind in _PREFIXES:
+            # the operand of a unary operator renders at level 4, so no link
+            # of a unary chain is bracketed
+            op = _PREFIXES[kind]
+            out.append(op if kind is Not else f"{op}{serialize_interval(node.interval)} ")
+            stack.append((node.operand, 4))
+        else:
+            if kind is And or kind is Or:
+                # left-associative: an inner link of the left chain renders
+                # unbracketed, as parent == level
+                level, joiner = (3, " & ") if kind is And else (2, " | ")
+                rights = []
+                while type(node) is kind:
+                    rights.append(node.right)
+                    node = node.left
+                items: list = [(node, level)]
+                for right in reversed(rights):
+                    items += (joiner, (right, level + 1))
+            elif kind is Implies or kind is Until:
+                # right-associative: walk the right spine
+                level, items = (1, []) if kind is Implies else (0, [])
+                while type(node) is kind:
+                    joiner = " -> " if kind is Implies else f" U{serialize_interval(node.interval)} "
+                    items += ((node.left, level + 1), joiner)
+                    node = node.right
+                items.append((node, level))
+            else:
+                raise TypeError(f"unknown formula node {node!r}")
+            if parent > level:
+                items = ["(", *items, ")"]
+            stack.extend(reversed(items))
+    return "".join(out)
 
 
 # -- channel machines ---------------------------------------------------------

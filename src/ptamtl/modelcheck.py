@@ -6,6 +6,12 @@ driver semi-decides it over a finite candidate list and a finite word space:
 timestamps on a rational grid, bounded horizon, bounded length.  Reported
 counterexamples are exact and re-verified; absence claims hold only within
 the explored bounds.
+
+The word search is pruned by formula progression of the negated property
+and memoizes every subtree it walked without finding a counterexample,
+keyed by the residual, the automaton's frontier, the tick and the depth.
+Each candidate reports the words it checked (memo hits included), the
+prefixes it expanded and its memo hits.
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .mtl import Formula, Monitor, Program, compile_formula, desugar, negate, prefix_may_satisfy, satisfies
-from .pta import Pta, iter_accepted, membership
+from .mtl import Formula, Program, Progression, compile_formula, desugar, negate, satisfies
+from .pta import Pta, SearchStats, iter_accepted, membership
 from .timedwords import TimedWord
 
 COUNTEREXAMPLE_FOUND = "counterexample-found"
@@ -27,6 +33,8 @@ class CandidateResult:
     valuation: tuple[tuple[str, Fraction], ...]
     counterexample: Optional[TimedWord]
     words_checked: int
+    nodes_expanded: int
+    memo_hits: int
 
     @property
     def refuted(self) -> bool:
@@ -77,13 +85,13 @@ def bounded_modelcheck(
     """
     if not candidates:
         raise ValueError("need at least one candidate valuation")
-    # A subtree can be skipped once no extension of its prefix can violate
-    # the property: the prefix monitor is sound, so absence claims stay
-    # exact relative to the bounds.  The search offers each prefix as
-    # (symbol, tick) pairs right after its parent, so the monitor, counting
-    # time in ticks of the same grid, extends the parent's state by one event.
+    # A subtree is skipped once the residual of the negated formula is false,
+    # as no extension can violate the property: absence claims stay exact
+    # relative to the bounds.  The residual fixes the verdict on every
+    # extension, so memo hits change neither the first counterexample nor
+    # words_checked.  Residuals are valuation-free, shared by the candidates.
     program = compile_formula(formula)
-    monitor = Monitor(negate(program), grid)
+    violation = Progression(negate(program), grid)
     # Counterexamples are re-checked on the core-only expansion of the
     # formula, a different op array run through other engine branches, and
     # against the automaton by exact membership.  Compiled on first use.
@@ -92,17 +100,8 @@ def bounded_modelcheck(
     results: list[CandidateResult] = []
     for valuation in candidates:
         counterexample = None
-        checked = 0
-        for word in iter_accepted(
-            automaton,
-            valuation,
-            grid,
-            horizon,
-            max_events,
-            strict=strict_only,
-            prefix_filter=lambda prefix: prefix_may_satisfy(prefix, monitor),
-        ):
-            checked += 1
+        stats = SearchStats()
+        for word in iter_accepted(automaton, valuation, grid, horizon, max_events, strict_only, violation, stats):
             if not satisfies(word, program):
                 if core is None:
                     core = compile_formula(desugar(formula, automaton.alphabet))
@@ -110,7 +109,8 @@ def bounded_modelcheck(
                     raise AssertionError("counterexample failed exact re-verification")
                 counterexample = word
                 break
-        results.append(CandidateResult(tuple(sorted(valuation.items())), counterexample, checked))
+        rho = tuple(sorted(valuation.items()))
+        results.append(CandidateResult(rho, counterexample, stats.words, stats.nodes_expanded, stats.memo_hits))
     hit = next((result for result in results if result.refuted), None)
     return McVerdict(
         outcome=NO_COUNTEREXAMPLE if hit is None else COUNTEREXAMPLE_FOUND,

@@ -15,22 +15,23 @@ share one op.  One evaluator computes a row of Kleene values per op over a
 word whose timestamps are scaled to integers by their common denominator;
 each interval modality reads its windows by binary search and prefix counts.
 A closed word is a prefix with no future: :func:`satisfies` and the sound
-pruning monitor :func:`prefix_may_satisfy` are the same evaluation, closed
+prefix check :func:`prefix_may_satisfy` are the same evaluation, closed
 or open-ended.  Results are checked against a naive evaluator in the tests.
 
-A depth-first search asks about a prefix right after asking about its parent,
-which differs by one event.  A :class:`Monitor` answers such calls
-incrementally, on words of integer grid ticks.  Its :class:`MonitorState`
-per prefix keeps the symbols, the times as integers on one scale fixed for
-the whole search (so nothing is ever rescaled) and one row per op, built
-lazily in an order computed once per op and monitor.  :func:`extend` makes
-the child state: an atom gets one new entry, a boolean connective is
-recomputed from its operands' rows, and a temporal op copies the parent's
-row and re-evaluates only the entries that were unknown (1) there and the new
-last position.  That rests on one invariant, which the tests check: an entry
-the open-ended evaluation decides (0 or 2) on a prefix keeps its value on
-every extension by events at or after the last timestamp, and in the closed
-evaluation of the whole word.  It is the invariant that makes pruning sound.
+A search that extends prefixes one event at a time uses formula
+progression instead (Bacchus & Kabanza, AIJ 2000; Thati & Rosu, RV 2004).
+A :class:`Progression` reads a word of integer grid ticks, holding every
+time on one integer scale fixed for the whole search, and rewrites the
+formula after each event into its residual: a boolean combination of
+pending until and release obligations, each with its interval shifted to
+the last event.  Residuals are hash-consed ids and each step is memoized,
+so the engine is a lazily built automaton whose states can key a memo of
+search subtrees.  A residual is false exactly when the open-ended
+evaluation is false: both are the Kleene evaluation of the same formula,
+with every obligation still pending unknown, which the tests check on
+random formulas and words.  Pruning is sound because a value the open
+evaluation decides on a prefix keeps it on every extension by events at or
+after the last timestamp, and in the closed evaluation of the whole word.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from math import lcm
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .timedwords import RationalLike, TimedWord, rat
 
@@ -339,33 +340,13 @@ def negate(program: Program) -> Program:
 # events of any symbol may follow at or after the last timestamp.
 
 
-def _connective(op: tuple, rows: list, symbols: list[str]) -> list[int]:
-    """The row of an atom, a constant or a boolean connective, from the rows
-    of its operands: one step for a whole word and for a monitor state (which
-    extends an atom's row by one entry instead)."""
-    kind, a, b, _ = op
-    if kind == _ATOM:
-        return [2 if symbol == a else 0 for symbol in symbols]
-    if kind < _NOT:
-        return [2 if kind == _TRUE else 0] * len(symbols)
-    x = rows[a]
-    if kind == _NOT:
-        return [2 - v for v in x]
-    if kind == _AND:
-        return list(map(min, x, rows[b]))
-    if kind == _OR:
-        return list(map(max, x, rows[b]))
-    return list(map(max, [2 - v for v in x], rows[b]))  # implies
-
-
-def _order(ops: tuple, k: int, rows: Optional[list] = None) -> tuple[int, ...]:
-    """Op k and every op its row depends on, children before parents: the
-    order in which their rows are filled.  Given ``rows``, ops whose row is
-    already there are left out, and so are their descendants."""
+def _order(ops: tuple, k: int, rows: list) -> tuple[int, ...]:
+    """Op k and every op its row depends on whose row is still missing,
+    children before parents: the order in which their rows are filled."""
     needed, stack = set(), [k]
     while stack:
         j = stack.pop()
-        if j not in needed and (rows is None or rows[j] is None):
+        if j not in needed and rows[j] is None:
             needed.add(j)
             kind, a, b, _ = ops[j]
             if kind >= _NOT:
@@ -373,15 +354,6 @@ def _order(ops: tuple, k: int, rows: Optional[list] = None) -> tuple[int, ...]:
                 if b >= 0:
                     stack.append(b)
     return tuple(sorted(needed))
-
-
-def _fill(order: tuple[int, ...], rows: list, compute) -> list[int]:
-    """The row of the last op in ``order`` (see :func:`_order`), computing
-    first, with ``compute(j)``, every missing row it depends on."""
-    for j in order:
-        if rows[j] is None:
-            rows[j] = compute(j)
-    return rows[order[-1]]
 
 
 def _evaluator(word: TimedWord, program: Program, closed: bool):
@@ -451,10 +423,20 @@ def _evaluator(word: TimedWord, program: Program, closed: bool):
         ]  # fmt: skip
 
     def compute(k: int) -> list[int]:
-        kind, a, b, iv = op = ops[k]
-        if kind < _NEXT:
-            return _connective(op, rows, symbols)
+        kind, a, b, iv = ops[k]
+        if kind == _ATOM:
+            return [2 if symbol == a else 0 for symbol in symbols]
+        if kind < _NOT:
+            return [2 if kind == _TRUE else 0] * n
         x = rows[a]
+        if kind == _NOT:
+            return [2 - v for v in x]
+        if kind == _AND:
+            return list(map(min, x, rows[b]))
+        if kind == _OR:
+            return list(map(max, x, rows[b]))
+        if kind == _IMPLIES:
+            return list(map(max, [2 - v for v in x], rows[b]))
         if kind == _UNTIL:
             weak, strict = [n] * (n + 1), [n] * (n + 1)
             for j in range(n - 1, -1, -1):
@@ -467,7 +449,13 @@ def _evaluator(word: TimedWord, program: Program, closed: bool):
             return reach(x, iv, 2, 0)
         return reach(x, iv, 0, 2)
 
-    return lambda k: rows[k] if rows[k] is not None else _fill(_order(ops, k, rows), rows, compute)
+    def row(k: int) -> list[int]:
+        if rows[k] is None:
+            for j in _order(ops, k, rows):
+                rows[j] = compute(j)
+        return rows[k]
+
+    return row
 
 
 def _value(program: Program, row) -> int:
@@ -500,152 +488,177 @@ def _value(program: Program, row) -> int:
     return value
 
 
-# -- the incremental monitor ----------------------------------------------------
+# -- formula progression ---------------------------------------------------------
+#
+# A residual is an id of a hash-consed node: 0 is false, 1 true, 2 the formula
+# before the first event.  Others are ("&", ids) or ("|", ids), flattened,
+# deduplicated and sorted, or an obligation (k, negated, lower, lower closed,
+# upper or None, upper closed): op k or its negation from the last event, its
+# interval shifted to that event.  Only constants are absorbed, which keeps a
+# residual constant exactly when the Kleene value of the open evaluation is.
+
+_START = 2
 
 
-def _first(row: list[int], value: int, start: int) -> int:
-    """The first position from ``start`` holding ``value``, or len(row)."""
-    try:
-        return row.index(value, start)
-    except ValueError:
-        return len(row)
+class Progression:
+    """Formula progression over words of integer ticks, an event's time
+    being ``tick * unit``.  The residual of a prefix is what the events after
+    it must satisfy for the whole word to satisfy the formula at its first
+    position.  ``step(residual, symbol, ticks)`` is the residual after one
+    more event, ``ticks`` ticks after the previous one; ``start`` is the
+    residual of the empty word.
 
-
-class MonitorState:
-    """The open-ended evaluation of a program on one prefix.
-
-    Holds the prefix's symbols, its timestamps as integers over the fixed
-    ``scale`` (the time ``t`` is ``t / scale``), and one row per op, equal
-    to the from-scratch open-ended row.  Rows are built on demand from the
-    parent prefix's row of the same op (see :func:`extend`).
-    ``MonitorState(program, scale=s)`` is the empty word, whose rows are all
-    empty; its extensions share its scale and its fill orders.
+    A residual is false (0) exactly when :func:`prefix_may_satisfy` is
+    false on the prefix, and true (1) exactly when the open-ended evaluation
+    is true.  Equal residuals are one id, and :meth:`now` and :meth:`step`
+    are memoized, so the engine builds the automaton of the formula's
+    residuals lazily, as a search visits it.
     """
 
-    __slots__ = ("program", "scale", "orders", "parent", "symbols", "times", "rows")
-
-    def __init__(
-        self,
-        program: Program,
-        parent: Optional["MonitorState"] = None,
-        symbols: Sequence[str] = (),
-        times: Sequence[int] = (),
-        scale: int = 1,
-    ):
-        self.program = program
-        self.parent = parent
-        self.symbols = symbols
-        self.times = times
-        root = parent is None
-        self.scale = scale if root else parent.scale
-        self.orders: list = [None] * len(program.ops) if root else parent.orders  # op k -> _order(ops, k)
-        self.rows: list = [[] if root else None] * len(program.ops)
-
-    def row(self, k: int) -> list[int]:
-        """The values of op k at every position of the prefix."""
-        if self.rows[k] is None:
-            order = self.orders[k]
-            if order is None:
-                order = self.orders[k] = _order(self.program.ops, k)
-            # ancestors missing this row get it first, top down, so each
-            # state extends a parent row (the empty word has every row)
-            chain, state = [], self
-            while state.rows[k] is None:
-                chain.append(state)
-                state = state.parent
-            for state in reversed(chain):
-                _fill(order, state.rows, state._step)
-        return self.rows[k]
-
-    def _step(self, k: int) -> list[int]:
-        """Row k from the parent's row k and this state's rows of op k's
-        operands.  A temporal op re-evaluates only the parent's unknown
-        entries and the new last position: a decided entry never changes
-        when events are appended at or after the last timestamp."""
-        kind, a, b, iv = op = self.program.ops[k]
-        before = self.parent.rows[k]
-        if kind == _ATOM:
-            return before + [2 if self.symbols[-1] == a else 0]
-        if kind < _NEXT:
-            return _connective(op, self.rows, self.symbols)
-        times = self.times
-        n = len(times)
-        interval = self.program.intervals[iv]
-        low = interval.lower * self.scale
-        start = bisect_left if interval.lower_closed else bisect_right
-        high = None if interval.upper is None else interval.upper * self.scale
-        end = bisect_right if interval.upper_closed else bisect_left
-        x = self.rows[a]
-        y = x if b < 0 else self.rows[b]  # the witness row of U and X
-        row = before + [1]
-        i = -1
-        while i < n - 1:
-            i = row.index(1, i + 1)  # the next unknown; the new last entry is one
-            t = times[i]
-            lo = start(times, t + low, i + 1)  # i's window is lo:hi, as in _evaluator
-            hi = n if high is None else end(times, t + high, i + 1)
-            if kind == _EVENTUALLY or kind == _GLOBALLY:
-                inside = x[lo:hi]
-                hit = 2 if kind == _EVENTUALLY else 0
-                row[i] = hit if hit in inside else 1 if hi == n or 1 in inside else 2 - hit
-                continue
-            if kind == _NEXT:  # false U phi
-                weak = strict = i + 1
-            else:  # the first position after i where the left operand is not true / is false
-                strict = _first(x, 0, i + 1)
-                weak = min(strict, _first(x, 1, i + 1))
-            if 2 in y[lo:min(hi, weak + 1)]:
-                row[i] = 2
-            elif (hi == n and strict == n) or any(y[lo:min(hi, strict + 1)]):
-                row[i] = 1
-            else:
-                row[i] = 0
-        return row
-
-
-def extend(state: MonitorState, symbol: str, time: int) -> MonitorState:
-    """The state of ``state``'s prefix followed by ``(symbol, time)``, with
-    ``time`` an integer over the state's scale, at least the last one."""
-    times = state.times
-    if times and time < times[-1]:
-        raise ValueError("timestamps must be non-decreasing")
-    return MonitorState(state.program, state, [*state.symbols, symbol], [*times, time])
-
-
-class Monitor:
-    """The prefix monitor of one formula, incremental along a depth-first
-    search.  A word is a sequence of ``(symbol, tick)`` pairs, an event's
-    time being ``tick * unit``, held as ``tick * unit.numerator`` over the
-    fixed scale ``unit.denominator``.  It keeps the states of every prefix
-    of the last word it was given.  A word that extends one of them by one
-    event extends that state and drops the deeper ones; any other word is
-    evaluated again from the empty word, so answers never depend on the
-    order of the calls."""
+    start = _START
 
     def __init__(self, formula: Union[Formula, Program], unit: RationalLike):
         unit = rat(unit)
         if unit <= 0:
-            raise ValueError("the monitor's time unit must be positive")
-        self.program = compile_formula(formula)
+            raise ValueError("the time unit must be positive")
+        self.program = program = compile_formula(formula)
         self._factor = unit.numerator
-        self._word: tuple = ()  # the last word seen; _states[d] holds its first d events
-        self._states = [MonitorState(self.program, scale=unit.denominator)]
+        scale = unit.denominator  # a time t is t * scale on the integer scale
+        self._windows = [
+            (iv.lower * scale, iv.lower_closed, None if iv.upper is None else iv.upper * scale, iv.upper_closed)
+            for iv in program.intervals
+        ]
+        self._nodes: list[tuple] = [("false",), ("true",), ("start",)]
+        self._ids: dict[tuple, int] = {}
+        self._now: dict[tuple, int] = {}  # (op, negated, symbol) -> residual
+        self._steps: dict[tuple, int] = {}  # (residual, symbol, ticks) -> residual
 
-    def state(self, word: Sequence[tuple[str, int]]) -> MonitorState:
-        """The state of ``word``, built from the stored state of its parent
-        prefix when there is one."""
-        keep = len(word) - 1
-        states = self._states
-        # the search shares pairs between a word and its extensions, so this
-        # comparison is by identity, element by element
-        if keep >= len(states) or word[:keep] != self._word[:keep]:
-            keep = 0
-        del states[keep + 1 :]
-        factor = self._factor
-        for symbol, tick in word[keep:]:
-            states.append(extend(states[-1], symbol, tick * factor))
-        self._word = word
-        return states[-1]
+    def _intern(self, node: tuple) -> int:
+        ident = self._ids.get(node)
+        if ident is None:
+            ident = self._ids[node] = len(self._nodes)
+            self._nodes.append(node)
+        return ident
+
+    def _join(self, conj: bool, parts) -> int:
+        """The conjunction (``conj``) or disjunction of the residuals."""
+        tag, unit, zero = ("&", 1, 0) if conj else ("|", 0, 1)
+        flat = set()
+        for r in parts:
+            if r == zero:
+                return zero
+            if r != unit:
+                node = self._nodes[r]
+                if node[0] == tag:
+                    flat.update(node[1])
+                else:
+                    flat.add(r)
+        if len(flat) < 2:
+            return flat.pop() if flat else unit
+        return self._intern((tag, tuple(sorted(flat))))
+
+    def now(self, k: int, negated: bool, symbol: str) -> int:
+        """The residual of op k, or of its negation, at an event reading
+        ``symbol``, before any later event."""
+        memo = self._now
+        result = memo.get((k, negated, symbol))
+        if result is not None:
+            return result
+        ops = self.program.ops
+        stack = [(k, negated, symbol)]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            j, neg, _ = key
+            kind, a, b, iv = ops[j]
+            if kind == _ATOM:
+                result = int((a == symbol) != neg)
+            elif kind < _NOT:
+                result = int((kind == _TRUE) != neg)
+            elif kind >= _NEXT:
+                result = self._intern((j, neg, *self._windows[iv]))
+            else:  # a -> b is !a | b; a negated connective is its dual
+                left = (a, neg != (kind == _NOT or kind == _IMPLIES), symbol)
+                x = memo.get(left)
+                if x is None:
+                    stack.append(left)
+                    continue
+                conj = (kind == _AND) != neg
+                if kind == _NOT or x == (0 if conj else 1):  # no right operand, or it cannot matter
+                    result = x
+                else:
+                    right = (b, neg, symbol)
+                    y = memo.get(right)
+                    if y is None:
+                        stack.append(right)
+                        continue
+                    result = self._join(conj, (x, y))
+            memo[key] = result
+            stack.pop()
+        return memo[k, negated, symbol]
+
+    def step(self, residual: int, symbol: str, ticks: int) -> int:
+        """The residual after one more event, reading ``symbol`` ``ticks``
+        ticks after the previous event."""
+        memo = self._steps
+        result = memo.get((residual, symbol, ticks))
+        if result is not None:
+            return result
+        if ticks < 0:
+            raise ValueError("timestamps must be non-decreasing")
+        nodes = self._nodes
+        stack = [residual]
+        while stack:
+            r = stack[-1]
+            if (r, symbol, ticks) in memo:
+                stack.pop()
+                continue
+            node = nodes[r]
+            if r < _START:
+                result = r
+            elif r == _START:
+                result = self.now(self.program.root, False, symbol)
+            elif type(node[0]) is str:  # operands in order, up to one that decides
+                conj = node[0] == "&"
+                zero = 0 if conj else 1
+                values = []
+                for c in node[1]:
+                    result = memo.get((c, symbol, ticks))
+                    if result is None or result == zero:
+                        break
+                    values.append(result)
+                if result is None:
+                    stack.append(c)
+                    continue
+                if result != zero:
+                    result = self._join(conj, values)
+            else:
+                result = self._advance(node, symbol, ticks * self._factor)
+            memo[r, symbol, ticks] = result
+            stack.pop()
+        return memo[residual, symbol, ticks]
+
+    def _advance(self, node: tuple, symbol: str, delay: int) -> int:
+        """An obligation after an event ``delay`` later on the integer scale:
+        ``a U b`` is (the event is in the window and b holds there) or (a holds
+        there and ``a U b``, its window shifted, holds from there).  F, X and G
+        are ``true U``, ``false U`` and ``!(true U !x)``; a negation is the dual."""
+        k, negated, lo, lo_closed, hi, hi_closed = node
+        kind, a, b, _ = self.program.ops[k]
+        flip = negated != (kind == _GLOBALLY)  # the until is negated
+        inside = (delay > lo or (delay == lo and lo_closed)) and (
+            hi is None or delay < hi or (delay == hi and hi_closed)
+        )
+        witness = self.now(b if kind == _UNTIL else a, negated, symbol) if inside else int(flip)
+        if hi is not None and (delay > hi or (delay == hi and not hi_closed)):
+            later = int(flip)  # the window has passed
+        else:  # a lower bound below 0 is [0, as later events come no earlier
+            shifted = (max(lo - delay, 0), lo_closed or delay > lo, None if hi is None else hi - delay, hi_closed)
+            later = self._intern((k, negated, *shifted))
+        between = self.now(a, flip, symbol) if kind == _UNTIL else int((kind != _NEXT) != flip)
+        return self._join(flip, [witness, self._join(not flip, [between, later])])
 
 
 def eval_at(word: TimedWord, position: int, formula: Union[Formula, Program]) -> bool:
@@ -662,17 +675,14 @@ def satisfies(word: TimedWord, formula: Union[Formula, Program]) -> bool:
     return _value(program, _evaluator(word, program, True)) == 2
 
 
-def prefix_may_satisfy(word: Union[TimedWord, Sequence], formula: Union[Formula, Program, Monitor]) -> bool:
+def prefix_may_satisfy(word: TimedWord, formula: Union[Formula, Program]) -> bool:
     """False only when no extension of the word can satisfy the formula.
 
     Extensions append events at timestamps at or after the word's last
     timestamp (lengths and horizons are not modelled, which only widens the
-    future and keeps the answer sound for any bounded search).  A
-    :class:`Monitor` gives the same answer incrementally, on a word of
-    ``(symbol, tick)`` pairs on its unit; a formula or a program is
-    evaluated from scratch on a :class:`TimedWord`, and is the reference.
+    future and keeps the answer sound for any bounded search).  It is
+    evaluated from scratch and is the reference for :class:`Progression`,
+    which gives the same answer one event at a time.
     """
-    if isinstance(formula, Monitor):
-        return _value(formula.program, formula.state(word).row) != 0
     program = compile_formula(formula)
     return _value(program, _evaluator(word, program, False)) != 0

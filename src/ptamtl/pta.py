@@ -12,9 +12,10 @@ The grid-word search :func:`iter_accepted` counts time in integer ticks of
 the grid instead: on a grid every clock value is a whole number of ticks,
 so each guard reduces to an integer range check on elapsed ticks
 (Henzinger, Manna & Pnueli, "What good are digital clocks?", ICALP 1992).
-Its prefix filter is offered each prefix as ``(symbol, tick)`` pairs, and a
-:class:`TimedWord` is built only for a word it yields.  It shares no guard
-code with :func:`membership`, which re-checks the words it finds.
+A monitor's state along each prefix prunes it and keys a memo of subtrees
+together with the frontier (clock ages capped above the largest guard bound,
+the classic max-constant extrapolation).  The search shares no guard code
+with :func:`membership`, which re-checks the words it finds.
 """
 
 from __future__ import annotations
@@ -386,6 +387,17 @@ def _grid_move(
     return edge.target, checks, flags
 
 
+@dataclass
+class SearchStats:
+    """What one :func:`iter_accepted` walk did: the words yielded or skipped
+    by a memo hit, the prefixes (the empty one too) whose extensions were
+    generated, and the prefixes whose subtree a memo hit skipped."""
+
+    words: int = 0
+    nodes_expanded: int = 0
+    memo_hits: int = 0
+
+
 def iter_accepted(
     automaton: Pta,
     parameters: Mapping[str, Fraction],
@@ -393,21 +405,28 @@ def iter_accepted(
     horizon: Fraction,
     max_events: int,
     strict: bool = False,
-    prefix_filter=None,
+    monitor=None,
+    stats: Optional[SearchStats] = None,
 ) -> Iterator[TimedWord]:
     """Lazily yield every accepted word with timestamps on multiples of ``grid``,
     at most ``max_events`` events, all timestamps at most ``horizon``.
 
     Deterministic depth-first order: events are extended by (time, symbol)
     ascending.  With ``strict`` the search is limited to strictly monotonic
-    words (repeated timestamps are skipped).  ``prefix_filter``, when given,
-    is offered every candidate prefix as a tuple of ``(symbol, tick)``
-    pairs, an event's time being ``tick * grid``; returning False skips the
-    prefix and its whole subtree, so the filter must only reject prefixes
-    whose extensions are all irrelevant to the caller.  Each prefix is
-    offered right after its parent was offered and accepted (depth first),
-    as the parent's tuple plus one pair.  :class:`ptamtl.mtl.Monitor` uses
-    this order only as a fast path: its answers do not depend on it.
+    words (repeated timestamps are skipped).  A ``monitor`` carries a state
+    along each prefix: ``monitor.start`` for the empty word, and
+    ``monitor.step(state, symbol, ticks)`` for the prefix extended by an
+    event ``ticks`` ticks after the previous one (or time 0).  A false state
+    skips the prefix and its subtree, so it must only mark prefixes whose
+    extensions are all irrelevant to the caller.
+
+    With a monitor, a subtree walked to its end is memoized under the monitor
+    state, the tick, the depth and the frontier with each clock's ticks since
+    its reset capped above every guard bound; when the key comes up again,
+    its words are counted in ``stats.words`` instead of being yielded.  So
+    the caller must stop at the first word it rejects, and its verdict must
+    be fixed by the state of each prefix and the events after it, as a
+    :class:`ptamtl.mtl.Progression` residual fixes the formula's verdict.
 
     Time is counted in integer ticks of ``grid``: frontier states hold each
     clock's last reset tick, and each guard is compiled once per call into
@@ -421,6 +440,8 @@ def iter_accepted(
     horizon = rat(horizon)
     if grid <= 0:
         raise ValueError("grid must be positive")
+    if stats is None:
+        stats = SearchStats()
     if max_events < 1:
         return
     symbols = sorted(automaton.alphabet)
@@ -428,8 +449,14 @@ def iter_accepted(
     finals = automaton.final
     clocks = automaton.clocks
     last_tick = horizon // grid
-    start = frozenset((loc, (0,) * len(clocks)) for loc in automaton.initial)
-    moves: dict[tuple[str, str], tuple[_Move, ...]] = {}
+    moves: dict[tuple[str, str], list[_Move]] = {}
+    for edge in automaton.edges:
+        move = _grid_move(edge, clocks, parameters, grid)
+        if move is not None:
+            moves.setdefault((edge.source, edge.symbol), []).append(move)
+    bounds = [b for group in moves.values() for _, checks, _ in group for _, lo, hi in checks for b in (lo, hi)]
+    cap = max((b for b in bounds if b is not None), default=0) + 1  # all ages from cap on pass the same guards
+    table: Optional[dict] = None if monitor is None else {}
     times: dict[int, Fraction] = {}  # tick -> time, for the words yielded
 
     def successors(frontier, symbol, tick, remaining):
@@ -437,12 +464,7 @@ def iter_accepted(
         # need at most one fewer, so they would be dropped a level down
         found = set()
         for location, resets in frontier:
-            key = (location, symbol)
-            compiled = moves.get(key)
-            if compiled is None:
-                grid_moves = (_grid_move(e, clocks, parameters, grid) for e in automaton.edges_from(*key))
-                compiled = moves[key] = tuple(m for m in grid_moves if m is not None)
-            for target, checks, flags in compiled:
+            for target, checks, flags in moves.get((location, symbol), ()):
                 if min_left[target] > remaining:
                     continue
                 for clock, lo, hi in checks:
@@ -456,25 +478,40 @@ def iter_accepted(
                         found.add((target, resets))
         return found
 
-    def recurse(prefix: tuple, frontier, first: int):
+    def walk(prefix: tuple, frontier, state):
         depth = len(prefix)
+        tick = prefix[-1][1] if depth else 0
+        key = None
+        if table is not None and depth:
+            ages = frozenset((loc, tuple(min(tick - r, cap) for r in resets)) for loc, resets in frontier)
+            key = (ages, tick, depth, state)
+            known = table.get(key)
+            if known is not None:
+                stats.memo_hits += 1
+                stats.words += known
+                return
+            before = stats.words
         if depth and any(loc in finals for loc, _ in frontier):
-            yield TimedWord([(symbol, times[tick]) for symbol, tick in prefix])
-        if depth == max_events:
-            return
-        remaining = max_events - depth - 1
-        for tick in range(first, last_tick + 1):
-            if tick not in times:
-                times[tick] = tick * grid
-            for symbol in symbols:
-                nxt = successors(frontier, symbol, tick, remaining)
-                if not nxt:
-                    continue
-                longer = prefix + ((symbol, tick),)
-                if prefix_filter is None or prefix_filter(longer):
-                    yield from recurse(longer, nxt, tick + 1 if strict else tick)
+            stats.words += 1
+            yield TimedWord([(symbol, times[t]) for symbol, t in prefix])
+        if depth < max_events:
+            stats.nodes_expanded += 1
+            remaining = max_events - depth - 1
+            for t in range(tick + 1 if strict and depth else tick, last_tick + 1):
+                if t not in times:
+                    times[t] = t * grid
+                for symbol in symbols:
+                    nxt = successors(frontier, symbol, t, remaining)
+                    if not nxt:
+                        continue
+                    child = None if monitor is None else monitor.step(state, symbol, t - tick)
+                    if monitor is None or child:
+                        yield from walk(prefix + ((symbol, t),), nxt, child)
+        if key is not None:
+            table[key] = stats.words - before
 
-    yield from recurse((), start, 0)
+    start = frozenset((loc, (0,) * len(clocks)) for loc in automaton.initial)
+    yield from walk((), start, None if monitor is None else monitor.start)
 
 
 def enumerate_accepted(

@@ -26,6 +26,19 @@ def machine_file(tmp_path, c1):
 
 
 @pytest.fixture
+def reduction_file(tmp_path, c1):
+    path = tmp_path / "c1.pta"
+    path.write_text(formats.serialize_pta(build_automaton(c1, "s2")))
+    return path
+
+
+# a property that holds on every accepted word of the c1 reduction
+# automaton, so the search walks the whole bounded space
+PROPERTY_ARGS = ["G (s2 -> F *)", "--k", "2", "--grid", "1/2", "--horizon", "5/2", "--max-events", "6",
+                 "--strict-only", "--json"]  # fmt: skip
+
+
+@pytest.fixture
 def cadence_file(tmp_path):
     path = tmp_path / "cadence.pta"
     path.write_text(formats.serialize_pta(two_phase_automaton()))
@@ -179,6 +192,18 @@ class TestMcBounded:
         assert code == 0
         assert "no-counterexample-within-bounds" in capsys.readouterr().out
 
+    def test_json_reports_the_search(self, capsys, reduction_file, c1):
+        assert main(["mc-bounded", str(reduction_file), *PROPERTY_ARGS]) == 0
+        candidates = json.loads(capsys.readouterr().out)["candidates"]
+        verdict = bounded_modelcheck(
+            build_automaton(c1, "s2"), formats.parse_formula(PROPERTY_ARGS[0]),
+            [{"p": F(1)}, {"p": F(1, 2)}], F(1, 2), F(5, 2), 6, strict_only=True,
+        )  # fmt: skip
+        assert [c["words_checked"] for c in candidates] == [3, 426]
+        for entry, result in zip(candidates, verdict.candidates):
+            assert entry["words_checked"] == result.words_checked
+            assert entry["nodes_expanded"] == result.nodes_expanded > 0
+            assert entry["memo_hits"] == result.memo_hits > 0
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_is_a_usage_error(self, capsys, cadence_file, k):
@@ -207,6 +232,8 @@ class TestMcBounded:
             ("--grid", "-1/2", "--grid must be positive"),
             ("--max-events", "0", "--max-events must be at least 1"),
             ("--max-events", "-3", "--max-events must be at least 1"),
+            ("--horizon", "-1", "--horizon must not be negative"),
+            ("--horizon", "-1/2", "--horizon must not be negative"),
             ("--candidates", "q=1", "must set exactly the automaton's parameters (p)"),
             ("--candidates", "p=1/2;p=1,q=1", "must set exactly the automaton's parameters (p)"),
         ],
@@ -235,6 +262,23 @@ class TestDeterminism:
             )
             outputs.add(done.stdout)
         assert outputs == {"s0 m! a m? t\n"}
+
+    def test_mc_bounded_output_independent_of_hash_seed(self, reduction_file):
+        # memo keys hold frozensets of frontier states
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        outputs = set()
+        for seed in range(1, 5):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=pythonpath)
+            done = subprocess.run(
+                [sys.executable, "-m", "ptamtl.cli", "mc-bounded", str(reduction_file), *PROPERTY_ARGS],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs.add(done.stdout)
+        (output,) = outputs
+        assert all(c["memo_hits"] > 0 for c in json.loads(output)["candidates"])
 
 
 class TestVerdictShapes:
@@ -296,7 +340,19 @@ class TestVerdictReverification:
         def satisfies(word, program):
             return False if compile_formula(program) == lying else honest(word, program)
 
-        monkeypatch.setattr(modelcheck, "prefix_may_satisfy", lambda word, program: True)
+        class NoPruning:
+            """A progression whose residual is never false, so the lying
+            verdict is reached."""
+
+            start = 2
+
+            def __init__(self, formula, unit):
+                pass
+
+            def step(self, residual, symbol, ticks):
+                return 2
+
+        monkeypatch.setattr(modelcheck, "Progression", NoPruning)
         monkeypatch.setattr(modelcheck, "satisfies", satisfies)
         with pytest.raises(AssertionError, match="re-verification"):
             bounded_modelcheck(automaton, formula, [{}], F(1), F(1), 1)

@@ -108,8 +108,11 @@ class TestFormulaFormat:
             ("!(" * 1000 + "a" + ")" * 1000, "!" * 1000 + "a"),
             ("(" * 1000 + "a" + ") & b" * 1000, "a" + " & b" * 1000),
             ("(" * 1000 + "a U b" + ") | c" * 1000, "(a U b)" + " | c" * 1000),
+            ("(a & " * 1000 + "a" + ")" * 1000, "a & " + "(a & " * 999 + "a" + ")" * 999),
+            ("(a | (b -> " * 500 + "c" + "))" * 500, "a | (b -> " * 500 + "c" + ")" * 500),
+            ("(a U[0,1] (b & " * 500 + "c" + "))" * 500, "a U[0,1] b & (" * 499 + "a U[0,1] b & c" + ")" * 499),
         ],
-        ids=["bare", "negated", "left-conjunction", "left-disjunction"],
+        ids=["bare", "negated", "left-conjunction", "left-disjunction", "right-conjunction", "right-implies", "right-until"],
     )
     def test_deep_parentheses_round_trip(self, text, rendered):
         assert formats.serialize_formula(formats.parse_formula(text)) == rendered

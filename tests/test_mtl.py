@@ -11,19 +11,18 @@ from ptamtl.mtl import (
     FalseConst,
     Globally,
     Interval,
-    Monitor,
-    MonitorState,
     Next,
     Not,
     Or,
+    Progression,
     TrueConst,
     Until,
     and_all,
     compile_formula,
     _evaluator,
+    _value,
     desugar,
     eval_at,
-    extend,
     negate,
     prefix_may_satisfy,
     satisfies,
@@ -201,11 +200,6 @@ def mixed_word(rng, alphabet, max_len):
 UNIT = Fraction(1, 12)  # one tick; quarters and thirds are whole numbers of it
 
 
-def timed(path):
-    """The timed word a path of (symbol, tick) pairs stands for."""
-    return TimedWord([(symbol, tick * UNIT) for symbol, tick in path])
-
-
 def ticks(word):
     """The (symbol, tick) path of a timed word whose times are on UNIT."""
     path = tuple((symbol, time / UNIT) for symbol, time in word)
@@ -218,73 +212,114 @@ def open_rows(word, program):
     return [row(k) for k in range(len(program.ops))]
 
 
+UNITS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2))
+
+
+def residual(engine, path):
+    """The residual of a path of (symbol, tick) pairs, stepped from the start."""
+    r, last = engine.start, 0
+    for symbol, tick in path:
+        r, last = engine.step(r, symbol, tick - last), tick
+    return r
+
+
+def assert_matches_open_value(r, word, program):
+    """A residual is false iff the batch open value is 0, true iff it is 2."""
+    value = _value(program, _evaluator(word, program, False))
+    assert (r == 0) == (value == 0) and (r == 1) == (value == 2), (program, word, r, value)
+
+
 class TestIncrementalMonitor:
+    """Formula progression against the batch open-ended evaluation."""
+
     def test_agrees_with_the_batch_evaluation_in_depth_first_order(self):
         rng = random.Random(31)
         alphabet = ["a", "b", "c"]
-        prefixes = 0
-        for _ in range(120):
+        prefixes = decided = 0
+        for case in range(160):
             program = compile_formula(random_formula(rng, alphabet, 5))
-            monitor = Monitor(program, UNIT)
-            # a random tree of tick paths, visited depth first as the search does
-            stack = [()]
+            unit = UNITS[case % len(UNITS)]
+            engine = Progression(program, unit)
+            # a random tree of tick paths, visited depth first as the search
+            # does, each residual stepped from its parent's
+            stack = [((), engine.start)]
             while stack:
-                path = stack.pop()
+                path, r = stack.pop()
                 if path:
-                    word = timed(path)
-                    assert prefix_may_satisfy(path, monitor) == prefix_may_satisfy(word, program)
-                    state = monitor.state(path)
-                    assert [state.row(k) for k in range(len(program.ops))] == open_rows(word, program)
+                    assert_matches_open_value(r, TimedWord([(s, t * unit) for s, t in path]), program)
                     prefixes += 1
+                    decided += r < 2
                 if len(path) < 6:
                     last = path[-1][1] if path else 0
                     for _ in range(rng.randint(1, 2)):
-                        symbol = rng.choice(alphabet)
-                        step = rng.randint(0, 4) * (12 // rng.choice((3, 4)))
-                        stack.append(path + ((symbol, last + step),))
-        assert prefixes > 3000
+                        symbol, delay = rng.choice(alphabet), rng.randint(0, 4)
+                        stack.append((path + ((symbol, last + delay),), engine.step(r, symbol, delay)))
+        assert prefixes > 3000 and decided > 1000, (prefixes, decided)
 
     def test_any_call_order_gives_the_same_verdicts(self):
+        # the memo tables fill in call order; residuals must not depend on it
         rng = random.Random(32)
         alphabet = ["a", "b"]
         for _ in range(150):
-            formula = random_formula(rng, alphabet, 5)
-            monitor = Monitor(formula, UNIT)
+            program = compile_formula(random_formula(rng, alphabet, 5))
+            engine = Progression(program, UNIT)
             words = [mixed_word(rng, alphabet, 6) for _ in range(3)]
             prefixes = [TimedWord(w.events[:cut]) for w in words for cut in range(1, len(w) + 1)]
-            rng.shuffle(prefixes)
-            for prefix in prefixes:
-                assert prefix_may_satisfy(ticks(prefix), monitor) == prefix_may_satisfy(prefix, formula)
+            first = [residual(engine, ticks(prefix)) for prefix in prefixes]
+            order = list(range(len(prefixes)))
+            rng.shuffle(order)
+            again = Progression(program, UNIT)
+            for i in order:
+                assert residual(engine, ticks(prefixes[i])) == first[i]
+                r = residual(again, ticks(prefixes[i]))
+                assert_matches_open_value(r, prefixes[i], program)
+                assert (r == 0, r == 1) == (first[i] == 0, first[i] == 1)
 
     def test_ticks_are_read_on_the_unit(self):
         # a tick stands for tick * unit also when the unit's numerator is not 1
         rng = random.Random(35)
         for _ in range(200):
-            formula = random_formula(rng, ["a", "b"], 4)
+            program = compile_formula(random_formula(rng, ["a", "b"], 4))
             unit = rng.choice((Fraction(3, 4), Fraction(2, 3), Fraction(3, 2), Fraction(2)))
             path, tick = (), 0
             for _ in range(rng.randint(1, 5)):
                 tick += rng.randint(0, 2)
                 path += ((rng.choice("ab"), tick),)
             word = TimedWord([(symbol, tick * unit) for symbol, tick in path])
-            assert prefix_may_satisfy(path, Monitor(formula, unit)) == prefix_may_satisfy(word, formula)
+            assert_matches_open_value(residual(Progression(program, unit), path), word, program)
 
-    def test_rows_are_built_on_demand_along_the_chain(self):
-        # only the deepest state is asked; its ancestors fill in on the way
-        rng = random.Random(33)
-        for _ in range(100):
-            program = compile_formula(random_formula(rng, ["a", "b"], 5))
-            word = mixed_word(rng, ["a", "b"], 7)
-            state = MonitorState(program, scale=UNIT.denominator)
-            for symbol, tick in ticks(word):
-                state = extend(state, symbol, tick)
-            k = rng.randrange(len(program.ops))
-            assert state.row(k) == open_rows(word, program)[k]
-
-    def test_extend_rejects_a_timestamp_going_back(self):
-        state = extend(MonitorState(compile_formula(Atom("a")), scale=12), "a", 4)
+    def test_step_rejects_a_negative_delay(self):
+        engine = Progression(Eventually(FULL, Atom("a")), 1)
+        r = engine.step(engine.start, "b", 0)
         with pytest.raises(ValueError):
-            extend(state, "a", 3)
+            engine.step(r, "a", -1)
+        with pytest.raises(ValueError):
+            Progression(Atom("a"), 0)
+
+    def test_equal_residuals_are_one_id(self):
+        # windows shift to the last event and their lower bounds clamp at
+        # [0, so obligations anchored at different times can meet
+        engine = Progression(Globally(FULL, Eventually(Interval(1, None, True, False), Atom("a"))), 1)
+        one = residual(engine, (("b", 0), ("b", 1), ("b", 4)))
+        two = residual(engine, (("b", 0), ("b", 2), ("b", 4)))
+        assert one == two > 2
+        assert residual(engine, (("b", 0), ("b", 4), ("b", 4))) not in (0, 1, one)
+        # a window that has passed is a constant
+        engine = Progression(Eventually(Interval(0, 2, True, True), Atom("a")), 1)
+        assert residual(engine, (("b", 0), ("b", 2))) > 2
+        assert residual(engine, (("b", 0), ("b", 3))) == 0
+
+    def test_deep_formulas_step_without_recursion(self):
+        conjunction = and_all([Eventually(FULL, Atom("b"))] * 3000)
+        nested = Eventually(FULL, Atom("b"))
+        for _ in range(1000):
+            nested = Not(nested)
+        for formula, after_b in ((conjunction, 1), (nested, 1), (Not(nested), 0)):
+            engine = Progression(formula, 1)
+            r = engine.step(engine.start, "a", 0)
+            assert r > 2
+            assert engine.step(r, "b", 1) == after_b
+            assert engine.step(r, "a", 1) == r
 
     def test_decided_entries_never_change_on_extension(self):
         # the invariant the incremental monitor and the pruning rely on

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from ptamtl.pta import (
+    TRUE_GUARD,
     ClockConstraint,
     Edge,
     Pta,
+    SearchStats,
     constraint_feasible,
     constraint_sat,
     enumerate_accepted,
@@ -25,6 +27,27 @@ F = Fraction
 
 def W(*pairs):
     return TimedWord(pairs)
+
+
+class Constant:
+    """A monitor that never prunes and never changes state, so a memo key is
+    the capped frontier, the tick and the depth alone."""
+
+    start = 1
+
+    def step(self, state, symbol, ticks):
+        return 1
+
+
+def memo_search(automaton, rho, grid, horizon, events, strict):
+    stats = SearchStats()
+    words = list(iter_accepted(automaton, rho, grid, horizon, events, strict, Constant(), stats))
+    return words, stats
+
+
+def is_subsequence(part, whole):
+    rest = iter(whole)
+    return all(any(word == other for other in rest) for word in part)
 
 
 class TestConstraintSat:
@@ -217,27 +240,63 @@ class TestGridSearch:
     def test_matches_brute_force(self, strict, rejecting):
         def rule(word):
             # skip every subtree below a b-event at an even position; the
-            # search offers (symbol, tick) pairs, the oracle a TimedWord
+            # search's monitor sees (symbol, tick) pairs, the oracle a TimedWord
             return not (rejecting and len(word) % 2 == 0 and word[-1][0] == "b")
 
         total = 0
         for automaton, rho, grid, horizon in self.cases():
             offered = []
 
-            def recording(prefix):
-                offered.append(prefix)
-                return rule(prefix)
+            class Recording:
+                """A monitor whose state is the prefix itself, as tick pairs."""
 
-            words = list(iter_accepted(automaton, rho, grid, horizon, 3, strict, recording))
+                start = ()
+
+                def step(self, prefix, symbol, ticks):
+                    assert type(ticks) is int and ticks >= 0
+                    longer = prefix + ((symbol, (prefix[-1][1] if prefix else 0) + ticks),)
+                    offered.append(longer)
+                    return longer if rule(longer) else None
+
+            words = list(iter_accepted(automaton, rho, grid, horizon, 3, strict, Recording()))
             expected, viable = brute_accepted(automaton, rho, grid, horizon, 3, strict, rule)
             assert words == expected, (automaton, rho, grid, horizon)
             assert [W(*((s, t * grid) for s, t in prefix)) for prefix in offered] == viable, (
                 automaton, rho, grid, horizon,
             )  # fmt: skip
-            assert all(type(t) is int for prefix in offered for _, t in prefix)
             assert len(set(offered)) == len(offered)
             total += len(words)
         assert total > 0
+
+    def test_memo_counts_every_word(self):
+        hits = 0
+        for automaton, rho, grid, horizon in self.cases():
+            for strict in (False, True):
+                words, stats = memo_search(automaton, rho, grid, horizon, 4, strict)
+                expected, _ = brute_accepted(automaton, rho, grid, horizon, 4, strict)
+                assert stats.words == len(expected), (automaton, rho, grid, horizon, strict)
+                assert is_subsequence(words, expected)
+                hits += stats.memo_hits
+        assert hits > 1000
+
+    def test_a_clock_idle_past_the_age_cap(self):
+        # x <= 2 is the largest guard bound, so ages from 3 on are one class:
+        # a@0 a@3 (age 3, no b can follow) and a@1 a@3 (age 2, b@3 accepted)
+        # must get different keys, while a@0 a@4 a@5 and a@1 a@4 a@5 share one
+        automaton = Pta(
+            ("a", "b"), ("0", "1", "2"), frozenset({"0"}), ("x",), (),
+            (
+                Edge("0", "a", TRUE_GUARD, frozenset({"x"}), "1"),
+                Edge("1", "a", TRUE_GUARD, frozenset(), "1"),
+                Edge("1", "b", ClockConstraint.of(("x", "<=", 2)), frozenset(), "2"),
+            ),
+            frozenset({"2"}),
+        )  # fmt: skip
+        for strict in (False, True):
+            words, stats = memo_search(automaton, {}, F(1), F(5), 4, strict)
+            expected, _ = brute_accepted(automaton, {}, F(1), F(5), 4, strict)
+            assert stats.words == len(expected) and is_subsequence(words, expected)
+            assert stats.memo_hits > 0
 
     def test_equality_with_an_off_grid_parameter_never_fires(self):
         automaton = Pta(
