@@ -45,13 +45,27 @@ def _read(path: str) -> str:
 
 def _machine_and_final(path: str, final: str):
     machine, file_final = formats.parse_machine(_read(path))
-    return machine, final or file_final
+    final = final or file_final
+    if final is None:
+        raise UsageError("no target state: give one or add a 'final:' line to the machine")
+    if final not in machine.states:
+        raise UsageError(f"target state {final!r} undeclared")
+    return machine, final
+
+
+def _search_bounds(args) -> None:
+    if args.steps < 0:
+        raise UsageError("--steps must not be negative")
+    if args.chan < 0:
+        raise UsageError("--chan must not be negative")
 
 
 def _cmd_eval(args) -> int:
     formula = formats.parse_formula(_maybe_file(args.formula))
     word = formats.parse_timed_word(_maybe_file(args.word))
-    verdict = eval_at(word, args.at, formula) if args.at else satisfies(word, formula)
+    if args.at is not None and not 1 <= args.at <= len(word):
+        raise UsageError(f"--at must lie in 1..{len(word)}")
+    verdict = satisfies(word, formula) if args.at is None else eval_at(word, args.at, formula)
     print("true" if verdict else "false")
     return 0
 
@@ -89,17 +103,22 @@ def _cmd_encode(args) -> int:
     machine, final = _machine_and_final(args.machine, args.final)
     computation = formats.parse_computation(machine, _maybe_file(args.computation))
     width = max_channel(computation)
-    if args.slots:
-        layout_slots = tuple(formats.parse_rational(s) for s in args.slots.split(","))
-        layout = EncodingLayout(formats.parse_rational(args.delta), layout_slots)
-    else:
-        layout = default_layout(width, formats.parse_rational(args.delta))
+    delta = formats.parse_rational(args.delta)
+    try:
+        if args.slots:
+            layout = EncodingLayout(delta, tuple(formats.parse_rational(s) for s in args.slots.split(",")))
+        else:
+            layout = default_layout(width, delta)
+    except ValueError as error:
+        raise UsageError(f"bad layout: {error}") from None
     word = encode(machine, final, computation, layout)
     print(formats.serialize_timed_word(word))
     return 0
 
 
 def _cmd_check_lcn(args) -> int:
+    if args.n < 0:
+        raise UsageError("n must not be negative")
     machine, final = _machine_and_final(args.machine, args.final)
     word = formats.parse_timed_word(_maybe_file(args.word))
     reason = explain_membership(word, machine, final, args.n)
@@ -121,6 +140,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    _search_bounds(args)
     machine, final = _machine_and_final(args.machine, args.final)
     result = search_error_free(machine, final, args.steps, args.chan)
     if result.computation is not None:
@@ -201,6 +221,7 @@ def _cmd_mc_bounded(args) -> int:
 
 
 def _cmd_verify_reduction(args) -> int:
+    _search_bounds(args)
     machine, final = _machine_and_final(args.machine, args.final)
     report = check_theorem(machine, final, args.steps, args.chan)
     payload = {
@@ -247,7 +268,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate an MTL formula on a timed word")
     p.add_argument("formula")
     p.add_argument("word")
-    p.add_argument("--at", type=int, default=0, help="evaluate at a 1-based position")
+    p.add_argument("--at", type=int, default=None, help="evaluate at a 1-based position")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("member", help="timed-word membership under a valuation")

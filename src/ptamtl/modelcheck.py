@@ -7,9 +7,10 @@ timestamps on a rational grid, bounded horizon, bounded length.  Reported
 counterexamples are exact and re-verified; absence claims hold only within
 the explored bounds.
 
-The word search is pruned by formula progression of the negated property
-and memoizes every subtree it walked without finding a counterexample,
-keyed by the residual, the automaton's frontier, the tick and the depth.
+The word search runs formula progression of the negated property, whose
+residual prunes each prefix, decides each accepted word and, with the
+automaton's frontier, the tick and the depth, keys a memo of the subtrees
+without a counterexample; the first word it yields is the counterexample.
 Each candidate reports the words it checked (memo hits included), the
 prefixes it expanded and its memo hits.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .mtl import Formula, Program, Progression, compile_formula, desugar, negate, satisfies
+from .mtl import Formula, Not, Program, Progression, compile_formula, desugar, satisfies
 from .pta import Pta, SearchStats, iter_accepted, membership
 from .timedwords import TimedWord
 
@@ -54,10 +55,6 @@ class McVerdict:
 
     outcome: str
     candidates: tuple[CandidateResult, ...]
-    grid: Fraction
-    horizon: Fraction
-    max_events: int
-    strict_only: bool
     valuation: Optional[tuple[tuple[str, Fraction], ...]] = None
     counterexample: Optional[TimedWord] = None
 
@@ -87,38 +84,30 @@ def bounded_modelcheck(
         raise ValueError("need at least one candidate valuation")
     # A subtree is skipped once the residual of the negated formula is false,
     # as no extension can violate the property: absence claims stay exact
-    # relative to the bounds.  The residual fixes the verdict on every
-    # extension, so memo hits change neither the first counterexample nor
-    # words_checked.  Residuals are valuation-free, shared by the candidates.
-    program = compile_formula(formula)
-    violation = Progression(negate(program), grid)
-    # Counterexamples are re-checked on the core-only expansion of the
-    # formula, a different op array run through other engine branches, and
-    # against the automaton by exact membership.  Compiled on first use.
+    # relative to the bounds.  Residuals are valuation-free, shared by the
+    # candidates.
+    violation = Progression(Not(formula), grid)
+    # Counterexamples are re-checked by the batch evaluator on the core-only
+    # expansion of the formula, and against the automaton by exact
+    # membership: neither shares code with the search.  Compiled on first use.
     core: Optional[Program] = None
 
     results: list[CandidateResult] = []
     for valuation in candidates:
-        counterexample = None
         stats = SearchStats()
-        for word in iter_accepted(automaton, valuation, grid, horizon, max_events, strict_only, violation, stats):
-            if not satisfies(word, program):
-                if core is None:
-                    core = compile_formula(desugar(formula, automaton.alphabet))
-                if not membership(automaton, valuation, word) or satisfies(word, core):
-                    raise AssertionError("counterexample failed exact re-verification")
-                counterexample = word
-                break
+        search = iter_accepted(automaton, valuation, grid, horizon, max_events, strict_only, violation, stats)
+        counterexample = next(search, None)
+        if counterexample is not None:
+            if core is None:
+                core = compile_formula(desugar(formula, automaton.alphabet))
+            if not membership(automaton, valuation, counterexample) or satisfies(counterexample, core):
+                raise AssertionError("counterexample failed exact re-verification")
         rho = tuple(sorted(valuation.items()))
         results.append(CandidateResult(rho, counterexample, stats.words, stats.nodes_expanded, stats.memo_hits))
     hit = next((result for result in results if result.refuted), None)
     return McVerdict(
         outcome=NO_COUNTEREXAMPLE if hit is None else COUNTEREXAMPLE_FOUND,
         candidates=tuple(results),
-        grid=Fraction(grid),
-        horizon=Fraction(horizon),
-        max_events=max_events,
-        strict_only=strict_only,
         valuation=None if hit is None else hit.valuation,
         counterexample=None if hit is None else hit.counterexample,
     )

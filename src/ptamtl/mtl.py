@@ -28,10 +28,13 @@ the last event.  Residuals are hash-consed ids and each step is memoized,
 so the engine is a lazily built automaton whose states can key a memo of
 search subtrees.  A residual is false exactly when the open-ended
 evaluation is false: both are the Kleene evaluation of the same formula,
-with every obligation still pending unknown, which the tests check on
-random formulas and words.  Pruning is sound because a value the open
-evaluation decides on a prefix keeps it on every extension by events at or
-after the last timestamp, and in the closed evaluation of the whole word.
+with every obligation still pending unknown.  Pruning is sound because a
+value the open evaluation decides on a prefix keeps it on every extension
+by events at or after the last timestamp, and in the closed evaluation of
+the whole word.  With its pending obligations closed, a residual is the
+verdict of a word that ends there, so the batch evaluator stays off the
+search path as the independent checker.  The tests check both on random
+formulas and words.
 """
 
 from __future__ import annotations
@@ -327,13 +330,6 @@ def compile_formula(formula: Union[Formula, Program]) -> Program:
     return Program(tuple(op_ids), tuple(interval_ids), compiled[id(formula)])
 
 
-def negate(program: Program) -> Program:
-    """The program of the negated formula: ``compile_formula(Not(f))`` from
-    ``compile_formula(f)`` without compiling ``f`` again.  The new root is
-    larger than every subformula of ``f``, so its op is always new."""
-    return Program(program.ops + ((_NOT, program.root, -1, -1),), program.intervals, len(program.ops))
-
-
 # Values are 0 (false), 1 (unknown) and 2 (true): not = 2 - v, and = min,
 # or = max.  On a prefix (``closed=False``) a modality whose window is still
 # open at the last event is unknown unless the events present decide it, as
@@ -506,7 +502,8 @@ class Progression:
     it must satisfy for the whole word to satisfy the formula at its first
     position.  ``step(residual, symbol, ticks)`` is the residual after one
     more event, ``ticks`` ticks after the previous one; ``start`` is the
-    residual of the empty word.
+    residual of the empty word.  ``accepts(residual)`` is whether a word
+    that ends there satisfies the formula, as :func:`satisfies` would say.
 
     A residual is false (0) exactly when :func:`prefix_may_satisfy` is
     false on the prefix, and true (1) exactly when the open-ended evaluation
@@ -529,6 +526,7 @@ class Progression:
             for iv in program.intervals
         ]
         self._nodes: list[tuple] = [("false",), ("true",), ("start",)]
+        self._accepts: list[bool] = [False, True, False]  # the empty word has no first position
         self._ids: dict[tuple, int] = {}
         self._now: dict[tuple, int] = {}  # (op, negated, symbol) -> residual
         self._steps: dict[tuple, int] = {}  # (residual, symbol, ticks) -> residual
@@ -538,7 +536,15 @@ class Progression:
         if ident is None:
             ident = self._ids[node] = len(self._nodes)
             self._nodes.append(node)
+            if type(node[0]) is str:  # its operands were interned before it
+                self._accepts.append((all if node[0] == "&" else any)(self._accepts[r] for r in node[1]))
+            else:  # no witness is left: a pending until is false, a negated one true
+                self._accepts.append(node[1] != (self.program.ops[node[0]][0] == _GLOBALLY))
         return ident
+
+    def accepts(self, residual: int) -> bool:
+        """Whether a word whose last residual this is satisfies the formula."""
+        return self._accepts[residual]
 
     def _join(self, conj: bool, parts) -> int:
         """The conjunction (``conj``) or disjunction of the residuals."""

@@ -12,10 +12,11 @@ The grid-word search :func:`iter_accepted` counts time in integer ticks of
 the grid instead: on a grid every clock value is a whole number of ticks,
 so each guard reduces to an integer range check on elapsed ticks
 (Henzinger, Manna & Pnueli, "What good are digital clocks?", ICALP 1992).
-A monitor's state along each prefix prunes it and keys a memo of subtrees
-together with the frontier (clock ages capped above the largest guard bound,
-the classic max-constant extrapolation).  The search shares no guard code
-with :func:`membership`, which re-checks the words it finds.
+A formula residual along each prefix prunes it, decides each accepted word
+(plain enumeration is the search for ``true``) and keys a memo of subtrees
+that yielded nothing, with the frontier (clock ages capped above the largest
+guard bound, the classic max-constant extrapolation).  The search shares no
+guard code with :func:`membership`, which re-checks the words it finds.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from functools import cached_property
 from math import ceil, floor
 from typing import Iterator, Mapping, Optional, Union
 
+from .mtl import TRUE, Progression
 from .timedwords import TimedWord, rat
 
 Bound = Union[int, str]  # a natural constant or a parameter name
@@ -389,9 +391,9 @@ def _grid_move(
 
 @dataclass
 class SearchStats:
-    """What one :func:`iter_accepted` walk did: the words yielded or skipped
-    by a memo hit, the prefixes (the empty one too) whose extensions were
-    generated, and the prefixes whose subtree a memo hit skipped."""
+    """What one :func:`iter_accepted` walk did: the accepted words reached,
+    yielded or not, memo hits included; the prefixes (the empty one too)
+    whose extensions were generated; and the prefixes a memo hit skipped."""
 
     words: int = 0
     nodes_expanded: int = 0
@@ -408,25 +410,26 @@ def iter_accepted(
     monitor=None,
     stats: Optional[SearchStats] = None,
 ) -> Iterator[TimedWord]:
-    """Lazily yield every accepted word with timestamps on multiples of ``grid``,
-    at most ``max_events`` events, all timestamps at most ``horizon``.
+    """Lazily yield every word that the automaton and the monitor accept,
+    with timestamps on multiples of ``grid`` up to ``horizon`` and at most
+    ``max_events`` events.
 
     Deterministic depth-first order: events are extended by (time, symbol)
     ascending.  With ``strict`` the search is limited to strictly monotonic
-    words (repeated timestamps are skipped).  A ``monitor`` carries a state
-    along each prefix: ``monitor.start`` for the empty word, and
+    words (repeated timestamps are skipped).  The ``monitor`` carries a
+    state along each prefix: ``monitor.start`` for the empty word, and
     ``monitor.step(state, symbol, ticks)`` for the prefix extended by an
     event ``ticks`` ticks after the previous one (or time 0).  A false state
-    skips the prefix and its subtree, so it must only mark prefixes whose
-    extensions are all irrelevant to the caller.
+    skips the prefix and its subtree, and ``monitor.accepts(state)`` decides
+    an accepted word.  The default is :class:`ptamtl.mtl.Progression` of
+    ``true``, which accepts every word.
 
-    With a monitor, a subtree walked to its end is memoized under the monitor
-    state, the tick, the depth and the frontier with each clock's ticks since
-    its reset capped above every guard bound; when the key comes up again,
-    its words are counted in ``stats.words`` instead of being yielded.  So
-    the caller must stop at the first word it rejects, and its verdict must
-    be fixed by the state of each prefix and the events after it, as a
-    :class:`ptamtl.mtl.Progression` residual fixes the formula's verdict.
+    A subtree that yielded nothing is memoized under the monitor state, the
+    tick, the depth and the frontier with each clock's ticks since its reset
+    capped above every guard bound; when the key comes up again, its words
+    are counted in ``stats.words`` and skipped.  This is sound whatever the
+    caller does: a state must fix the steps and the verdicts of every
+    extension, as a residual does.
 
     Time is counted in integer ticks of ``grid``: frontier states hold each
     clock's last reset tick, and each guard is compiled once per call into
@@ -440,6 +443,8 @@ def iter_accepted(
     horizon = rat(horizon)
     if grid <= 0:
         raise ValueError("grid must be positive")
+    if monitor is None:
+        monitor = Progression(TRUE, grid)
     if stats is None:
         stats = SearchStats()
     if max_events < 1:
@@ -456,8 +461,7 @@ def iter_accepted(
             moves.setdefault((edge.source, edge.symbol), []).append(move)
     bounds = [b for group in moves.values() for _, checks, _ in group for _, lo, hi in checks for b in (lo, hi)]
     cap = max((b for b in bounds if b is not None), default=0) + 1  # all ages from cap on pass the same guards
-    table: Optional[dict] = None if monitor is None else {}
-    times: dict[int, Fraction] = {}  # tick -> time, for the words yielded
+    table: dict = {}
 
     def successors(frontier, symbol, tick, remaining):
         # a state needing more events than remain is dropped: its successors
@@ -479,39 +483,38 @@ def iter_accepted(
         return found
 
     def walk(prefix: tuple, frontier, state):
+        """Yield the subtree's words; return whether it yielded any."""
         depth = len(prefix)
         tick = prefix[-1][1] if depth else 0
-        key = None
-        if table is not None and depth:
-            ages = frozenset((loc, tuple(min(tick - r, cap) for r in resets)) for loc, resets in frontier)
-            key = (ages, tick, depth, state)
-            known = table.get(key)
-            if known is not None:
-                stats.memo_hits += 1
-                stats.words += known
-                return
-            before = stats.words
+        ages = frozenset((loc, tuple(min(tick - r, cap) for r in resets)) for loc, resets in frontier)
+        key = (ages, tick, depth, state)
+        known = table.get(key)
+        if known is not None:
+            stats.memo_hits += 1
+            stats.words += known
+            return False
+        before, yielded = stats.words, False
         if depth and any(loc in finals for loc, _ in frontier):
             stats.words += 1
-            yield TimedWord([(symbol, times[t]) for symbol, t in prefix])
+            if monitor.accepts(state):
+                yielded = True
+                yield TimedWord([(symbol, t * grid) for symbol, t in prefix])
         if depth < max_events:
             stats.nodes_expanded += 1
             remaining = max_events - depth - 1
             for t in range(tick + 1 if strict and depth else tick, last_tick + 1):
-                if t not in times:
-                    times[t] = t * grid
                 for symbol in symbols:
                     nxt = successors(frontier, symbol, t, remaining)
-                    if not nxt:
-                        continue
-                    child = None if monitor is None else monitor.step(state, symbol, t - tick)
-                    if monitor is None or child:
-                        yield from walk(prefix + ((symbol, t),), nxt, child)
-        if key is not None:
+                    if nxt:
+                        child = monitor.step(state, symbol, t - tick)
+                        if child and (yield from walk(prefix + ((symbol, t),), nxt, child)):
+                            yielded = True
+        if not yielded:
             table[key] = stats.words - before
+        return yielded
 
     start = frozenset((loc, (0,) * len(clocks)) for loc in automaton.initial)
-    yield from walk((), start, None if monitor is None else monitor.start)
+    yield from walk((), start, monitor.start)
 
 
 def enumerate_accepted(

@@ -142,6 +142,35 @@ class TestPipelineCommands:
         assert report["mutants_total"] == 5
         assert report["mutants_automaton_rejected"] == 5
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["reduce", "BARE"], "no target state"),
+            (["reduce", "MACHINE", "nope"], "target state 'nope' undeclared"),
+            (["encode", "MACHINE", "nope", "s0 m! s1 m? s2"], "target state 'nope' undeclared"),
+            (["check-lcn", "MACHINE", "nope", "1", W_C1_TEXT], "target state 'nope' undeclared"),
+            (["decode", "MACHINE", "nope", W_C1_TEXT], "target state 'nope' undeclared"),
+            (["search", "MACHINE", "nope", "--steps", "6", "--chan", "3"], "target state 'nope' undeclared"),
+            (["verify-reduction", "MACHINE", "nope", "--steps", "6", "--chan", "3"], "'nope' undeclared"),
+            (["eval", "--at", "0", "b", "a@0 b@1"], "--at must lie in 1..2"),
+            (["eval", "--at", "3", "b", "a@0 b@1"], "--at must lie in 1..2"),
+            (["check-lcn", "MACHINE", "s2", "-1", W_C1_TEXT], "n must not be negative"),
+            (["encode", "MACHINE", "s2", "s0 m! s1 m? s2", "--slots", "1/2,1/3"], "strictly increasing"),
+            (["encode", "MACHINE", "s2", "s0 m! s1 m? s2", "--slots", "1"], "strictly below 1"),
+            (["search", "MACHINE", "s2", "--steps", "-3", "--chan", "3"], "--steps must not be negative"),
+            (["search", "MACHINE", "s2", "--steps", "6", "--chan", "-1"], "--chan must not be negative"),
+            (["verify-reduction", "MACHINE", "s2", "--steps", "-1", "--chan", "3"], "--steps must not be negative"),
+            (["verify-reduction", "MACHINE", "s2", "--steps", "6", "--chan", "-1"], "--chan must not be negative"),
+        ],
+    )
+    def test_bad_input_is_a_usage_error(self, capsys, machine_file, tmp_path, c1, argv, message):
+        bare = tmp_path / "bare.cm"
+        bare.write_text(formats.serialize_machine(c1))
+        files = {"MACHINE": str(machine_file), "BARE": str(bare)}
+        assert main([files.get(arg, arg) for arg in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error:") and message in err
+
 
 class TestMcBounded:
     def test_counterexample_on_negated_encoding_formula(self, capsys, machine_file, tmp_path):
@@ -330,19 +359,14 @@ class TestVerdictReverification:
 
     def test_a_wrong_engine_verdict_is_caught(self, monkeypatch):
         from ptamtl import modelcheck
-        from ptamtl.mtl import Atom, Or, compile_formula
+        from ptamtl.mtl import Atom, Or
 
         automaton = self.one_a_automaton()
         formula = Or(Atom("a"), Atom("b"))  # holds on every accepted word
-        lying = compile_formula(formula)
-        honest = modelcheck.satisfies
 
-        def satisfies(word, program):
-            return False if compile_formula(program) == lying else honest(word, program)
-
-        class NoPruning:
-            """A progression whose residual is never false, so the lying
-            verdict is reached."""
+        class Lying:
+            """A progression that never prunes and calls every word a
+            violation."""
 
             start = 2
 
@@ -352,7 +376,9 @@ class TestVerdictReverification:
             def step(self, residual, symbol, ticks):
                 return 2
 
-        monkeypatch.setattr(modelcheck, "Progression", NoPruning)
-        monkeypatch.setattr(modelcheck, "satisfies", satisfies)
+            def accepts(self, residual):
+                return True
+
+        monkeypatch.setattr(modelcheck, "Progression", Lying)
         with pytest.raises(AssertionError, match="re-verification"):
             bounded_modelcheck(automaton, formula, [{}], F(1), F(1), 1)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from ptamtl.modelcheck import bounded_modelcheck
-from ptamtl.mtl import FULL, Globally, Interval, compile_formula, negate, prefix_may_satisfy, satisfies
+from ptamtl.mtl import FULL, Globally, Interval, Not, compile_formula, prefix_may_satisfy, satisfies
 
 from util import brute_accepted, random_formula, random_pta
 
@@ -13,7 +13,7 @@ def check_against_brute_force(automaton, formula, rho, grid, horizon, events, st
     """Compare bounded_modelcheck with the brute-force oracle on one case;
     returns the candidate's result and the index of the first failing word
     (None when every word satisfies the formula)."""
-    violation = negate(compile_formula(formula))
+    violation = compile_formula(Not(formula))
     verdict = bounded_modelcheck(automaton, formula, [rho], grid, horizon, events, strict)
 
     def viable(word):
