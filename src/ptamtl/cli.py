@@ -53,6 +53,17 @@ def _machine_and_final(path: str, final: str):
     return machine, final
 
 
+def _valuation(automaton, text: str) -> dict[str, Fraction]:
+    """A parameter valuation that sets exactly the automaton's parameters."""
+    valuation = formats.parse_valuation(text)
+    if set(valuation) != set(automaton.parameters):
+        names = ", ".join(automaton.parameters) or "none"
+        raise UsageError(
+            f"valuation {formats.serialize_valuation(valuation)} must set exactly the automaton's parameters ({names})"
+        )
+    return valuation
+
+
 def _search_bounds(args) -> None:
     if args.steps < 0:
         raise UsageError("--steps must not be negative")
@@ -72,8 +83,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_member(args) -> int:
     automaton = formats.parse_pta(_read(args.pta))
-    valuation = formats.parse_valuation(args.valuation)
+    valuation = _valuation(automaton, args.valuation)
     word = formats.parse_timed_word(_maybe_file(args.word))
+    unknown = [symbol for symbol in word.symbols if symbol not in automaton.alphabet]
+    if unknown:
+        raise UsageError(f"symbol {unknown[0]!r} not in the automaton's alphabet")
     print("true" if membership(automaton, valuation, word) else "false")
     return 0
 
@@ -165,12 +179,7 @@ def _cmd_mc_bounded(args) -> int:
     automaton = formats.parse_pta(_read(args.pta))
     formula = formats.parse_formula(_maybe_file(args.formula))
     if args.candidates:
-        candidates = [formats.parse_valuation(part) for part in args.candidates.split(";")]
-        for candidate in candidates:
-            if set(candidate) != set(automaton.parameters):
-                text = formats.serialize_valuation(candidate)
-                names = ", ".join(automaton.parameters) or "none"
-                raise UsageError(f"candidate {text} must set exactly the automaton's parameters ({names})")
+        candidates = [_valuation(automaton, part) for part in args.candidates.split(";")]
     else:
         k = 4 if args.k is None else args.k
         if len(automaton.parameters) != 1:

@@ -73,186 +73,115 @@ def serialize_timed_word(word: TimedWord) -> str:
 #
 # Atoms are identifiers, optionally with an immediately attached ! or ?
 # (transition labels), plus the literal tokens # and *.  Operators: ! & | ->
-# U X F G, interval suffixes like [1,2], (0,1), [0,inf), [=2]; `true` and
-# `false`; parentheses for grouping.  Precedence: unary > & > | > -> > U.
+# U X F G; `true` and `false`; parentheses for grouping.  X, F, G and U take
+# an optional interval suffix like [1,2], (0,1), [0,inf) or [=2], which is one
+# token: a malformed interval such as [2,1] is a parse error quoting it as
+# written.  Precedence: unary > & > | > -> > U.
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*[!?]?)|(?P<num>\d+)"
-    r"|(?P<op>->|[()\[\],&|!#*=])|(?P<bad>\S))"
+    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*[!?]?)"
+    r"|(?P<interval>(?P<open>[\[(])\s*(?:=\s*(?P<point>\d+)\s*\]"
+    r"|(?P<lower>\d+)\s*,\s*(?P<upper>\d+|inf)\s*(?P<close>[\])])))"
+    r"|(?P<op>->|[()&|!#*])|(?P<bad>\S))"
 )
 # identifiers the syntax reserves: none of them can be read back as an atom
 KEYWORDS = frozenset({"true", "false", "U", "X", "F", "G", "inf"})
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.items: list[tuple[str, str]] = []  # (ident | num | op, text)
-        for match in _TOKEN.finditer(text):
-            kind = match.lastgroup
-            if kind == "bad":
-                raise ParseError(f"unexpected character {match.group(kind)!r}", column=match.start() + 1)
-            self.items.append((kind, match.group(kind)))
-        self.index = 0
-
-    def peek(self) -> Optional[tuple[str, str]]:
-        if self.index < len(self.items):
-            return self.items[self.index]
-        return None
-
-    def next(self) -> tuple[str, str]:
-        if self.index >= len(self.items):
-            raise ParseError("unexpected end of formula")
-        item = self.items[self.index]
-        self.index += 1
-        return item
-
-    def expect(self, value: str) -> None:
-        got = self.peek()
-        if got is None or got[1] != value:
-            found = got[1] if got else "end of input"
-            raise ParseError(f"expected {value!r}, found {found!r}")
-        self.next()
-
-
-def _parse_interval(tokens: _Tokens) -> Optional[Interval]:
-    """Try to read an interval suffix; restores the position on failure."""
-    start = tokens.index
-    got = tokens.peek()
-    if got is None or got[1] not in ("[", "("):
-        return None
-    lower_closed = got[1] == "["
-    tokens.next()
-    got = tokens.peek()
-    try:
-        if got is not None and got[1] == "=":
-            tokens.next()
-            kind, value = tokens.next()
-            if kind != "num":
-                raise ParseError("expected a number after '='")
-            tokens.expect("]")
-            return Interval.point(int(value))
-        kind, value = tokens.next()
-        if kind != "num":
-            raise ParseError("expected a number")
-        lower = int(value)
-        tokens.expect(",")
-        kind, value = tokens.next()
-        if kind == "num":
-            upper: Optional[int] = int(value)
-        elif kind == "ident" and value == "inf":
-            upper = None
-        else:
-            raise ParseError("expected a number or inf")
-        got = tokens.peek()
-        if got is None or got[1] not in ("]", ")"):
-            raise ParseError("expected ] or ) to close the interval")
-        upper_closed = got[1] == "]"
-        tokens.next()
-        return Interval(lower, upper, lower_closed, upper_closed)
-    except ParseError:
-        tokens.index = start
-        return None
+def _scan(text: str) -> list[tuple[str, str, Optional[Interval]]]:
+    """The tokens of a formula as (kind, text, interval), the interval set for
+    interval tokens only, closed by an ``end`` token."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        value = match[kind]
+        interval = None
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", column=match.start(kind) + 1)
+        if kind == "interval":
+            try:
+                if match["point"] is not None:
+                    interval = Interval.point(int(match["point"]))
+                else:
+                    upper = None if match["upper"] == "inf" else int(match["upper"])
+                    interval = Interval(int(match["lower"]), upper, match["open"] == "[", match["close"] == "]")
+            except ValueError as error:
+                raise ParseError(f"bad interval {value!r}: {error}", column=match.start(kind) + 1) from None
+        tokens.append((kind, value, interval))
+    tokens.append(("end", "end of input", None))
+    return tokens
 
 
 _PREFIXES = {Not: "!", Next: "X", Eventually: "F", Globally: "G"}  # the unary operators
-_MODALITIES = {op: cls for cls, op in _PREFIXES.items() if cls is not Not}
-
-
-def _parse_prefixes(tokens: _Tokens) -> list[tuple[type, Optional[Interval]]]:
-    """A run of prefix operators, outermost first."""
-    prefixes: list[tuple[type, Optional[Interval]]] = []
-    while True:
-        got = tokens.peek()
-        if got is None:
-            raise ParseError("unexpected end of formula")
-        kind, value = got
-        if value == "!" and kind == "op":
-            tokens.next()
-            prefixes.append((Not, None))
-        elif kind == "ident" and value in _MODALITIES:
-            tokens.next()
-            prefixes.append((_MODALITIES[value], _parse_interval(tokens) or FULL))
-        else:
-            return prefixes
-
-
-def _parse_leaf(tokens: _Tokens) -> Formula:
-    kind, value = tokens.next()
-    if kind == "ident":
-        if value == "true":
-            return TrueConst()
-        if value == "false":
-            return FalseConst()
-        if value == "U":
-            raise ParseError("'U' is an operator, not an atom")
-        if value == "inf":
-            raise ParseError("'inf' is reserved for interval endpoints")
-        return Atom(value)
-    if kind == "op" and value in ("#", "*"):
-        return Atom(value)
-    raise ParseError(f"unexpected token {value!r}")
-
-
-def _wrap(node: Formula, prefixes: list[tuple[type, Optional[Interval]]]) -> Formula:
-    """``node`` under its prefix operators, built inside out."""
-    for make, interval in reversed(prefixes):
-        node = make(node) if interval is None else make(interval, node)
-    return node
-
-
-# binary operators by token: (precedence, class); & and | associate to the
-# left, -> and U to the right
-_BINARY = {
+# operators by token: (precedence, class); the unary ones bind tightest, & and
+# | associate to the left, -> and U to the right
+_OPERATORS = {("op" if cls is Not else "ident", op): (4, cls) for cls, op in _PREFIXES.items()} | {
     ("op", "&"): (3, And), ("op", "|"): (2, Or), ("op", "->"): (1, Implies), ("ident", "U"): (0, Until),
 }  # fmt: skip
 
 
 def _reduce(operands: list[Formula], operator: tuple[int, type, Optional[Interval]]) -> None:
-    """Replace the last two operands by ``operator`` applied to them."""
-    _, make, interval = operator
-    right = operands.pop()
-    left = operands.pop()
-    operands.append(make(left, right) if interval is None else make(interval, left, right))
+    """Replace the last operand, or the last two, by ``operator`` applied to them."""
+    level, make, interval = operator
+    args = [operands.pop()] if level == 4 else [operands.pop(-2), operands.pop()]
+    operands.append(make(*args) if interval is None else make(interval, *args))
 
 
 def parse_formula(text: str) -> Formula:
     # Operator precedence parsing with explicit stacks, so deep nesting does
-    # not recurse.  ``pending`` holds the binary operators still waiting for
-    # their right operand, as (precedence, class, interval) tuples, and, for
-    # each open parenthesis, the list of prefix operators in front of it.
-    tokens = _Tokens(text)
+    # not recurse.  ``pending`` holds the operators still waiting for their
+    # last operand, as (precedence, class, interval) tuples, and None for each
+    # open parenthesis.
+    tokens = _scan(text)
     operands: list[Formula] = []
     pending: list = []
+    i, operand_due = 0, True
     while True:
-        prefixes = _parse_prefixes(tokens)
-        if tokens.peek() == ("op", "("):
-            tokens.next()
-            pending.append(prefixes)
-            continue
-        operands.append(_wrap(_parse_leaf(tokens), prefixes))
-        while True:
-            got = tokens.peek()
-            binary = _BINARY.get(got)
-            if binary is not None:
-                tokens.next()
-                level, make = binary
-                while pending and type(pending[-1]) is tuple and (
-                    pending[-1][0] > level or (pending[-1][0] == level and make in (And, Or))
-                ):
-                    _reduce(operands, pending.pop())
-                pending.append((level, make, (_parse_interval(tokens) or FULL) if make is Until else None))
-                break
-            while pending and type(pending[-1]) is tuple:  # the group or the text ends here
+        kind, value, _ = tokens[i]
+        i += 1
+        operator = _OPERATORS.get((kind, value))
+        # a unary operator where an operand is due, a binary one after an operand
+        if operator is not None and (operator[0] == 4) == operand_due:
+            level, make = operator
+            while pending and pending[-1] is not None and (
+                pending[-1][0] > level or (pending[-1][0] == level and make in (And, Or))
+            ):
                 _reduce(operands, pending.pop())
-            if got == ("op", ")") and pending:
-                tokens.next()
-                operands.append(_wrap(operands.pop(), pending.pop()))
+            interval = None
+            if make in (Next, Eventually, Globally, Until):  # its interval, if it has one
+                interval = FULL
+                if tokens[i][0] == "interval":
+                    interval = tokens[i][2]
+                    i += 1
+            pending.append((level, make, interval))
+            operand_due = True
+        elif operand_due:
+            if kind == "op" and value == "(":
+                pending.append(None)
                 continue
-            if pending:
-                tokens.expect(")")
-            if got is not None:
-                raise ParseError(f"trailing input starting at {got[1]!r}")
-            return operands[0]
+            if kind == "ident" and value not in KEYWORDS or kind == "op" and value in ("#", "*"):
+                operands.append(Atom(value))
+            elif kind == "ident" and value in ("true", "false"):
+                operands.append(TrueConst() if value == "true" else FalseConst())
+            elif kind == "end":
+                raise ParseError("unexpected end of formula")
+            elif value == "U":
+                raise ParseError("'U' is an operator, not an atom")
+            elif value == "inf":
+                raise ParseError("'inf' is reserved for interval endpoints")
+            else:
+                raise ParseError(f"unexpected token {value!r}")
+            operand_due = False
+        else:  # the group or the text ends here
+            while pending and pending[-1] is not None:
+                _reduce(operands, pending.pop())
+            if not pending:
+                if kind != "end":
+                    raise ParseError(f"trailing input starting at {value!r}")
+                return operands[0]
+            if kind != "op" or value != ")":
+                raise ParseError(f"expected ')', found {value!r}")
+            pending.pop()
 
 
 def serialize_interval(interval: Interval) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .mtl import Formula, Not, Program, Progression, compile_formula, desugar, satisfies
+from .mtl import Formula, Not, Program, Progression, desugar, satisfies
 from .pta import Pta, SearchStats, iter_accepted, membership
 from .timedwords import TimedWord
 
@@ -88,8 +88,8 @@ def bounded_modelcheck(
     # candidates.
     violation = Progression(Not(formula), grid)
     # Counterexamples are re-checked by the batch evaluator on the core-only
-    # expansion of the formula, and against the automaton by exact
-    # membership: neither shares code with the search.  Compiled on first use.
+    # program of the formula, and against the automaton by exact membership:
+    # neither runs the progression that found them.  Desugared on first use.
     core: Optional[Program] = None
 
     results: list[CandidateResult] = []
@@ -99,7 +99,7 @@ def bounded_modelcheck(
         counterexample = next(search, None)
         if counterexample is not None:
             if core is None:
-                core = compile_formula(desugar(formula, automaton.alphabet))
+                core = desugar(formula, automaton.alphabet)
             if not membership(automaton, valuation, counterexample) or satisfies(counterexample, core):
                 raise AssertionError("counterexample failed exact re-verification")
         rho = tuple(sorted(valuation.items()))

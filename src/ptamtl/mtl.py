@@ -7,7 +7,7 @@ next modality is derivable from until precisely because of this strictness.
 Formulas are immutable ASTs.  The core grammar is atoms, negation,
 conjunction, and interval-constrained until; disjunction, implication, the
 constants, next, eventually, and globally are kept as first-class nodes for
-display and are eliminated by :func:`desugar`.
+display.  :func:`desugar` compiles a formula into a program of core ops only.
 
 One engine evaluates them.  :func:`compile_formula` hash-conses a formula
 into a post-order op array, keyed on integer child ids, so equal subformulas
@@ -189,85 +189,6 @@ def or_all(parts: Iterable[Formula]) -> Formula:
     return reduce(Or, parts)
 
 
-def desugar(formula: Formula, alphabet: Iterable[str]) -> Formula:
-    """Expand every derived connective into the core grammar.
-
-    The result contains only Atom, Not, And, and Until nodes.  The constant
-    ``true`` expands to ``p | !p`` where p is the lexicographically first
-    alphabet symbol; any choice is semantically equal.
-    """
-    symbols = sorted(set(alphabet))
-    if not symbols:
-        raise ValueError("desugaring needs a non-empty alphabet")
-    pivot = Atom(symbols[0])
-    true_core = Not(And(Not(pivot), Not(Not(pivot))))  # p | !p, expanded
-    false_core = Not(true_core)
-
-    def expand(node: Formula, x: Formula, y: Formula) -> Formula:
-        """The core form of ``node`` given the core forms of its operands."""
-        cls = type(node)
-        if cls is Atom:
-            return node
-        if cls is TrueConst:
-            return true_core
-        if cls is FalseConst:
-            return false_core
-        if cls is Not:
-            return Not(x)
-        if cls is Next:
-            return Until(node.interval, false_core, x)
-        if cls is Eventually:
-            return Until(node.interval, true_core, x)
-        if cls is Globally:
-            return Not(Until(node.interval, true_core, Not(x)))
-        if cls is And:
-            return And(x, y)
-        if cls is Or:
-            return Not(And(Not(x), Not(y)))
-        if cls is Implies:  # !x | y
-            return Not(And(Not(Not(x)), Not(y)))
-        return Until(node.interval, x, y)
-
-    # Iterative post-order, so deep formulas do not exhaust the stack.  Equal
-    # subformulas are expanded once, which keeps the result small to compile.
-    done: dict[int, Formula] = {}  # id(node) -> core form; ``formula`` keeps the nodes alive
-    made: dict[tuple, Formula] = {}  # (class, name or interval, operand core ids) -> core form
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        if id(node) in done:
-            continue
-        cls = type(node)
-        x = y = None
-        if cls is Atom:
-            key = (cls, node.name)
-        elif cls is TrueConst or cls is FalseConst:
-            key = (cls,)
-        elif cls in (Not, Next, Eventually, Globally):
-            x = done.get(id(node.operand))
-            if x is None:  # operand first
-                stack += (node, node.operand)
-                continue
-            key = (cls, id(x)) if cls is Not else (cls, node.interval, id(x))
-        elif cls in (And, Or, Implies, Until):
-            x, y = done.get(id(node.left)), done.get(id(node.right))
-            if x is None or y is None:  # operands first
-                stack.append(node)
-                if x is None:
-                    stack.append(node.left)
-                if y is None:
-                    stack.append(node.right)
-                continue
-            key = (cls, node.interval, id(x), id(y)) if cls is Until else (cls, id(x), id(y))
-        else:
-            raise TypeError(f"unknown formula node {node!r}")
-        result = made.get(key)
-        if result is None:
-            result = made[key] = expand(node, x, y)
-        done[id(node)] = result
-    return done[id(formula)]
-
-
 # -- the compiled engine -------------------------------------------------------
 #
 # An op is (kind, first child or atom name, second child, interval index), -1
@@ -328,6 +249,64 @@ def compile_formula(formula: Union[Formula, Program]) -> Program:
             key = (kind, a, b, iv)
         compiled[id(node)] = op_ids.setdefault(key, len(op_ids))
     return Program(tuple(op_ids), tuple(interval_ids), compiled[id(formula)])
+
+
+def desugar(formula: Union[Formula, Program], alphabet: Iterable[str]) -> Program:
+    """The formula compiled into the core grammar: a hash-consed program of
+    atom, not, and, and until ops only.
+
+    One pass over the ops of :func:`compile_formula`, children first, maps
+    each op to its core form.  The constant ``true`` expands to ``p | !p``
+    where p is the lexicographically first alphabet symbol; any choice is
+    semantically equal.
+    """
+    symbols = sorted(set(alphabet))
+    if not symbols:
+        raise ValueError("desugaring needs a non-empty alphabet")
+    program = compile_formula(formula)
+    op_ids: dict[tuple, int] = {}
+
+    def op(kind: int, a, b: int = -1, iv: int = -1) -> int:
+        return op_ids.setdefault((kind, a, b, iv), len(op_ids))
+
+    def neg(x: int) -> int:
+        return op(_NOT, x)
+
+    def disj(x: int, y: int) -> int:
+        return neg(op(_AND, neg(x), neg(y)))
+
+    def true() -> int:
+        pivot = op(_ATOM, symbols[0])
+        return disj(pivot, neg(pivot))
+
+    core: list[int] = []  # core[k]: the core op of op k
+    for kind, a, b, iv in program.ops:
+        x = core[a] if kind >= _NOT else -1
+        y = core[b] if b >= 0 else -1
+        if kind == _ATOM:
+            k = op(_ATOM, a)
+        elif kind == _TRUE:
+            k = true()
+        elif kind == _FALSE:
+            k = neg(true())
+        elif kind == _NOT:
+            k = neg(x)
+        elif kind == _AND:
+            k = op(_AND, x, y)
+        elif kind == _OR:
+            k = disj(x, y)
+        elif kind == _IMPLIES:
+            k = disj(neg(x), y)
+        elif kind == _NEXT:
+            k = op(_UNTIL, neg(true()), x, iv)
+        elif kind == _EVENTUALLY:
+            k = op(_UNTIL, true(), x, iv)
+        elif kind == _GLOBALLY:
+            k = neg(op(_UNTIL, true(), neg(x), iv))
+        else:
+            k = op(_UNTIL, x, y, iv)
+        core.append(k)
+    return Program(tuple(op_ids), program.intervals, core[program.root])
 
 
 # Values are 0 (false), 1 (unknown) and 2 (true): not = 2 - v, and = min,

@@ -79,6 +79,8 @@ class TestBasicCommands:
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["eval", "a U U b", "a@0"]) == 1
+        assert main(["eval", "F[2,1] a", "a@0"]) == 1
+        assert "error: bad interval '[2,1]'" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["eval"]) == 1
@@ -161,12 +163,15 @@ class TestPipelineCommands:
             (["search", "MACHINE", "s2", "--steps", "6", "--chan", "-1"], "--chan must not be negative"),
             (["verify-reduction", "MACHINE", "s2", "--steps", "-1", "--chan", "3"], "--steps must not be negative"),
             (["verify-reduction", "MACHINE", "s2", "--steps", "6", "--chan", "-1"], "--chan must not be negative"),
+            (["member", "CADENCE", "q=1/2", "a@1/2"], "must set exactly the automaton's parameters (p)"),
+            (["member", "CADENCE", "p=1/2,q=1", "a@1/2"], "must set exactly the automaton's parameters (p)"),
+            (["member", "CADENCE", "p=1/2", "a@1/2 c@1"], "symbol 'c' not in the automaton's alphabet"),
         ],
     )
-    def test_bad_input_is_a_usage_error(self, capsys, machine_file, tmp_path, c1, argv, message):
+    def test_bad_input_is_a_usage_error(self, capsys, machine_file, cadence_file, tmp_path, c1, argv, message):
         bare = tmp_path / "bare.cm"
         bare.write_text(formats.serialize_machine(c1))
-        files = {"MACHINE": str(machine_file), "BARE": str(bare)}
+        files = {"MACHINE": str(machine_file), "BARE": str(bare), "CADENCE": str(cadence_file)}
         assert main([files.get(arg, arg) for arg in argv]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("usage error:") and message in err

@@ -132,9 +132,19 @@ class TestFormulaFormat:
         assert formats.parse_formula("(a U b) U c") == Until(FULL, Until(FULL, a, b), c)
 
     def test_unexpected_character_names_its_column(self):
-        with pytest.raises(ParseError, match="unexpected character") as caught:
-            formats.parse_formula("a $")
-        assert caught.value.column == 2
+        for text, column in [("a $", 3), ("a$", 2)]:
+            with pytest.raises(ParseError, match="unexpected character") as caught:
+                formats.parse_formula(text)
+            assert caught.value.column == column
+
+    @pytest.mark.parametrize(
+        "text, interval",
+        [("F[2,1] a", "[2,1]"), ("F[1,1) a", "[1,1)"), ("G[0,inf] a", "[0,inf]"), ("a U[3,2] b", "[3,2]")],
+    )
+    def test_malformed_interval_is_a_parse_error(self, text, interval):
+        with pytest.raises(ParseError, match="bad interval") as caught:
+            formats.parse_formula(text)
+        assert repr(interval) in str(caught.value)
 
 
 class TestMachineFormat:

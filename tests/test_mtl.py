@@ -19,6 +19,10 @@ from ptamtl.mtl import (
     Until,
     and_all,
     compile_formula,
+    _AND,
+    _ATOM,
+    _NOT,
+    _UNTIL,
     _evaluator,
     _value,
     desugar,
@@ -53,40 +57,46 @@ class TestInterval:
             Interval(0, None, True, True)
 
 
+def op(program, k):
+    """Op k of a program as (kind, first child, second child, interval)."""
+    kind, a, b, iv = program.ops[k]
+    return kind, a, b, (program.intervals[iv] if iv >= 0 else None)
+
+
 class TestDesugar:
     def test_eventually(self):
         core = desugar(Eventually(Interval(1, 2, True, True), Atom("b")), ["a", "b"])
-        assert isinstance(core, Until)
-        assert core.interval == Interval(1, 2, True, True)
+        kind, _, right, interval = op(core, core.root)
+        assert kind == _UNTIL
+        assert interval == Interval(1, 2, True, True)
+        assert op(core, right) == (_ATOM, "b", -1, None)
 
     def test_next_is_false_until(self):
         core = desugar(Next(FULL, Atom("a")), ["a"])
-        assert isinstance(core, Until)
+        kind, left, _, _ = op(core, core.root)
+        assert kind == _UNTIL
         # left side is the expansion of false
-        assert isinstance(core.left, Not)
+        assert op(core, left)[0] == _NOT
 
     def test_globally_shape(self):
         core = desugar(Globally(FULL, Not(Atom("a"))), ["a", "b"])
-        assert isinstance(core, Not)
-        assert isinstance(core.operand, Until)
-        assert isinstance(core.operand.right, Not)
-        assert isinstance(core.operand.right.operand, Not)
+        kind, until, _, _ = op(core, core.root)
+        assert kind == _NOT
+        kind, _, right, _ = op(core, until)
+        assert kind == _UNTIL
+        kind, inner, _, _ = op(core, right)
+        assert kind == _NOT
+        assert op(core, inner)[0] == _NOT
 
     def test_core_only(self):
         rng = random.Random(11)
         for _ in range(50):
             formula = random_formula(rng, ["a", "b"], 3)
             core = desugar(formula, ["a", "b"])
-            stack = [core]
-            while stack:
-                node = stack.pop()
-                assert isinstance(node, (Atom, Not, And, Until))
-                if isinstance(node, Not):
-                    stack.append(node.operand)
-                elif isinstance(node, And):
-                    stack.extend((node.left, node.right))
-                elif isinstance(node, Until):
-                    stack.extend((node.left, node.right))
+            for k, (kind, a, b, _) in enumerate(core.ops):
+                assert kind in (_ATOM, _NOT, _AND, _UNTIL)
+                if kind != _ATOM:  # children come before their parent
+                    assert 0 <= a < k and b < k
 
 
 class TestEvalAt:
@@ -352,9 +362,15 @@ class TestCompiledEngine:
         assert len(program.ops) == 6  # a, b, !b, a & !b, F, the disjunction
 
     def test_desugar_builds_equal_subformulas_once(self):
-        core = desugar(Or(Eventually(FULL, Atom("a")), Eventually(FULL, Atom("a"))), ["a"])
-        left, right = core.operand.left.operand, core.operand.right.operand
-        assert left is right
+        # F a and true U a are different ops with one core form
+        for other in (Eventually(FULL, Atom("a")), Until(FULL, TrueConst(), Atom("a"))):
+            core = desugar(Or(Eventually(FULL, Atom("a")), other), ["a"])
+            kind, conjunction, _, _ = op(core, core.root)
+            assert kind == _NOT
+            kind, left, right, _ = op(core, conjunction)
+            assert kind == _AND
+            assert op(core, left)[0] == _NOT and left == right
+            assert len(core.ops) == len(set(core.ops))
 
     def test_op_count_is_the_number_of_distinct_subformulas(self):
         formula = build_formula(two_message_machine(), "q3")
