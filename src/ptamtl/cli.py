@@ -59,7 +59,7 @@ def _valuation(automaton, text: str) -> dict[str, Fraction]:
     if set(valuation) != set(automaton.parameters):
         names = ", ".join(automaton.parameters) or "none"
         raise UsageError(
-            f"valuation {formats.serialize_valuation(valuation)} must set exactly the automaton's parameters ({names})"
+            f"valuation {formats.serialize_valuation(valuation)!r} must set exactly the automaton's parameters ({names})"
         )
     return valuation
 
@@ -178,8 +178,10 @@ def _cmd_mc_bounded(args) -> int:
         raise UsageError("--horizon must not be negative")
     automaton = formats.parse_pta(_read(args.pta))
     formula = formats.parse_formula(_maybe_file(args.formula))
-    if args.candidates:
+    if args.candidates is not None:
         candidates = [_valuation(automaton, part) for part in args.candidates.split(";")]
+    elif args.k is None and not automaton.parameters:
+        candidates = [{}]
     else:
         k = 4 if args.k is None else args.k
         if len(automaton.parameters) != 1:

@@ -80,8 +80,8 @@ def serialize_timed_word(word: TimedWord) -> str:
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*[!?]?)"
-    r"|(?P<interval>(?P<open>[\[(])\s*(?:=\s*(?P<point>\d+)\s*\]"
-    r"|(?P<lower>\d+)\s*,\s*(?P<upper>\d+|inf)\s*(?P<close>[\])])))"
+    r"|(?P<interval>\[\s*=\s*(?P<point>[0-9]+)\s*\]"
+    r"|(?P<open>[\[(])\s*(?P<lower>[0-9]+)\s*,\s*(?P<upper>[0-9]+|inf)\s*(?P<close>[\])]))"
     r"|(?P<op>->|[()&|!#*])|(?P<bad>\S))"
 )
 # identifiers the syntax reserves: none of them can be read back as an atom
@@ -403,7 +403,8 @@ def serialize_pta(automaton: Pta) -> str:
 
 
 def parse_valuation(text: str) -> dict[str, Fraction]:
-    """Parse ``p=1/2`` (comma-separated for several parameters)."""
+    """Parse ``p=1/2`` (comma-separated for several parameters); an empty
+    text is the empty valuation of a parameter-free automaton."""
     values: dict[str, Fraction] = {}
     for part in text.split(","):
         part = part.strip()
@@ -413,8 +414,6 @@ def parse_valuation(text: str) -> dict[str, Fraction]:
             raise ParseError(f"bad assignment {part!r}: expected name=value")
         name, _, value = part.partition("=")
         values[name.strip()] = parse_rational(value)
-    if not values:
-        raise ParseError("empty valuation")
     return values
 
 

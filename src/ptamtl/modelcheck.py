@@ -44,19 +44,28 @@ class CandidateResult:
 
 @dataclass(frozen=True)
 class McVerdict:
-    """Outcome of a bounded model-checking run.
+    """Outcome of a bounded model-checking run: one result per candidate.
 
-    ``counterexample-found`` carries the first refuted candidate's valuation
+    ``counterexample-found`` names the first refuted candidate's valuation
     and witness word (deterministic candidate order, deterministic word
     enumeration order); when no candidate is refuted the verdict is
     ``no-counterexample-within-bounds``.  ``all_candidates_refuted`` flags
     the case where every candidate had a counterexample.
     """
 
-    outcome: str
     candidates: tuple[CandidateResult, ...]
-    valuation: Optional[tuple[tuple[str, Fraction], ...]] = None
-    counterexample: Optional[TimedWord] = None
+
+    @property
+    def outcome(self) -> str:
+        return NO_COUNTEREXAMPLE if self.counterexample is None else COUNTEREXAMPLE_FOUND
+
+    @property
+    def valuation(self) -> Optional[tuple[tuple[str, Fraction], ...]]:
+        return next((c.valuation for c in self.candidates if c.refuted), None)
+
+    @property
+    def counterexample(self) -> Optional[TimedWord]:
+        return next((c.counterexample for c in self.candidates if c.refuted), None)
 
     @property
     def all_candidates_refuted(self) -> bool:
@@ -104,10 +113,4 @@ def bounded_modelcheck(
                 raise AssertionError("counterexample failed exact re-verification")
         rho = tuple(sorted(valuation.items()))
         results.append(CandidateResult(rho, counterexample, stats.words, stats.nodes_expanded, stats.memo_hits))
-    hit = next((result for result in results if result.refuted), None)
-    return McVerdict(
-        outcome=NO_COUNTEREXAMPLE if hit is None else COUNTEREXAMPLE_FOUND,
-        candidates=tuple(results),
-        valuation=None if hit is None else hit.valuation,
-        counterexample=None if hit is None else hit.counterexample,
-    )
+    return McVerdict(tuple(results))

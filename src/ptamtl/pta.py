@@ -12,11 +12,13 @@ The grid-word search :func:`iter_accepted` counts time in integer ticks of
 the grid instead: on a grid every clock value is a whole number of ticks,
 so each guard reduces to an integer range check on elapsed ticks
 (Henzinger, Manna & Pnueli, "What good are digital clocks?", ICALP 1992).
-A formula residual along each prefix prunes it, decides each accepted word
-(plain enumeration is the search for ``true``) and keys a memo of subtrees
-that yielded nothing, with the frontier (clock ages capped above the largest
-guard bound, the classic max-constant extrapolation).  The search shares no
-guard code with :func:`membership`, which re-checks the words it finds.
+Its frontier states hold each clock's age (ticks since its reset) capped
+above the largest guard bound, the classic max-constant extrapolation: every
+age from the cap on passes the same guards.  A formula residual along each
+prefix prunes it, decides each accepted word (plain enumeration is the search
+for ``true``) and, with that frontier as it is, keys a memo of subtrees that
+yielded nothing.  The search shares no guard code with :func:`membership`,
+which re-checks the words it finds.
 """
 
 from __future__ import annotations
@@ -330,10 +332,10 @@ def _min_events_to_final(automaton: Pta) -> dict[str, int]:
     return bound
 
 
-# A grid move: (target, checks, reset flags).  Each check (clock index, lo,
-# hi) bounds the ticks elapsed since that clock's reset, hi None when
-# unbounded; reset flags is None when the edge resets no clock.
-_Move = tuple[str, tuple[tuple[int, int, Optional[int]], ...], Optional[tuple[bool, ...]]]
+# A grid move out of a location: (symbol, target, checks, reset flags).  Each
+# check (clock index, lo, hi) bounds a clock's age in ticks, hi None when
+# unbounded; reset flags say which clocks the edge resets.
+_Move = tuple[str, str, tuple[tuple[int, int, Optional[int]], ...], tuple[bool, ...]]
 
 
 def _grid_move(
@@ -385,8 +387,7 @@ def _grid_move(
         for index, (lo, hi) in sorted(ranges.items())
         if lo > 0 or hi is not None
     )
-    flags = tuple(clock in edge.resets for clock in clocks) if edge.resets else None
-    return edge.target, checks, flags
+    return edge.symbol, edge.target, checks, tuple(clock in edge.resets for clock in clocks)
 
 
 @dataclass
@@ -425,19 +426,20 @@ def iter_accepted(
     ``true``, which accepts every word.
 
     A subtree that yielded nothing is memoized under the monitor state, the
-    tick, the depth and the frontier with each clock's ticks since its reset
-    capped above every guard bound; when the key comes up again, its words
+    tick, the depth and the frontier; when the key comes up again, its words
     are counted in ``stats.words`` and skipped.  This is sound whatever the
     caller does: a state must fix the steps and the verdicts of every
     extension, as a residual does.
 
-    Time is counted in integer ticks of ``grid``: frontier states hold each
-    clock's last reset tick, and each guard is compiled once per call into
-    integer tick ranges (see :func:`_grid_move`), so no guard check here
-    uses rational arithmetic, and a :class:`TimedWord` is built only for a
-    yielded word.  A frontier state is dropped once it cannot reach a final
-    location, ignoring guards, within the events left.  :func:`membership`
-    stays the exact reference.
+    Time is counted in integer ticks of ``grid``: each guard is compiled
+    once per call into integer ranges on a clock's age in ticks (see
+    :func:`_grid_move`), so no guard check here uses rational arithmetic,
+    and a :class:`TimedWord` is built only for a yielded word.  A frontier
+    state is a location with each clock's age capped at one above the
+    largest finite guard bound, so the memo key holds the frontier as it
+    is.  A state is dropped once it cannot reach a final location, ignoring
+    guards, within the events left.  :func:`membership` stays the exact
+    reference.
     """
     grid = rat(grid)
     horizon = rat(horizon)
@@ -449,45 +451,42 @@ def iter_accepted(
         stats = SearchStats()
     if max_events < 1:
         return
-    symbols = sorted(automaton.alphabet)
     min_left = _min_events_to_final(automaton)
     finals = automaton.final
     clocks = automaton.clocks
     last_tick = horizon // grid
-    moves: dict[tuple[str, str], list[_Move]] = {}
+    moves: dict[str, list[_Move]] = {}
     for edge in automaton.edges:
         move = _grid_move(edge, clocks, parameters, grid)
         if move is not None:
-            moves.setdefault((edge.source, edge.symbol), []).append(move)
-    bounds = [b for group in moves.values() for _, checks, _ in group for _, lo, hi in checks for b in (lo, hi)]
+            moves.setdefault(edge.source, []).append(move)
+    bounds = [b for group in moves.values() for _, _, checks, _ in group for _, lo, hi in checks for b in (lo, hi)]
     cap = max((b for b in bounds if b is not None), default=0) + 1  # all ages from cap on pass the same guards
     table: dict = {}
 
-    def successors(frontier, symbol, tick, remaining):
+    def successors(frontier, delay, remaining):
+        # the frontier's successors ``delay`` ticks later, grouped by symbol;
         # a state needing more events than remain is dropped: its successors
         # need at most one fewer, so they would be dropped a level down
-        found = set()
-        for location, resets in frontier:
-            for target, checks, flags in moves.get((location, symbol), ()):
+        found: dict[str, set] = {}
+        for location, ages in frontier:
+            for symbol, target, checks, flags in moves.get(location, ()):
                 if min_left[target] > remaining:
                     continue
                 for clock, lo, hi in checks:
-                    elapsed = tick - resets[clock]
-                    if elapsed < lo or (hi is not None and elapsed > hi):
+                    age = ages[clock] + delay
+                    if age < lo or (hi is not None and age > hi):
                         break
                 else:
-                    if flags is not None:
-                        found.add((target, tuple(tick if f else r for f, r in zip(flags, resets))))
-                    else:
-                        found.add((target, resets))
+                    aged = tuple(0 if f else min(a + delay, cap) for f, a in zip(flags, ages))
+                    found.setdefault(symbol, set()).add((target, aged))
         return found
 
-    def walk(prefix: tuple, frontier, state):
+    def walk(prefix: tuple, frontier: frozenset, state):
         """Yield the subtree's words; return whether it yielded any."""
         depth = len(prefix)
         tick = prefix[-1][1] if depth else 0
-        ages = frozenset((loc, tuple(min(tick - r, cap) for r in resets)) for loc, resets in frontier)
-        key = (ages, tick, depth, state)
+        key = (frontier, tick, depth, state)
         known = table.get(key)
         if known is not None:
             stats.memo_hits += 1
@@ -503,12 +502,11 @@ def iter_accepted(
             stats.nodes_expanded += 1
             remaining = max_events - depth - 1
             for t in range(tick + 1 if strict and depth else tick, last_tick + 1):
-                for symbol in symbols:
-                    nxt = successors(frontier, symbol, t, remaining)
-                    if nxt:
-                        child = monitor.step(state, symbol, t - tick)
-                        if child and (yield from walk(prefix + ((symbol, t),), nxt, child)):
-                            yielded = True
+                found = successors(frontier, t - tick, remaining)
+                for symbol in sorted(found):
+                    child = monitor.step(state, symbol, t - tick)
+                    if child and (yield from walk(prefix + ((symbol, t),), frozenset(found[symbol]), child)):
+                        yielded = True
         if not yielded:
             table[key] = stats.words - before
         return yielded

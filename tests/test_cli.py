@@ -45,6 +45,24 @@ def cadence_file(tmp_path):
     return path
 
 
+# an automaton with no parameters: a's at most 1 apart, then b 2 after the last a
+FREE_PTA = """alphabet: a b
+clocks: x
+locations: 1 2
+init: 1
+final: 2
+edge: 1 a "x<=1" {x} 1
+edge: 1 b "x=2" {} 2
+"""
+
+
+@pytest.fixture
+def free_file(tmp_path):
+    path = tmp_path / "free.pta"
+    path.write_text(FREE_PTA)
+    return path
+
+
 W_C1_TEXT = "s0@0 #@1/2 m!@1 s1@2 m@5/2 m?@3 s2@4 #@9/2 *@5"
 
 # two equally short witnesses, through a and through b, with equal channels
@@ -72,6 +90,11 @@ class TestBasicCommands:
         code = main(["member", str(cadence_file), "p=1/2", "a@1/2 a@1 b@3/2 b@2"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "true"
+
+    def test_member_without_parameters(self, capsys, free_file):
+        assert main(["member", str(free_file), "", "a@1/2 b@5/2"]) == 0
+        assert main(["member", str(free_file), "", "a@1/2 b@2"]) == 0
+        assert capsys.readouterr().out.split() == ["true", "false"]
 
     def test_det_check(self, capsys, cadence_file):
         assert main(["det-check", str(cadence_file)]) == 0
@@ -166,6 +189,7 @@ class TestPipelineCommands:
             (["member", "CADENCE", "q=1/2", "a@1/2"], "must set exactly the automaton's parameters (p)"),
             (["member", "CADENCE", "p=1/2,q=1", "a@1/2"], "must set exactly the automaton's parameters (p)"),
             (["member", "CADENCE", "p=1/2", "a@1/2 c@1"], "symbol 'c' not in the automaton's alphabet"),
+            (["member", "CADENCE", "", "a@1/2"], "valuation '' must set exactly the automaton's parameters (p)"),
         ],
     )
     def test_bad_input_is_a_usage_error(self, capsys, machine_file, cadence_file, tmp_path, c1, argv, message):
@@ -238,6 +262,21 @@ class TestMcBounded:
             assert entry["words_checked"] == result.words_checked
             assert entry["nodes_expanded"] == result.nodes_expanded > 0
             assert entry["memo_hits"] == result.memo_hits > 0
+
+    def test_parameter_free_automaton_runs_the_empty_valuation(self, capsys, free_file):
+        bounds = ["--grid", "1/2", "--horizon", "3", "--max-events", "2", "--json"]
+        assert main(["mc-bounded", str(free_file), "G !b", *bounds]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["outcome"] == "counterexample-found"
+        assert [c["valuation"] for c in report["candidates"]] == [""]
+        assert report["valuation"] == "" and report["counterexample"] == "a@0 b@2"
+        assert main(["mc-bounded", str(free_file), "G !b", "--candidates", "", *bounds]) == 0
+        assert json.loads(capsys.readouterr().out) == report
+
+    def test_k_on_a_parameter_free_automaton_is_a_usage_error(self, capsys, free_file):
+        argv = ["mc-bounded", str(free_file), "G !b", "--k", "2", "--grid", "1/2", "--horizon", "3", "--max-events", "2"]
+        assert main(argv) == 1
+        assert "--k shorthand needs exactly one parameter" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_is_a_usage_error(self, capsys, cadence_file, k):

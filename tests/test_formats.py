@@ -146,6 +146,12 @@ class TestFormulaFormat:
             formats.parse_formula(text)
         assert repr(interval) in str(caught.value)
 
+    @pytest.mark.parametrize("text", ["X(=2] a", "F[\u0663,4] a", "F[1,\u0662] a"])
+    def test_interval_spellings_outside_the_syntax(self, text):
+        # a point interval opens with [ only, and bounds are ASCII digits
+        with pytest.raises(ParseError):
+            formats.parse_formula(text)
+
 
 class TestMachineFormat:
     def test_example(self, c1):
@@ -228,6 +234,9 @@ class TestValuationFormat:
 
     def test_multi(self):
         assert formats.parse_valuation("p=1/2, q=3") == {"p": F(1, 2), "q": F(3)}
+
+    def test_empty_text_is_the_empty_valuation(self):
+        assert formats.parse_valuation("") == {}
 
     def test_round_trip(self):
         values = {"p": F(2, 7), "q": F(5)}

@@ -286,7 +286,8 @@ class TestGridSearch:
     def test_a_clock_idle_past_the_age_cap(self):
         # x <= 2 is the largest guard bound, so ages from 3 on are one class:
         # a@0 a@3 (age 3, no b can follow) and a@1 a@3 (age 2, b@3 accepted)
-        # must get different keys, while a@0 a@4 a@5 and a@1 a@4 a@5 share one
+        # must get different keys, while a@0 a@4 and a@1 a@4 (ages 4 and 3)
+        # share one, so the second is a memo hit and is not expanded
         automaton = Pta(
             ("a", "b"), ("0", "1", "2"), frozenset({"0"}), ("x",), (),
             (
@@ -301,6 +302,26 @@ class TestGridSearch:
             expected, _ = brute_accepted(automaton, {}, F(1), F(5), 4, strict)
             assert stats.words == len(expected)
             assert stats.memo_hits > 0
+
+            events = []
+
+            class Ticks(Constant):
+                """Its state, the depth and the tick, is in the memo key anyway."""
+
+                start = (0, 0)
+
+                def step(self, state, symbol, ticks):
+                    state = (state[0] + 1, state[1] + ticks)
+                    events.append((state[0], symbol, state[1]))
+                    return state
+
+            assert list(iter_accepted(automaton, {}, F(1), F(5), 4, strict, Ticks())) == []
+            expanded, path = set(), []
+            for depth, symbol, tick in events:  # offered in depth-first order
+                path[depth - 1 :] = [(symbol, tick)]
+                expanded.add(tuple(path[:-1]))
+            assert (("a", 0), ("a", 3)) in expanded and (("a", 1), ("a", 3)) in expanded
+            assert (("a", 0), ("a", 4)) in expanded and (("a", 1), ("a", 4)) not in expanded
 
     def test_equality_with_an_off_grid_parameter_never_fires(self):
         automaton = Pta(
