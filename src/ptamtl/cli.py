@@ -21,7 +21,7 @@ from .encoding import EncodingLayout, decode, default_layout, encode, explain_me
 from .modelcheck import bounded_modelcheck
 from .mtl import eval_at, satisfies
 from .pta import is_deterministic, membership
-from .reduction import build_bundle, check_theorem
+from .reduction import build_bundle, check_theorem, validate_symbols
 
 
 class UsageError(Exception):
@@ -50,6 +50,17 @@ def _machine_and_final(path: str, final: str):
         raise UsageError("no target state: give one or add a 'final:' line to the machine")
     if final not in machine.states:
         raise UsageError(f"target state {final!r} undeclared")
+    return machine, final
+
+
+def _reduction_input(args):
+    """The machine and target of a reduction, whose states and messages
+    become formula atoms."""
+    machine, final = _machine_and_final(args.machine, args.final)
+    try:
+        validate_symbols(machine, final)
+    except ValueError as error:
+        raise UsageError(str(error)) from None
     return machine, final
 
 
@@ -99,7 +110,7 @@ def _cmd_det_check(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    machine, final = _machine_and_final(args.machine, args.final)
+    machine, final = _reduction_input(args)
     bundle = build_bundle(machine, final)
     base = Path(args.out) if args.out else Path(args.machine).with_suffix("")
     pta_path = base.with_suffix(".pta")
@@ -233,7 +244,7 @@ def _cmd_mc_bounded(args) -> int:
 
 def _cmd_verify_reduction(args) -> int:
     _search_bounds(args)
-    machine, final = _machine_and_final(args.machine, args.final)
+    machine, final = _reduction_input(args)
     report = check_theorem(machine, final, args.steps, args.chan)
     payload = {
         "outcome": report.outcome,

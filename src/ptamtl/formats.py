@@ -29,7 +29,7 @@ from .mtl import (
     Until,
 )
 from .pta import ClockConstraint, ConstraintAtom, Edge, Pta
-from .timedwords import TimedWord, rat
+from .timedwords import TimedWord
 
 
 def format_rational(value: Fraction) -> str:
@@ -38,10 +38,16 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
+    """An integer or ``p/q`` in ASCII digits, optionally negative."""
+    if not _RATIONAL.fullmatch(text.strip()):
+        raise ParseError(f"bad rational {text!r}: expected an integer or p/q")
     try:
-        return rat(text.strip())
-    except (ValueError, ZeroDivisionError, TypeError) as error:
+        return Fraction(text)
+    except ZeroDivisionError as error:
         raise ParseError(f"bad rational {text!r}: {error}") from error
 
 
@@ -78,8 +84,10 @@ def serialize_timed_word(word: TimedWord) -> str:
 # token: a malformed interval such as [2,1] is a parse error quoting it as
 # written.  Precedence: unary > & > | > -> > U.
 
+# an identifier: ASCII letters, digits and underscores, not leading with a digit
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*[!?]?)"
+    rf"\s*(?:(?P<ident>{IDENTIFIER.pattern}[!?]?)"
     r"|(?P<interval>\[\s*=\s*(?P<point>[0-9]+)\s*\]"
     r"|(?P<open>[\[(])\s*(?P<lower>[0-9]+)\s*,\s*(?P<upper>[0-9]+|inf)\s*(?P<close>[\])]))"
     r"|(?P<op>->|[()&|!#*])|(?P<bad>\S))"
@@ -413,7 +421,10 @@ def parse_valuation(text: str) -> dict[str, Fraction]:
         if "=" not in part:
             raise ParseError(f"bad assignment {part!r}: expected name=value")
         name, _, value = part.partition("=")
-        values[name.strip()] = parse_rational(value)
+        name = name.strip()
+        if name in values:
+            raise ParseError(f"parameter {name!r} set twice")
+        values[name] = parse_rational(value)
     return values
 
 

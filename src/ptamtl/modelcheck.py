@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .mtl import Formula, Not, Program, Progression, desugar, satisfies
+from .mtl import Formula, Not, Program, Progression, compile_formula, desugar, satisfies
 from .pta import Pta, SearchStats, iter_accepted, membership
 from .timedwords import TimedWord
 
@@ -95,10 +95,12 @@ def bounded_modelcheck(
     # as no extension can violate the property: absence claims stay exact
     # relative to the bounds.  Residuals are valuation-free, shared by the
     # candidates.
-    violation = Progression(Not(formula), grid)
+    program = compile_formula(Not(formula))
+    violation = Progression(program, grid)
     # Counterexamples are re-checked by the batch evaluator on the core-only
-    # program of the formula, and against the automaton by exact membership:
-    # neither runs the progression that found them.  Desugared on first use.
+    # program of the negated formula, and against the automaton by exact
+    # membership: neither runs the progression that found them.  Desugared on
+    # first use.
     core: Optional[Program] = None
 
     results: list[CandidateResult] = []
@@ -108,8 +110,8 @@ def bounded_modelcheck(
         counterexample = next(search, None)
         if counterexample is not None:
             if core is None:
-                core = desugar(formula, automaton.alphabet)
-            if not membership(automaton, valuation, counterexample) or satisfies(counterexample, core):
+                core = desugar(program, automaton.alphabet)
+            if not membership(automaton, valuation, counterexample) or not satisfies(counterexample, core):
                 raise AssertionError("counterexample failed exact re-verification")
         rho = tuple(sorted(valuation.items()))
         results.append(CandidateResult(rho, counterexample, stats.words, stats.nodes_expanded, stats.memo_hits))

@@ -11,12 +11,11 @@ display.  :func:`desugar` compiles a formula into a program of core ops only.
 
 One engine evaluates them.  :func:`compile_formula` hash-conses a formula
 into a post-order op array, keyed on integer child ids, so equal subformulas
-share one op.  One evaluator computes a row of Kleene values per op over a
-word whose timestamps are scaled to integers by their common denominator;
-each interval modality reads its windows by binary search and prefix counts.
-A closed word is a prefix with no future: :func:`satisfies` and the sound
-prefix check :func:`prefix_may_satisfy` are the same evaluation, closed
-or open-ended.  Results are checked against a naive evaluator in the tests.
+share one op.  :func:`satisfies` and :func:`eval_at` decide closed words:
+one evaluator computes a row of truth values per op over a word whose
+timestamps are scaled to integers by their common denominator, and each
+interval modality reads its windows by binary search and prefix counts.
+Results are checked against a naive evaluator in the tests.
 
 A search that extends prefixes one event at a time uses formula
 progression instead (Bacchus & Kabanza, AIJ 2000; Thati & Rosu, RV 2004).
@@ -26,15 +25,15 @@ formula after each event into its residual: a boolean combination of
 pending until and release obligations, each with its interval shifted to
 the last event.  Residuals are hash-consed ids and each step is memoized,
 so the engine is a lazily built automaton whose states can key a memo of
-search subtrees.  A residual is false exactly when the open-ended
-evaluation is false: both are the Kleene evaluation of the same formula,
-with every obligation still pending unknown.  Pruning is sound because a
-value the open evaluation decides on a prefix keeps it on every extension
-by events at or after the last timestamp, and in the closed evaluation of
-the whole word.  With its pending obligations closed, a residual is the
-verdict of a word that ends there, so the batch evaluator stays off the
-search path as the independent checker.  The tests check both on random
-formulas and words.
+search subtrees.  A residual is constant exactly when the three-valued
+(Kleene) evaluation of the prefix, with every pending obligation unknown,
+is decided.  Pruning on a false residual is sound because a decided value
+keeps it on every extension by events at or after the last timestamp.
+With its pending obligations closed, a residual is the verdict of a word
+that ends there, so the batch evaluator stays off the search path as the
+independent checker.  The tests hold progression to a Kleene evaluation
+of prefixes, and the batch evaluator to the same evaluation of closed
+words, on random formulas and words.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from math import lcm
+from operator import and_, or_
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .timedwords import RationalLike, TimedWord, rat
@@ -309,12 +309,6 @@ def desugar(formula: Union[Formula, Program], alphabet: Iterable[str]) -> Progra
     return Program(tuple(op_ids), program.intervals, core[program.root])
 
 
-# Values are 0 (false), 1 (unknown) and 2 (true): not = 2 - v, and = min,
-# or = max.  On a prefix (``closed=False``) a modality whose window is still
-# open at the last event is unknown unless the events present decide it, as
-# events of any symbol may follow at or after the last timestamp.
-
-
 def _order(ops: tuple, k: int, rows: list) -> tuple[int, ...]:
     """Op k and every op its row depends on whose row is still missing,
     children before parents: the order in which their rows are filled."""
@@ -331,8 +325,8 @@ def _order(ops: tuple, k: int, rows: list) -> tuple[int, ...]:
     return tuple(sorted(needed))
 
 
-def _evaluator(word: TimedWord, program: Program, closed: bool):
-    """Return ``row(k)``, the values of op k at every position of the word."""
+def _evaluator(word: TimedWord, program: Program):
+    """Return ``row(k)``, the truth of op k at every position of the word."""
     ops = program.ops
     events = word.events
     n = len(events)
@@ -345,8 +339,7 @@ def _evaluator(word: TimedWord, program: Program, closed: bool):
     every = list(range(n + 1))
 
     def window(iv: int) -> tuple[list[int], list[int]]:
-        """lo[i]:hi[i] are the positions j > i with t_j - t_i in the interval;
-        hi[i] == n means the window is still open at the end of the word."""
+        """lo[i]:hi[i] are the positions j > i with t_j - t_i in the interval."""
         if windows[iv] is None:
             interval = program.intervals[iv]
             low = interval.lower * scale
@@ -361,70 +354,43 @@ def _evaluator(word: TimedWord, program: Program, closed: bool):
             windows[iv] = (lo, hi)
         return windows[iv]
 
-    def until(weak: list[int], strict: list[int], right: list[int], iv: int) -> list[int]:
+    def until(fail: list[int], right: list[bool], iv: int) -> list[bool]:
         """Some j in i's window has ``right`` true and ``left`` true strictly
-        between i and j.  weak[k] / strict[k] is the first position >= k where
-        ``left`` is not true / is false (n if none)."""
-        lo, hi = window(iv)  # sure[k] / maybe[k]: right values true / not false before k
-        sure = list(accumulate((v == 2 for v in right), initial=0))
-        maybe = list(accumulate((v != 0 for v in right), initial=0))
-        result = []
-        for i in range(n):
-            a, b = lo[i], hi[i]
-            clear = weak[i + 1] + 1  # witnesses before ``clear`` have left true in between
-            e = b if b < clear else clear
-            if sure[e] > sure[a]:
-                result.append(2)
-            elif maybe[e] > maybe[a]:
-                result.append(1)
-            else:
-                s = a if a > clear else clear
-                f = strict[i + 1]
-                e = b if b <= f else f + 1  # witnesses from ``s`` to ``e`` have no false in between
-                open_future = not closed and b == n and f == n
-                result.append(1 if open_future or (s < e and maybe[e] > maybe[s]) else 0)
-        return result
-
-    def reach(inner: list[int], iv: int, hit: int, miss: int) -> list[int]:
-        """Eventually (hit 2, miss 0) or globally (hit 0, miss 2) over i's window."""
+        between i and j.  fail[k] is the first position >= k where ``left``
+        is false (n if none), so j lies in [lo[i], min(hi[i], fail[i + 1] + 1))."""
         lo, hi = window(iv)
-        decided = list(accumulate((v == hit for v in inner), initial=0))
-        doubtful = list(accumulate((v != miss for v in inner), initial=0))
-        return [
-            hit if decided[b] > decided[a]
-            else 1 if doubtful[b] > doubtful[a] or (not closed and b == n)
-            else miss
-            for a, b in zip(lo, hi)
-        ]  # fmt: skip
+        count = list(accumulate(right, initial=0))  # count[k]: right true before k
+        return [count[b if b <= f else f + 1] > count[a] for a, b, f in zip(lo, hi, fail[1:])]
 
-    def compute(k: int) -> list[int]:
+    def compute(k: int) -> list[bool]:
         kind, a, b, iv = ops[k]
         if kind == _ATOM:
-            return [2 if symbol == a else 0 for symbol in symbols]
+            return [symbol == a for symbol in symbols]
         if kind < _NOT:
-            return [2 if kind == _TRUE else 0] * n
+            return [kind == _TRUE] * n
         x = rows[a]
         if kind == _NOT:
-            return [2 - v for v in x]
+            return [not v for v in x]
         if kind == _AND:
-            return list(map(min, x, rows[b]))
+            return list(map(and_, x, rows[b]))
         if kind == _OR:
-            return list(map(max, x, rows[b]))
+            return list(map(or_, x, rows[b]))
         if kind == _IMPLIES:
-            return list(map(max, [2 - v for v in x], rows[b]))
+            return [not v or w for v, w in zip(x, rows[b])]
         if kind == _UNTIL:
-            weak, strict = [n] * (n + 1), [n] * (n + 1)
+            fail = [n] * (n + 1)
             for j in range(n - 1, -1, -1):
-                weak[j] = j if x[j] != 2 else weak[j + 1]
-                strict[j] = j if x[j] == 0 else strict[j + 1]
-            return until(weak, strict, rows[b], iv)
+                fail[j] = fail[j + 1] if x[j] else j
+            return until(fail, rows[b], iv)
         if kind == _NEXT:  # false U phi
-            return until(every, every, x, iv)
-        if kind == _EVENTUALLY:
-            return reach(x, iv, 2, 0)
-        return reach(x, iv, 0, 2)
+            return until(every, x, iv)
+        # F x: some position in the window has x; G x: none has not x
+        lo, hi = window(iv)
+        hit = kind == _EVENTUALLY
+        count = list(accumulate((v == hit for v in x), initial=0))
+        return [(count[b] > count[a]) == hit for a, b in zip(lo, hi)]
 
-    def row(k: int) -> list[int]:
+    def row(k: int) -> list[bool]:
         if rows[k] is None:
             for j in _order(ops, k, rows):
                 rows[j] = compute(j)
@@ -433,33 +399,30 @@ def _evaluator(word: TimedWord, program: Program, closed: bool):
     return row
 
 
-def _value(program: Program, row) -> int:
-    """Value at position 1, reading the rows of the temporal operators and
+def _value(program: Program, row) -> bool:
+    """Truth at position 1, reading the rows of the temporal operators and
     atoms from ``row(k)``.  The connectives above them are evaluated at that
     position alone, left operand first, skipping the right operand once the
     left decides the result."""
     ops = program.ops
-    stack = [(program.root, 0, 0)]  # (op, phase, left value)
-    value = 0
+    stack = [(program.root, False)]  # (op, its first operand done)
+    value = False
     while stack:
-        k, phase, left = stack.pop()
+        k, after = stack.pop()
         kind, a, b, _ = ops[k]
-        if phase == 0:
+        if not after:
             if _NOT <= kind <= _IMPLIES:
-                stack.append((k, 1, 0))
-                stack.append((a, 0, 0))
+                stack.append((k, True))
+                stack.append((a, False))
             else:
                 value = row(k)[0]
         elif kind == _NOT:
-            value = 2 - value
-        elif phase == 1:
-            if kind == _IMPLIES:
-                value = 2 - value  # a -> b is !a | b
-            if value != (0 if kind == _AND else 2):
-                stack.append((k, 2, value))
-                stack.append((b, 0, 0))
+            value = not value
         else:
-            value = min(left, value) if kind == _AND else max(left, value)
+            if kind == _IMPLIES:
+                value = not value  # a -> b is !a | b
+            if value == (kind == _AND):  # the left operand does not decide: b is the result
+                stack.append((b, False))
     return value
 
 
@@ -470,7 +433,7 @@ def _value(program: Program, row) -> int:
 # deduplicated and sorted, or an obligation (k, negated, lower, lower closed,
 # upper or None, upper closed): op k or its negation from the last event, its
 # interval shifted to that event.  Only constants are absorbed, which keeps a
-# residual constant exactly when the Kleene value of the open evaluation is.
+# residual constant exactly when the Kleene value of the prefix is decided.
 
 _START = 2
 
@@ -484,9 +447,9 @@ class Progression:
     residual of the empty word.  ``accepts(residual)`` is whether a word
     that ends there satisfies the formula, as :func:`satisfies` would say.
 
-    A residual is false (0) exactly when :func:`prefix_may_satisfy` is
-    false on the prefix, and true (1) exactly when the open-ended evaluation
-    is true.  Equal residuals are one id, and :meth:`now` and :meth:`step`
+    A residual is false (0) or true (1) exactly when the Kleene evaluation
+    of the prefix, every pending obligation unknown, is; no extension of a
+    prefix with a false residual satisfies the formula.  Equal residuals are one id, and :meth:`now` and :meth:`step`
     are memoized, so the engine builds the automaton of the formula's
     residuals lazily, as a search visits it.
     """
@@ -651,23 +614,10 @@ def eval_at(word: TimedWord, position: int, formula: Union[Formula, Program]) ->
     if not 1 <= position <= len(word):
         raise IndexError(f"position {position} out of range 1..{len(word)}")
     program = compile_formula(formula)
-    return _evaluator(word, program, True)(program.root)[position - 1] == 2
+    return _evaluator(word, program)(program.root)[position - 1]
 
 
 def satisfies(word: TimedWord, formula: Union[Formula, Program]) -> bool:
     """Whether the word satisfies the formula (evaluation at position 1)."""
     program = compile_formula(formula)
-    return _value(program, _evaluator(word, program, True)) == 2
-
-
-def prefix_may_satisfy(word: TimedWord, formula: Union[Formula, Program]) -> bool:
-    """False only when no extension of the word can satisfy the formula.
-
-    Extensions append events at timestamps at or after the word's last
-    timestamp (lengths and horizons are not modelled, which only widens the
-    future and keeps the answer sound for any bounded search).  It is
-    evaluated from scratch and is the reference for :class:`Progression`,
-    which gives the same answer one event at a time.
-    """
-    program = compile_formula(formula)
-    return _value(program, _evaluator(word, program, False)) != 0
+    return _value(program, _evaluator(word, program))

@@ -40,7 +40,7 @@ from .encoding import (
     inject_insertion,
     max_width,
 )
-from .formats import KEYWORDS
+from .formats import IDENTIFIER, KEYWORDS
 from .mtl import (
     FULL,
     POSITIVE,
@@ -74,13 +74,16 @@ def machine_alphabet(machine: ChannelMachine) -> tuple[str, ...]:
     )
 
 
-def _validate_symbols(machine: ChannelMachine, target: str) -> None:
-    """The target is a state, and no state or message is spelled like a
-    formula keyword.  ChannelMachine itself keeps names distinct and apart
-    from labels, hash, end marker and eps."""
+def validate_symbols(machine: ChannelMachine, target: str) -> None:
+    """The target is a state, and every state and message is an identifier
+    the formula syntax does not reserve, so that the formula reads back as
+    written.  ChannelMachine itself keeps names distinct and apart from
+    labels, hash, end marker and eps."""
     if target not in machine.states:
         raise ValueError(f"target state {target!r} undeclared")
     for name in (*machine.states, *machine.messages):
+        if not IDENTIFIER.fullmatch(name):
+            raise ValueError(f"symbol {name!r} is not an identifier: ASCII letters, digits and _, no leading digit")
         if name in KEYWORDS:
             raise ValueError(f"symbol {name!r} collides with a reserved spelling")
 
@@ -94,7 +97,7 @@ def build_automaton(machine: ChannelMachine, target: str) -> Pta:
     state; the target state moves to location 4, whose loop re-checks the
     x = p cadence over the final display; the end marker closes at x = p.
     """
-    _validate_symbols(machine, target)
+    validate_symbols(machine, target)
     alphabet = machine_alphabet(machine)
     cadence = ClockConstraint.of(("x", "=", "p"))
     reset = frozenset({"x"})
@@ -150,7 +153,7 @@ def build_formula(machine: ChannelMachine, target: str) -> Formula:
     differential test over valid encodings, insertion mutants, and broken
     mutations.
     """
-    _validate_symbols(machine, target)
+    validate_symbols(machine, target)
     states = list(machine.states)
     messages = list(machine.messages)
     hash_ = Atom(HASH)
@@ -502,6 +505,7 @@ def check_theorem(
     """Search for an error-free witness; if found, run the forward check, the
     backward check on its encoding, and an injected-insertion battery that the
     automaton must reject under every candidate parameter value."""
+    validate_symbols(machine, target)
     result = search_error_free(machine, target, step_bound, channel_bound)
     if result.computation is None:
         return TheoremReport(

@@ -190,15 +190,29 @@ class TestPipelineCommands:
             (["member", "CADENCE", "p=1/2,q=1", "a@1/2"], "must set exactly the automaton's parameters (p)"),
             (["member", "CADENCE", "p=1/2", "a@1/2 c@1"], "symbol 'c' not in the automaton's alphabet"),
             (["member", "CADENCE", "", "a@1/2"], "valuation '' must set exactly the automaton's parameters (p)"),
+            # a bundle's states and messages are formula atoms, so each must read back as one
+            (["reduce", "S1=q-0"], "symbol 'q-0' is not an identifier"),
+            (["reduce", "S1=q.1"], "symbol 'q.1' is not an identifier"),
+            (["reduce", "S1=0"], "symbol '0' is not an identifier"),
+            (["reduce", "S1=U"], "symbol 'U' collides with a reserved spelling"),
+            (["verify-reduction", "S1=q-0", "s2", "--steps", "6", "--chan", "3"], "symbol 'q-0' is not an identifier"),
+            (["verify-reduction", "S1=U", "s2", "--steps", "6", "--chan", "3"], "symbol 'U' collides"),
         ],
     )
     def test_bad_input_is_a_usage_error(self, capsys, machine_file, cadence_file, tmp_path, c1, argv, message):
         bare = tmp_path / "bare.cm"
         bare.write_text(formats.serialize_machine(c1))
         files = {"MACHINE": str(machine_file), "BARE": str(bare), "CADENCE": str(cadence_file)}
+        for arg in argv:
+            if arg.startswith("S1="):  # c1 with its state s1 renamed
+                renamed = tmp_path / "renamed.cm"
+                renamed.write_text(formats.serialize_machine(c1, final="s2").replace("s1", arg[3:]))
+                files[arg] = str(renamed)
+        before = set(tmp_path.iterdir())
         assert main([files.get(arg, arg) for arg in argv]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("usage error:") and message in err
+        assert set(tmp_path.iterdir()) == before  # no files written
 
 
 class TestMcBounded:
@@ -309,6 +323,8 @@ class TestMcBounded:
             ("--horizon", "-1/2", "--horizon must not be negative"),
             ("--candidates", "q=1", "must set exactly the automaton's parameters (p)"),
             ("--candidates", "p=1/2;p=1,q=1", "must set exactly the automaton's parameters (p)"),
+            ("--candidates", "p=1,p=2", "parameter 'p' set twice"),
+            ("--grid", "1e1", "bad rational '1e1'"),
         ],
     )
     def test_bad_bounds_are_usage_errors(self, capsys, cadence_file, option, value, message):

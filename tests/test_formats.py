@@ -25,6 +25,21 @@ class TestWordFormat:
         with pytest.raises(ParseError):
             formats.parse_timed_word("a0 b@1")
 
+    @pytest.mark.parametrize("time", ["\u0663", "1e1", "1_0", "1.5", "+1", "0x1", "1/-2", "\uff11"])
+    def test_times_outside_the_rational_syntax(self, time):
+        # only ASCII -?[0-9]+(/[0-9]+)? is a rational, so 3 in Arabic-Indic
+        # digits, exponents, underscores and decimals are no time
+        with pytest.raises(ParseError, match="bad rational"):
+            formats.parse_timed_word(f"a@{time}")
+        with pytest.raises(ParseError, match="bad rational"):
+            formats.parse_rational(time)
+
+    def test_rational_spellings(self):
+        assert formats.parse_rational(" 3/4 ") == F(3, 4)
+        assert formats.parse_rational("-2") == -2
+        with pytest.raises(ParseError, match="negative timestamp -1"):
+            formats.parse_timed_word("a@-1")
+
     def test_round_trip_random(self):
         rng = random.Random(3)
         alphabet = ["a", "b", "m!", "m?", "#", "*", "s0"]
@@ -237,6 +252,12 @@ class TestValuationFormat:
 
     def test_empty_text_is_the_empty_valuation(self):
         assert formats.parse_valuation("") == {}
+
+    @pytest.mark.parametrize("text", ["p=1,p=2", "p=1, p =1", "q=1,p=1/2,q=1"])
+    def test_a_repeated_parameter_is_an_error(self, text):
+        name = text[0]
+        with pytest.raises(ParseError, match=f"parameter '{name}' set twice"):
+            formats.parse_valuation(text)
 
     def test_round_trip(self):
         values = {"p": F(2, 7), "q": F(5)}

@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 from ptamtl.modelcheck import bounded_modelcheck
-from ptamtl.mtl import FULL, Globally, Interval, Not, compile_formula, prefix_may_satisfy, satisfies
+from ptamtl.mtl import FULL, Globally, Interval, Not, compile_formula, satisfies
 
-from util import brute_accepted, random_formula, random_pta
+from util import brute_accepted, prefix_may_satisfy, random_formula, random_pta
 
 F = Fraction
 
@@ -40,7 +40,7 @@ WINDOWS = (FULL, Interval(0, 1, True, True), Interval(1, 2, True, False))
 class TestAgainstBruteForce:
     """bounded_modelcheck (tick search pruned and memoized by formula
     progression) against the brute-force grid enumeration pruned by the
-    batch evaluator on timed words: two paths that share neither the search
+    Kleene oracle on timed words: two paths that share neither the search
     nor the formula engine."""
 
     def test_first_failing_word_and_words_checked(self):

@@ -24,17 +24,15 @@ from ptamtl.mtl import (
     _NOT,
     _UNTIL,
     _evaluator,
-    _value,
     desugar,
     eval_at,
-    prefix_may_satisfy,
     satisfies,
 )
 from ptamtl.reduction import build_formula
 from ptamtl.timedwords import TimedWord
 
 from conftest import two_message_machine
-from util import naive_eval, random_formula, random_word
+from util import kleene_evaluator, kleene_value, naive_eval, prefix_may_satisfy, random_formula, random_word
 
 
 def W(*pairs):
@@ -217,7 +215,7 @@ def ticks(word):
 
 
 def open_rows(word, program):
-    row = _evaluator(word, program, False)
+    row = kleene_evaluator(word, program, False)
     return [row(k) for k in range(len(program.ops))]
 
 
@@ -233,13 +231,30 @@ def residual(engine, path):
 
 
 def assert_matches_open_value(r, word, program):
-    """A residual is false iff the batch open value is 0, true iff it is 2."""
-    value = _value(program, _evaluator(word, program, False))
+    """A residual is false iff the Kleene open value is 0, true iff it is 2."""
+    value = kleene_value(program, kleene_evaluator(word, program, False))
     assert (r == 0) == (value == 0) and (r == 1) == (value == 2), (program, word, r, value)
 
 
+class TestClosedRows:
+    def test_rows_are_the_verdicts_of_the_kleene_closed_rows(self):
+        # on a closed word the three-valued evaluation decides every entry;
+        # the two-valued rows, and satisfies, must be its verdicts
+        rng = random.Random(36)
+        alphabet = ["a", "b", "c"]
+        for _ in range(300):
+            program = compile_formula(random_formula(rng, alphabet, 5))
+            word = mixed_word(rng, alphabet, 7)
+            row, oracle = _evaluator(word, program), kleene_evaluator(word, program, True)
+            for k in range(len(program.ops)):
+                assert 1 not in oracle(k), (program, word, k)
+                assert all(type(v) is bool for v in row(k)), (program, word, k)
+                assert row(k) == [v == 2 for v in oracle(k)], (program, word, k)
+            assert satisfies(word, program) == (kleene_value(program, oracle) == 2), (program, word)
+
+
 class TestIncrementalMonitor:
-    """Formula progression against the batch open-ended evaluation."""
+    """Formula progression against the Kleene oracle's open-ended evaluation."""
 
     def test_agrees_with_the_batch_evaluation_in_depth_first_order(self):
         rng = random.Random(31)
@@ -341,7 +356,7 @@ class TestIncrementalMonitor:
             program = compile_formula(random_formula(rng, alphabet, 5))
             word = mixed_word(rng, alphabet, 6)
             rows = [open_rows(TimedWord(word.events[:cut]), program) for cut in range(1, len(word) + 1)]
-            closed = _evaluator(word, program, True)
+            closed = kleene_evaluator(word, program, True)
             rows.append([closed(k) for k in range(len(program.ops))])
             for cut, before in enumerate(rows[:-1]):
                 for k, row in enumerate(before):

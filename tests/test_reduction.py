@@ -62,18 +62,21 @@ class TestBuildAutomaton:
         assert membership(automaton, {"p": F(1, 2)}, w_c1)
         assert not membership(automaton, {"p": F(1, 3)}, w_c1)
 
-    @pytest.mark.parametrize("keyword", ["true", "false", "inf", "U", "X", "F", "G"])
-    def test_rejects_colliding_names(self, keyword):
+    @pytest.mark.parametrize(
+        "name", ["true", "false", "inf", "U", "X", "F", "G", "q-0", "q.1", "0", "1a", "\u00e9", "a\u0663"]
+    )
+    def test_rejects_colliding_names(self, name):
         with pytest.raises(ValueError):
             ChannelMachine(("eps", "b"), "eps", ("m",), ())
-        # formula keywords are rejected when building the bundle, as state
-        # and as message names
-        machine = ChannelMachine((keyword, "b"), keyword, ("m",), ())
-        with pytest.raises(ValueError):
-            build_automaton(machine, "b")
-        machine = ChannelMachine(("a", "b"), "a", (keyword,), ())
-        with pytest.raises(ValueError):
-            build_automaton(machine, "b")
+        # states and messages become formula atoms, so a formula keyword or a
+        # name that is not an identifier is rejected when building the
+        # bundle or checking the theorem, as state and as message name
+        as_state = ChannelMachine((name, "b"), name, ("m",), ((name, "m!", "b"),))
+        as_message = ChannelMachine(("a", "b"), "a", (name,), (("a", f"{name}!", "b"),))
+        for machine in (as_state, as_message):
+            for build in (build_automaton, build_formula, build_bundle, lambda m, t: check_theorem(m, t, 4, 2)):
+                with pytest.raises(ValueError, match="collides with a reserved spelling|is not an identifier"):
+                    build(machine, "b")
 
 
 class TestBuildFormula:

@@ -1,17 +1,32 @@
 """Independent oracles and generators used across the test suite.
 
 The oracles here deliberately re-derive semantics from first principles and
-share no code with the production paths they check.
+share no code with the production paths they check.  The one exception is
+the Kleene evaluator, the three-valued reference for prefixes: it reads the
+library's compiled programs but evaluates them with its own code.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
+from typing import Union
 
 from ptamtl.channel import ChannelMachine, Configuration, label_kind, subword
 from ptamtl.mtl import (
+    _AND,
+    _ATOM,
+    _EVENTUALLY,
+    _IMPLIES,
+    _NEXT,
+    _NOT,
+    _OR,
+    _TRUE,
+    _UNTIL,
     And,
     Atom,
     Eventually,
@@ -23,8 +38,10 @@ from ptamtl.mtl import (
     Next,
     Not,
     Or,
+    Program,
     TrueConst,
     Until,
+    compile_formula,
 )
 from ptamtl.pta import ClockConstraint, ConstraintAtom, Edge, Pta, constraint_sat
 from ptamtl.timedwords import TimedWord
@@ -84,6 +101,180 @@ def naive_eval(word: TimedWord, position: int, formula: Formula) -> bool:
             if formula.interval.contains(t(j) - t(i))
         )
     raise TypeError(f"unknown node {formula!r}")
+
+
+# -- Kleene (three-valued) reference evaluator -------------------------------
+#
+# The library's batch evaluator decides closed words only; this one also
+# evaluates prefixes.  It reads programs from compile_formula and is the
+# reference for formula progression (a residual is 0 or 1 exactly when the
+# open value is 0 or 2) and, on closed words, for the batch evaluator (a
+# closed row holds no 1, and 2 is true).
+#
+# Values are 0 (false), 1 (unknown) and 2 (true): not = 2 - v, and = min,
+# or = max.  On a prefix (``closed=False``) a modality whose window is still
+# open at the last event is unknown unless the events present decide it, as
+# events of any symbol may follow at or after the last timestamp.
+
+
+def _order(ops: tuple, k: int, rows: list) -> tuple[int, ...]:
+    """Op k and every op its row depends on whose row is still missing,
+    children before parents: the order in which their rows are filled."""
+    needed, stack = set(), [k]
+    while stack:
+        j = stack.pop()
+        if j not in needed and rows[j] is None:
+            needed.add(j)
+            kind, a, b, _ = ops[j]
+            if kind >= _NOT:
+                stack.append(a)
+                if b >= 0:
+                    stack.append(b)
+    return tuple(sorted(needed))
+
+
+def kleene_evaluator(word: TimedWord, program: Program, closed: bool):
+    """Return ``row(k)``, the values of op k at every position of the word."""
+    ops = program.ops
+    events = word.events
+    n = len(events)
+    symbols = [symbol for symbol, _ in events]
+    # exact integer times: scale by the common denominator of the timestamps
+    scale = lcm(*[time.denominator for _, time in events])
+    times = [time.numerator * (scale // time.denominator) for _, time in events]
+    rows: list = [None] * len(ops)
+    windows: list = [None] * len(program.intervals)
+    every = list(range(n + 1))
+
+    def window(iv: int) -> tuple[list[int], list[int]]:
+        """lo[i]:hi[i] are the positions j > i with t_j - t_i in the interval;
+        hi[i] == n means the window is still open at the end of the word."""
+        if windows[iv] is None:
+            interval = program.intervals[iv]
+            low = interval.lower * scale
+            start = bisect_left if interval.lower_closed else bisect_right
+            lo = [max(i + 1, start(times, t + low)) for i, t in enumerate(times)]
+            if interval.upper is None:
+                hi = [n] * n
+            else:
+                high = interval.upper * scale
+                end = bisect_right if interval.upper_closed else bisect_left
+                hi = [end(times, t + high) for t in times]
+            windows[iv] = (lo, hi)
+        return windows[iv]
+
+    def until(weak: list[int], strict: list[int], right: list[int], iv: int) -> list[int]:
+        """Some j in i's window has ``right`` true and ``left`` true strictly
+        between i and j.  weak[k] / strict[k] is the first position >= k where
+        ``left`` is not true / is false (n if none)."""
+        lo, hi = window(iv)  # sure[k] / maybe[k]: right values true / not false before k
+        sure = list(accumulate((v == 2 for v in right), initial=0))
+        maybe = list(accumulate((v != 0 for v in right), initial=0))
+        result = []
+        for i in range(n):
+            a, b = lo[i], hi[i]
+            clear = weak[i + 1] + 1  # witnesses before ``clear`` have left true in between
+            e = b if b < clear else clear
+            if sure[e] > sure[a]:
+                result.append(2)
+            elif maybe[e] > maybe[a]:
+                result.append(1)
+            else:
+                s = a if a > clear else clear
+                f = strict[i + 1]
+                e = b if b <= f else f + 1  # witnesses from ``s`` to ``e`` have no false in between
+                open_future = not closed and b == n and f == n
+                result.append(1 if open_future or (s < e and maybe[e] > maybe[s]) else 0)
+        return result
+
+    def reach(inner: list[int], iv: int, hit: int, miss: int) -> list[int]:
+        """Eventually (hit 2, miss 0) or globally (hit 0, miss 2) over i's window."""
+        lo, hi = window(iv)
+        decided = list(accumulate((v == hit for v in inner), initial=0))
+        doubtful = list(accumulate((v != miss for v in inner), initial=0))
+        return [
+            hit if decided[b] > decided[a]
+            else 1 if doubtful[b] > doubtful[a] or (not closed and b == n)
+            else miss
+            for a, b in zip(lo, hi)
+        ]  # fmt: skip
+
+    def compute(k: int) -> list[int]:
+        kind, a, b, iv = ops[k]
+        if kind == _ATOM:
+            return [2 if symbol == a else 0 for symbol in symbols]
+        if kind < _NOT:
+            return [2 if kind == _TRUE else 0] * n
+        x = rows[a]
+        if kind == _NOT:
+            return [2 - v for v in x]
+        if kind == _AND:
+            return list(map(min, x, rows[b]))
+        if kind == _OR:
+            return list(map(max, x, rows[b]))
+        if kind == _IMPLIES:
+            return list(map(max, [2 - v for v in x], rows[b]))
+        if kind == _UNTIL:
+            weak, strict = [n] * (n + 1), [n] * (n + 1)
+            for j in range(n - 1, -1, -1):
+                weak[j] = j if x[j] != 2 else weak[j + 1]
+                strict[j] = j if x[j] == 0 else strict[j + 1]
+            return until(weak, strict, rows[b], iv)
+        if kind == _NEXT:  # false U phi
+            return until(every, every, x, iv)
+        if kind == _EVENTUALLY:
+            return reach(x, iv, 2, 0)
+        return reach(x, iv, 0, 2)
+
+    def row(k: int) -> list[int]:
+        if rows[k] is None:
+            for j in _order(ops, k, rows):
+                rows[j] = compute(j)
+        return rows[k]
+
+    return row
+
+
+def kleene_value(program: Program, row) -> int:
+    """Value at position 1, reading the rows of the temporal operators and
+    atoms from ``row(k)``.  The connectives above them are evaluated at that
+    position alone, left operand first, skipping the right operand once the
+    left decides the result."""
+    ops = program.ops
+    stack = [(program.root, 0, 0)]  # (op, phase, left value)
+    value = 0
+    while stack:
+        k, phase, left = stack.pop()
+        kind, a, b, _ = ops[k]
+        if phase == 0:
+            if _NOT <= kind <= _IMPLIES:
+                stack.append((k, 1, 0))
+                stack.append((a, 0, 0))
+            else:
+                value = row(k)[0]
+        elif kind == _NOT:
+            value = 2 - value
+        elif phase == 1:
+            if kind == _IMPLIES:
+                value = 2 - value  # a -> b is !a | b
+            if value != (0 if kind == _AND else 2):
+                stack.append((k, 2, value))
+                stack.append((b, 0, 0))
+        else:
+            value = min(left, value) if kind == _AND else max(left, value)
+    return value
+
+def prefix_may_satisfy(word: TimedWord, formula: Union[Formula, Program]) -> bool:
+    """False only when no extension of the word can satisfy the formula.
+
+    Extensions append events at timestamps at or after the word's last
+    timestamp (lengths and horizons are not modelled, which only widens the
+    future and keeps the answer sound for any bounded search).  It is
+    evaluated from scratch and is the reference for :class:`Progression`,
+    which gives the same answer one event at a time.
+    """
+    program = compile_formula(formula)
+    return kleene_value(program, kleene_evaluator(word, program, False)) != 0
 
 
 # -- brute-force oracle for the faulty channel step ---------------------------
