@@ -39,7 +39,7 @@ print("formula size:", len(serialize_formula(bundle.formula)), "characters\n")
 
 # forward: encode a found computation and drive it through everything
 gamma = search_error_free(machine, "s2", 6, 3).computation
-report = verify_forward(machine, "s2", gamma)
+report = verify_forward(bundle, gamma)
 print("forward checks at p =", report.valuation["p"])
 for assertion in report.assertions:
     print(f"  {assertion.name}: {assertion.holds}")
@@ -47,7 +47,7 @@ for assertion in report.assertions:
 # insertion mutants satisfy the formula yet no candidate cadence accepts them
 word = encode(machine, "s2", gamma, default_layout(1))
 for mutant in insertion_mutants(word, machine, count=2):
-    kept = satisfies(mutant, bundle.formula)
+    kept = satisfies(mutant, bundle.program)
     rejected = all(
         not membership(bundle.automaton, {"p": Fraction(1, k)}, mutant) for k in (1, 2, 3, 4)
     )

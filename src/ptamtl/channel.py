@@ -198,6 +198,14 @@ class SearchResult:
         return self.computation is not None
 
 
+def _successors(machine: ChannelMachine, config: Configuration):
+    """The exact steps out of a configuration, as (label, successor) pairs:
+    labels in machine order, then successors by (state, channel)."""
+    for label in machine.labels():
+        for nxt in sorted(step_exact(machine, config, label), key=lambda c: (c.state, c.channel)):
+            yield label, nxt
+
+
 def search_error_free(
     machine: ChannelMachine,
     target: str,
@@ -223,32 +231,27 @@ def search_error_free(
         config, depth = queue.popleft()
         if depth == max_steps:
             # only a genuine cut if an unexplored successor exists
-            if any(
-                nxt not in seen
-                for label in machine.labels()
-                for nxt in step_exact(machine, config, label)
-            ):
+            if any(nxt not in seen for _, nxt in _successors(machine, config)):
                 truncated = True
             continue
-        for label in machine.labels():
-            for nxt in sorted(step_exact(machine, config, label), key=lambda c: (c.state, c.channel)):
-                if nxt in seen:
-                    continue
-                if len(nxt.channel) > max_channel_len:
-                    truncated = True
-                    continue
-                seen.add(nxt)
-                parents[nxt] = (config, label)
-                if nxt.state == target:
-                    steps = []
-                    node = nxt
-                    while node != start:
-                        previous, lab = parents[node]
-                        steps.append((lab, node))
-                        node = previous
-                    steps.reverse()
-                    return SearchResult(Computation(start, tuple(steps)), truncated=False)
-                queue.append((nxt, depth + 1))
+        for label, nxt in _successors(machine, config):
+            if nxt in seen:
+                continue
+            if len(nxt.channel) > max_channel_len:
+                truncated = True
+                continue
+            seen.add(nxt)
+            parents[nxt] = (config, label)
+            if nxt.state == target:
+                steps = []
+                node = nxt
+                while node != start:
+                    previous, lab = parents[node]
+                    steps.append((lab, node))
+                    node = previous
+                steps.reverse()
+                return SearchResult(Computation(start, tuple(steps)), truncated=False)
+            queue.append((nxt, depth + 1))
     return SearchResult(None, truncated=truncated)
 
 
@@ -275,10 +278,8 @@ def enumerate_error_free(
             return
         if len(steps) == max_steps:
             return
-        for label in machine.labels():
-            for nxt in sorted(step_exact(machine, config, label), key=lambda c: (c.state, c.channel)):
-                if len(nxt.channel) > max_channel_len:
-                    continue
+        for label, nxt in _successors(machine, config):
+            if len(nxt.channel) <= max_channel_len:
                 steps.append((label, nxt))
                 recurse(nxt, steps)
                 steps.pop()

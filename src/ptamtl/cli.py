@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 when a verdict was produced, 1 on usage or parse errors, 2 on
-internal invariant violations.  Arguments holding a formula, word, or
+Exit codes: 0 when a verdict was produced, 1 on usage or parse errors and
+on files that cannot be read (or, for ``reduce``, written), 2 on internal
+invariant violations.  Arguments holding a formula, word, or
 computation may be given inline or as ``@path`` to read from a file.
 """
 
@@ -34,13 +35,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _maybe_file(value: str) -> str:
-    if value.startswith("@"):
-        return Path(value[1:]).read_text()
-    return value
+    return _read(value[1:]) if value.startswith("@") else value
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as error:  # missing, a directory, not UTF-8
+        raise ToolkitError(error) from None
 
 
 def _machine_and_final(path: str, final: str):
@@ -116,9 +118,12 @@ def _cmd_reduce(args) -> int:
     pta_path = base.with_suffix(".pta")
     mtl_path = base.with_suffix(".mtl")
     alphabet_path = base.with_suffix(".alphabet")
-    pta_path.write_text(formats.serialize_pta(bundle.automaton))
-    mtl_path.write_text(formats.serialize_formula(bundle.formula) + "\n")
-    alphabet_path.write_text(" ".join(bundle.alphabet) + "\n")
+    try:
+        pta_path.write_text(formats.serialize_pta(bundle.automaton))
+        mtl_path.write_text(formats.serialize_formula(bundle.formula) + "\n")
+        alphabet_path.write_text(" ".join(bundle.alphabet) + "\n")
+    except OSError as error:
+        raise ToolkitError(error) from None
     for path in (pta_path, mtl_path, alphabet_path):
         print(path)
     return 0
@@ -373,7 +378,7 @@ def main(argv=None) -> int:
     except UsageError as error:
         print(f"usage error: {error}", file=sys.stderr)
         return 1
-    except (ToolkitError, FileNotFoundError) as error:
+    except ToolkitError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     except AssertionError as error:

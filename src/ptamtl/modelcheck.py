@@ -110,7 +110,7 @@ def bounded_modelcheck(
         counterexample = next(search, None)
         if counterexample is not None:
             if core is None:
-                core = desugar(program, automaton.alphabet)
+                core = desugar(program)
             if not membership(automaton, valuation, counterexample) or not satisfies(counterexample, core):
                 raise AssertionError("counterexample failed exact re-verification")
         rho = tuple(sorted(valuation.items()))

@@ -4,18 +4,20 @@ The until modality is strict: a witness position lies strictly after the
 current one, and only positions strictly in between are constrained.  The
 next modality is derivable from until precisely because of this strictness.
 
-Formulas are immutable ASTs.  The core grammar is atoms, negation,
-conjunction, and interval-constrained until; disjunction, implication, the
-constants, next, eventually, and globally are kept as first-class nodes for
+Formulas are immutable ASTs.  The core grammar is atoms, true, negation,
+conjunction, and interval-constrained until; disjunction, implication,
+false, next, eventually, and globally are kept as first-class nodes for
 display.  :func:`desugar` compiles a formula into a program of core ops only.
 
 One engine evaluates them.  :func:`compile_formula` hash-conses a formula
 into a post-order op array, keyed on integer child ids, so equal subformulas
-share one op.  :func:`satisfies` and :func:`eval_at` decide closed words:
-one evaluator computes a row of truth values per op over a word whose
-timestamps are scaled to integers by their common denominator, and each
-interval modality reads its windows by binary search and prefix counts.
-Results are checked against a naive evaluator in the tests.
+share one op.  :func:`eval_at` decides a closed word at a position, and
+:func:`satisfies` is its answer at the first one.  One evaluator computes a
+row of truth values per op over a word whose timestamps are scaled to
+integers by their common denominator, each interval modality reading its
+windows by binary search and prefix counts; the connectives at the top of
+the formula are evaluated at the position alone.  Results are checked
+against a naive evaluator in the tests.
 
 A search that extends prefixes one event at a time uses formula
 progression instead (Bacchus & Kabanza, AIJ 2000; Thati & Rosu, RV 2004).
@@ -251,18 +253,13 @@ def compile_formula(formula: Union[Formula, Program]) -> Program:
     return Program(tuple(op_ids), tuple(interval_ids), compiled[id(formula)])
 
 
-def desugar(formula: Union[Formula, Program], alphabet: Iterable[str]) -> Program:
+def desugar(formula: Union[Formula, Program]) -> Program:
     """The formula compiled into the core grammar: a hash-consed program of
-    atom, not, and, and until ops only.
+    atom, true, not, and, and until ops only.
 
     One pass over the ops of :func:`compile_formula`, children first, maps
-    each op to its core form.  The constant ``true`` expands to ``p | !p``
-    where p is the lexicographically first alphabet symbol; any choice is
-    semantically equal.
+    each op to its core form.
     """
-    symbols = sorted(set(alphabet))
-    if not symbols:
-        raise ValueError("desugaring needs a non-empty alphabet")
     program = compile_formula(formula)
     op_ids: dict[tuple, int] = {}
 
@@ -276,8 +273,7 @@ def desugar(formula: Union[Formula, Program], alphabet: Iterable[str]) -> Progra
         return neg(op(_AND, neg(x), neg(y)))
 
     def true() -> int:
-        pivot = op(_ATOM, symbols[0])
-        return disj(pivot, neg(pivot))
+        return op(_TRUE, -1)
 
     core: list[int] = []  # core[k]: the core op of op k
     for kind, a, b, iv in program.ops:
@@ -399,11 +395,11 @@ def _evaluator(word: TimedWord, program: Program):
     return row
 
 
-def _value(program: Program, row) -> bool:
-    """Truth at position 1, reading the rows of the temporal operators and
-    atoms from ``row(k)``.  The connectives above them are evaluated at that
-    position alone, left operand first, skipping the right operand once the
-    left decides the result."""
+def _value(program: Program, row, i: int) -> bool:
+    """Truth at the position with index i (0-based), reading the rows of the
+    temporal operators and atoms from ``row(k)``.  The connectives above them
+    are evaluated at that position alone, left operand first, skipping the
+    right operand once the left decides the result."""
     ops = program.ops
     stack = [(program.root, False)]  # (op, its first operand done)
     value = False
@@ -415,7 +411,7 @@ def _value(program: Program, row) -> bool:
                 stack.append((k, True))
                 stack.append((a, False))
             else:
-                value = row(k)[0]
+                value = row(k)[i]
         elif kind == _NOT:
             value = not value
         else:
@@ -614,10 +610,9 @@ def eval_at(word: TimedWord, position: int, formula: Union[Formula, Program]) ->
     if not 1 <= position <= len(word):
         raise IndexError(f"position {position} out of range 1..{len(word)}")
     program = compile_formula(formula)
-    return _evaluator(word, program)(program.root)[position - 1]
+    return _value(program, _evaluator(word, program), position - 1)
 
 
 def satisfies(word: TimedWord, formula: Union[Formula, Program]) -> bool:
     """Whether the word satisfies the formula (evaluation at position 1)."""
-    program = compile_formula(formula)
-    return _value(program, _evaluator(word, program))
+    return eval_at(word, 1, formula)

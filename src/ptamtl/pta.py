@@ -17,8 +17,9 @@ above the largest guard bound, the classic max-constant extrapolation: every
 age from the cap on passes the same guards.  A formula residual along each
 prefix prunes it, decides each accepted word (plain enumeration is the search
 for ``true``) and, with that frontier as it is, keys a memo of subtrees that
-yielded nothing.  The search shares no guard code with :func:`membership`,
-which re-checks the words it finds.
+yielded nothing.  Open subtrees sit on an explicit stack, so a word may be
+longer than the recursion limit.  The search shares no guard code with
+:func:`membership`, which re-checks the words it finds.
 """
 
 from __future__ import annotations
@@ -482,37 +483,51 @@ def iter_accepted(
                     found.setdefault(symbol, set()).add((target, aged))
         return found
 
-    def walk(prefix: tuple, frontier: frozenset, state):
-        """Yield the subtree's words; return whether it yielded any."""
+    def children(prefix: tuple, frontier: frozenset, state, tick: int):
+        # the subtrees below a prefix, (tick, symbol) ascending, skipping those
+        # whose residual is false
         depth = len(prefix)
-        tick = prefix[-1][1] if depth else 0
-        key = (frontier, tick, depth, state)
-        known = table.get(key)
-        if known is not None:
-            stats.memo_hits += 1
-            stats.words += known
-            return False
-        before, yielded = stats.words, False
-        if depth and any(loc in finals for loc, _ in frontier):
-            stats.words += 1
-            if monitor.accepts(state):
-                yielded = True
-                yield TimedWord([(symbol, t * grid) for symbol, t in prefix])
-        if depth < max_events:
-            stats.nodes_expanded += 1
-            remaining = max_events - depth - 1
-            for t in range(tick + 1 if strict and depth else tick, last_tick + 1):
-                found = successors(frontier, t - tick, remaining)
-                for symbol in sorted(found):
-                    child = monitor.step(state, symbol, t - tick)
-                    if child and (yield from walk(prefix + ((symbol, t),), frozenset(found[symbol]), child)):
-                        yielded = True
-        if not yielded:
-            table[key] = stats.words - before
-        return yielded
+        if depth == max_events:
+            return
+        stats.nodes_expanded += 1
+        remaining = max_events - depth - 1
+        for t in range(tick + 1 if strict and depth else tick, last_tick + 1):
+            found = successors(frontier, t - tick, remaining)
+            for symbol in sorted(found):
+                child = monitor.step(state, symbol, t - tick)
+                if child:
+                    yield prefix + ((symbol, t),), frozenset(found[symbol]), child
 
-    start = frozenset((loc, (0,) * len(clocks)) for loc in automaton.initial)
-    yield from walk((), start, monitor.start)
+    # The open subtrees, root first, each with its memo key, the words
+    # reached and yielded before it and its children: an explicit stack, so
+    # that a word's length costs no Python recursion.
+    stack: list[tuple] = []
+    yielded = 0
+    entering = ((), frozenset((loc, (0,) * len(clocks)) for loc in automaton.initial), monitor.start)
+    while True:
+        if entering is not None:
+            prefix, frontier, state = entering
+            depth = len(prefix)
+            tick = prefix[-1][1] if depth else 0
+            key = (frontier, tick, depth, state)
+            known = table.get(key)
+            if known is not None:
+                stats.memo_hits += 1
+                stats.words += known
+            else:
+                stack.append((key, stats.words, yielded, children(prefix, frontier, state, tick)))
+                if depth and any(loc in finals for loc, _ in frontier):
+                    stats.words += 1
+                    if monitor.accepts(state):
+                        yielded += 1
+                        yield TimedWord([(symbol, t * grid) for symbol, t in prefix])
+        if not stack:
+            return
+        entering = next(stack[-1][3], None)
+        if entering is None:  # the subtree is done; memoize it if it yielded nothing
+            key, words_before, yielded_before, _ = stack.pop()
+            if yielded == yielded_before:
+                table[key] = stats.words - words_before
 
 
 def enumerate_accepted(

@@ -10,12 +10,18 @@ x = p, which pins p to 1/(width+1) and forbids the final block from holding
 more symbols than the first.  Since display widths never shrink along a
 word, a word accepted by both the formula and the automaton encodes an
 error-free computation, and conversely.
+
+A :class:`ReductionBundle` is the reduction of one machine and target: the
+two are built once, and the formula is compiled on first use.
+:func:`check_theorem` checks a witness, its decoding and its insertion
+mutants against one bundle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .channel import (
@@ -55,8 +61,10 @@ from .mtl import (
     Next,
     Not,
     Or,
+    Program,
     Until,
     and_all,
+    compile_formula,
     or_all,
     satisfies,
 )
@@ -142,6 +150,20 @@ _OPEN_UNIT = Interval(0, 1, False, False)  # (0,1)
 _SECOND_UNIT = Interval(1, 2, False, False)  # (1,2)
 _FIRST_TWO = Interval(0, 2, True, False)  # [0,2)
 _CLOSED_OPEN_12 = Interval(1, 2, True, False)  # [1,2)
+
+
+def _appended(label: Formula, symbol: Formula, trailer: Formula) -> tuple[Formula, Formula]:
+    """The symbol appended right after the copied display, as the checker's
+    ``appended_tail`` reads it, in a block whose state is the current
+    position: two units after the last display slot (the event before the
+    label), its copy is followed by the symbol and then a trailer; with an
+    empty display, the symbol and a trailer follow the next state symbol."""
+    after_last_slot = Globally(
+        _WITHIN_UNIT,
+        Implies(Next(FULL, label), _exactly(2, And(Next(FULL, symbol), Next(FULL, Next(FULL, trailer))))),
+    )
+    after_state = Implies(Next(FULL, label), _exactly(2, Next(FULL, And(symbol, Next(FULL, trailer)))))
+    return after_last_slot, after_state
 
 
 def build_formula(machine: ChannelMachine, target: str) -> Formula:
@@ -266,20 +288,8 @@ def build_formula(machine: ChannelMachine, target: str) -> Formula:
                 Implies(And(Not(hash_), Next(FULL, hash_)), replace_here),
             ),
         )
-        no_hash = Implies(
-            Not(Eventually(_WITHIN_UNIT, hash_)),
-            Globally(
-                _WITHIN_UNIT,
-                Implies(
-                    Next(FULL, label),
-                    _exactly(2, And(Next(FULL, msg), Next(FULL, Next(FULL, trailer)))),
-                ),
-            ),
-        )
-        empty_display = Implies(
-            Next(FULL, label),
-            _exactly(2, Next(FULL, And(msg, Next(FULL, trailer)))),
-        )
+        after_last_slot, empty_display = _appended(label, msg, trailer)
+        no_hash = Implies(Not(Eventually(_WITHIN_UNIT, hash_)), after_last_slot)
         conjuncts.append(
             _everywhere(
                 Implies(
@@ -305,25 +315,7 @@ def build_formula(machine: ChannelMachine, target: str) -> Formula:
         head_matches = Implies(Next(FULL, msg), Until(FULL, shift, label))
         head_differs = Implies(
             Next(FULL, Not(msg)),
-            and_all(
-                [
-                    copy_messages,
-                    copy_hashes,
-                    Globally(
-                        _WITHIN_UNIT,
-                        Implies(
-                            Next(FULL, label),
-                            _exactly(
-                                2, And(Next(FULL, hash_), Next(FULL, Next(FULL, trailer)))
-                            ),
-                        ),
-                    ),
-                    Implies(
-                        Next(FULL, label),
-                        _exactly(2, Next(FULL, And(hash_, Next(FULL, trailer)))),
-                    ),
-                ]
-            ),
+            and_all([copy_messages, copy_hashes, *_appended(label, hash_, trailer)]),
         )
         conjuncts.append(
             _everywhere(
@@ -339,21 +331,26 @@ def build_formula(machine: ChannelMachine, target: str) -> Formula:
 
 @dataclass(frozen=True)
 class ReductionBundle:
-    """The automaton/formula pair over the shared encoding alphabet."""
+    """The reduction of a machine and its target state: the cadence automaton
+    and the formula, both over the automaton's (encoding) alphabet."""
 
+    machine: ChannelMachine
+    target: str
     automaton: Pta
     formula: Formula
-    alphabet: tuple[str, ...]
-    target: str
+
+    @property
+    def alphabet(self) -> tuple[str, ...]:
+        return self.automaton.alphabet
+
+    @cached_property
+    def program(self) -> Program:
+        """The formula compiled on first use, once per bundle."""
+        return compile_formula(self.formula)
 
 
 def build_bundle(machine: ChannelMachine, target: str) -> ReductionBundle:
-    return ReductionBundle(
-        automaton=build_automaton(machine, target),
-        formula=build_formula(machine, target),
-        alphabet=machine_alphabet(machine),
-        target=target,
-    )
+    return ReductionBundle(machine, target, build_automaton(machine, target), build_formula(machine, target))
 
 
 @dataclass(frozen=True)
@@ -378,33 +375,24 @@ class ForwardReport:
         return all(a.holds is not False for a in self.assertions)
 
 
-def verify_forward(
-    machine: ChannelMachine, target: str, computation: Computation
-) -> ForwardReport:
+def verify_forward(bundle: ReductionBundle, computation: Computation) -> ForwardReport:
     """Encode the computation with uniform slots i/(width+1) and p = 1/(width+1),
     then check language membership, formula satisfaction, and automaton
     acceptance of the encoding."""
+    machine, target = bundle.machine, bundle.target
     width = max_channel(computation)
-    layout = default_layout(width)
     valuation = {"p": Fraction(1, width + 1)}
-    word = encode(machine, target, computation, layout)
-    formula = build_formula(machine, target)
-    automaton = build_automaton(machine, target)
-    checks = [
-        Assertion("encoding-in-language", check_membership(word, machine, target, width)),
-        Assertion("formula-satisfied", satisfies(word, formula)),
-    ]
+    word = encode(machine, target, computation, default_layout(width))
     if computation.steps:
-        checks.append(Assertion("automaton-accepts", membership(automaton, valuation, word)))
+        accepts = Assertion("automaton-accepts", membership(bundle.automaton, valuation, word))
     else:
-        checks.append(
-            Assertion(
-                "automaton-accepts",
-                None,
-                "zero-step computation: the accepting path needs a label event",
-            )
-        )
-    return ForwardReport(width, valuation, word, tuple(checks))
+        accepts = Assertion("automaton-accepts", None, "zero-step computation: the accepting path needs a label event")
+    checks = (
+        Assertion("encoding-in-language", check_membership(word, machine, target, width)),
+        Assertion("formula-satisfied", satisfies(word, bundle.program)),
+        accepts,
+    )
+    return ForwardReport(width, valuation, word, checks)
 
 
 @dataclass(frozen=True)
@@ -422,20 +410,16 @@ class BackwardReport:
 
 
 def verify_backward(
-    machine: ChannelMachine,
-    target: str,
-    word: TimedWord,
-    width: int,
-    valuation: Mapping[str, Fraction],
+    bundle: ReductionBundle, word: TimedWord, width: int, valuation: Mapping[str, Fraction]
 ) -> BackwardReport:
     """Check the consequences of joint acceptance: the parameter value is
     pinned to 1/(width+1), no insertions are present, and the decoded
     computation is error-free and reaches the target."""
+    machine, target = bundle.machine, bundle.target
     reason = explain_membership(word, machine, target, width)
     if reason is not None:
         return BackwardReport(False, f"word outside the encoding language: {reason}")
-    automaton = build_automaton(machine, target)
-    if not membership(automaton, valuation, word):
+    if not membership(bundle.automaton, valuation, word):
         return BackwardReport(False, "automaton rejects the word under this valuation")
     checks = [
         Assertion(
@@ -496,16 +480,13 @@ class TheoremReport:
     notes: tuple[str, ...] = ()
 
 
-def check_theorem(
-    machine: ChannelMachine,
-    target: str,
-    step_bound: int,
-    channel_bound: int,
-) -> TheoremReport:
+def check_theorem(machine: ChannelMachine, target: str, step_bound: int, channel_bound: int) -> TheoremReport:
     """Search for an error-free witness; if found, run the forward check, the
     backward check on its encoding, and an injected-insertion battery that the
-    automaton must reject under every candidate parameter value."""
-    validate_symbols(machine, target)
+    automaton must reject under every candidate parameter value.  One bundle,
+    built before the search (its builders validate the symbols), serves every
+    check, and its formula is compiled once."""
+    bundle = build_bundle(machine, target)
     result = search_error_free(machine, target, step_bound, channel_bound)
     if result.computation is None:
         return TheoremReport(
@@ -514,23 +495,20 @@ def check_theorem(
             notes=("no error-free computation within bounds",),
         )
     computation = result.computation
-    forward = verify_forward(machine, target, computation)
+    forward = verify_forward(bundle, computation)
     width = forward.width
     backward = None
     mutants: list[TimedWord] = []
-    kept = 0
-    rejected = 0
+    kept = rejected = 0
     notes = []
     if computation.steps:
-        backward = verify_backward(machine, target, forward.word, width, forward.valuation)
-        formula = build_formula(machine, target)
-        automaton = build_automaton(machine, target)
+        backward = verify_backward(bundle, forward.word, width, forward.valuation)
         candidates = [Fraction(1, k) for k in range(1, width + 4)]
         mutants = insertion_mutants(forward.word, machine, count=5)
         for mutant in mutants:
-            if satisfies(mutant, formula):
+            if satisfies(mutant, bundle.program):
                 kept += 1
-            if all(not membership(automaton, {"p": value}, mutant) for value in candidates):
+            if all(not membership(bundle.automaton, {"p": value}, mutant) for value in candidates):
                 rejected += 1
     else:
         notes.append("degenerate zero-step witness: automaton-side checks not applicable")

@@ -111,6 +111,26 @@ class TestBasicCommands:
     def test_missing_file_exit_code(self, capsys, tmp_path):
         assert main(["det-check", str(tmp_path / "nope.pta")]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "@DIR", "a@0"], "Is a directory"),
+            (["det-check", "DIR"], "Is a directory"),
+            (["eval", "@BYTES", "a@0"], "can't decode byte 0xff"),
+            (["reduce", "MACHINE", "--out", "DIR/out"], "Is a directory"),  # DIR/out.pta is a directory
+        ],
+    )
+    def test_unreadable_input_is_an_error(self, capsys, tmp_path, machine_file, argv, message):
+        directory = tmp_path / "dir"
+        (directory / "out.pta").mkdir(parents=True)
+        bad_bytes = tmp_path / "bytes.mtl"
+        bad_bytes.write_bytes(b"G \xff")
+        for name, path in (("MACHINE", machine_file), ("DIR", directory), ("BYTES", bad_bytes)):
+            argv = [arg.replace(name, str(path)) for arg in argv]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and message in err, err
+
     def test_reused_parser_keeps_no_state_between_calls(self, capsys):
         # the parser is built once per process: an option given in one call
         # must not carry over into the next
@@ -286,6 +306,15 @@ class TestMcBounded:
         assert report["valuation"] == "" and report["counterexample"] == "a@0 b@2"
         assert main(["mc-bounded", str(free_file), "G !b", "--candidates", "", *bounds]) == 0
         assert json.loads(capsys.readouterr().out) == report
+
+    def test_words_longer_than_the_recursion_limit(self, capsys, tmp_path):
+        loop = tmp_path / "loop.pta"
+        loop.write_text('alphabet: a\nlocations: l0\ninit: l0\nfinal: l0\nedge: l0 a "" {} l0\n')
+        argv = ["mc-bounded", str(loop), "G a", "--grid", "1", "--horizon", "0", "--max-events", "1200", "--json"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["outcome"] == "no-counterexample-within-bounds"
+        assert [c["words_checked"] for c in report["candidates"]] == [1200]
 
     def test_k_on_a_parameter_free_automaton_is_a_usage_error(self, capsys, free_file):
         argv = ["mc-bounded", str(free_file), "G !b", "--k", "2", "--grid", "1/2", "--horizon", "3", "--max-events", "2"]

@@ -1,8 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 from ptamtl.modelcheck import bounded_modelcheck
-from ptamtl.mtl import FULL, Globally, Interval, Not, compile_formula, satisfies
+from ptamtl.mtl import FULL, Atom, Globally, Interval, Not, compile_formula, satisfies
+from ptamtl.pta import TRUE_GUARD, Edge, Pta
 
 from util import brute_accepted, prefix_may_satisfy, random_formula, random_pta
 
@@ -81,3 +83,15 @@ class TestAgainstBruteForce:
         assert hits >= 100 and refuted_after_hits >= 3 and unrefuted_with_hits >= 8, (
             hits, refuted_after_hits, unrefuted_with_hits,
         )  # fmt: skip
+
+
+def test_words_longer_than_the_recursion_limit():
+    # one location reading a forever, so there is one accepted word per
+    # length, all at time 0, and the search runs 1,200 events deep
+    loop = Edge("l0", "a", TRUE_GUARD, frozenset(), "l0")
+    automaton = Pta(("a",), ("l0",), frozenset({"l0"}), (), (), (loop,), frozenset({"l0"}))
+    assert sys.getrecursionlimit() < 1200
+    verdict = bounded_modelcheck(automaton, Globally(FULL, Atom("a")), [{}], F(1), F(0), 1200)
+    (result,) = verdict.candidates
+    assert result.counterexample is None
+    assert result.words_checked == 1200

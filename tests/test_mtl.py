@@ -22,6 +22,7 @@ from ptamtl.mtl import (
     _AND,
     _ATOM,
     _NOT,
+    _TRUE,
     _UNTIL,
     _evaluator,
     desugar,
@@ -63,21 +64,23 @@ def op(program, k):
 
 class TestDesugar:
     def test_eventually(self):
-        core = desugar(Eventually(Interval(1, 2, True, True), Atom("b")), ["a", "b"])
+        core = desugar(Eventually(Interval(1, 2, True, True), Atom("b")))
         kind, _, right, interval = op(core, core.root)
         assert kind == _UNTIL
         assert interval == Interval(1, 2, True, True)
         assert op(core, right) == (_ATOM, "b", -1, None)
 
     def test_next_is_false_until(self):
-        core = desugar(Next(FULL, Atom("a")), ["a"])
+        core = desugar(Next(FULL, Atom("a")))
         kind, left, _, _ = op(core, core.root)
         assert kind == _UNTIL
-        # left side is the expansion of false
-        assert op(core, left)[0] == _NOT
+        # left side is the expansion of false: not true
+        kind, inner, _, _ = op(core, left)
+        assert kind == _NOT
+        assert op(core, inner)[0] == _TRUE
 
     def test_globally_shape(self):
-        core = desugar(Globally(FULL, Not(Atom("a"))), ["a", "b"])
+        core = desugar(Globally(FULL, Not(Atom("a"))))
         kind, until, _, _ = op(core, core.root)
         assert kind == _NOT
         kind, _, right, _ = op(core, until)
@@ -90,10 +93,10 @@ class TestDesugar:
         rng = random.Random(11)
         for _ in range(50):
             formula = random_formula(rng, ["a", "b"], 3)
-            core = desugar(formula, ["a", "b"])
+            core = desugar(formula)
             for k, (kind, a, b, _) in enumerate(core.ops):
-                assert kind in (_ATOM, _NOT, _AND, _UNTIL)
-                if kind != _ATOM:  # children come before their parent
+                assert kind in (_ATOM, _TRUE, _NOT, _AND, _UNTIL)
+                if kind not in (_ATOM, _TRUE):  # children come before their parent
                     assert 0 <= a < k and b < k
 
 
@@ -156,7 +159,7 @@ class TestProperties:
         for _ in range(100):
             formula = random_formula(rng, alphabet, 3)
             word = random_word(rng, alphabet, 6)
-            core = desugar(formula, alphabet)
+            core = desugar(formula)
             for position in range(1, len(word) + 1):
                 assert eval_at(word, position, formula) == eval_at(word, position, core)
 
@@ -379,7 +382,7 @@ class TestCompiledEngine:
     def test_desugar_builds_equal_subformulas_once(self):
         # F a and true U a are different ops with one core form
         for other in (Eventually(FULL, Atom("a")), Until(FULL, TrueConst(), Atom("a"))):
-            core = desugar(Or(Eventually(FULL, Atom("a")), other), ["a"])
+            core = desugar(Or(Eventually(FULL, Atom("a")), other))
             kind, conjunction, _, _ = op(core, core.root)
             assert kind == _NOT
             kind, left, right, _ = op(core, conjunction)
@@ -433,6 +436,6 @@ class TestCompiledEngine:
         assert satisfies(bad, deep_temporal)
         assert not satisfies(good, deep_temporal)
         assert prefix_may_satisfy(good, deep_temporal)
-        core = desugar(deep_temporal, ["a", "b"])
+        core = desugar(deep_temporal)
         assert satisfies(bad, core)
         assert not satisfies(good, core)

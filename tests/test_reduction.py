@@ -184,7 +184,7 @@ class TestFormulaCheckerBoundaryFuzz:
 
 class TestVerifyForward:
     def test_send_receive_witness(self, c1, gamma_c1):
-        report = verify_forward(c1, "s2", gamma_c1)
+        report = verify_forward(build_bundle(c1, "s2"), gamma_c1)
         assert report.ok
         assert report.valuation == {"p": F(1, 2)}
         assert all(a.holds for a in report.assertions)
@@ -195,7 +195,7 @@ class TestVerifyForward:
             for g in enumerate_error_free(m2, "q3", 8, 3)
             if len(g.steps) == 4 and max_channel(g) == 2
         )
-        report = verify_forward(m2, "q3", gamma)
+        report = verify_forward(build_bundle(m2, "q3"), gamma)
         assert report.ok
         assert report.valuation == {"p": F(1, 3)}
 
@@ -205,14 +205,14 @@ class TestVerifyForward:
             (("m!", Configuration("s1", ("m", "m"))), ("m?", Configuration("s2", ("m",)))),
         )
         with pytest.raises(Exception):
-            verify_forward(c1, "s2", faulty)
+            verify_forward(build_bundle(c1, "s2"), faulty)
 
     def test_channel_free_computation_forces_unit_cadence(self):
         # a zero-width display leaves no room between state and label, so the
         # cadence parameter is pinned to one
         machine = ChannelMachine(("t0", "t1"), "t0", ("m",), (("t0", "eps", "t1"),))
         gamma = search_error_free(machine, "t1", 2, 1).computation
-        report = verify_forward(machine, "t1", gamma)
+        report = verify_forward(build_bundle(machine, "t1"), gamma)
         assert report.ok
         assert report.valuation == {"p": F(1)}
         assert report.word.symbols == ("t0", "eps", "t1", "*")
@@ -220,7 +220,7 @@ class TestVerifyForward:
 
 class TestVerifyBackward:
     def test_witness_decodes(self, c1, gamma_c1, w_c1):
-        report = verify_backward(c1, "s2", w_c1, 1, {"p": F(1, 2)})
+        report = verify_backward(build_bundle(c1, "s2"), w_c1, 1, {"p": F(1, 2)})
         assert report.applicable and report.ok
         assert report.computation == gamma_c1
 
@@ -228,12 +228,12 @@ class TestVerifyBackward:
         from ptamtl.encoding import inject_insertion
 
         mutated = inject_insertion(w_c1, c1, 2, F(17, 20))
-        report = verify_backward(c1, "s2", mutated, 1, {"p": F(1, 2)})
+        report = verify_backward(build_bundle(c1, "s2"), mutated, 1, {"p": F(1, 2)})
         assert not report.applicable
         assert "automaton rejects" in report.reason
 
     def test_wrong_valuation_is_inapplicable(self, c1, w_c1):
-        report = verify_backward(c1, "s2", w_c1, 1, {"p": F(1, 3)})
+        report = verify_backward(build_bundle(c1, "s2"), w_c1, 1, {"p": F(1, 3)})
         assert not report.applicable
 
 
@@ -267,6 +267,31 @@ class TestCheckTheorem:
         assert report.mutants_total == 5
         assert report.mutants_formula_kept == 5
         assert report.mutants_automaton_rejected == 5
+
+    def test_builds_and_compiles_once(self, c1, monkeypatch):
+        # the witness and every mutant are checked against one bundle and
+        # one compiled formula
+        from ptamtl import mtl, reduction
+
+        calls = {"build_automaton": 0, "build_formula": 0, "compile_formula": 0}
+
+        def counting(name, function, counts=lambda *args: True):
+            def wrapper(*args):
+                calls[name] += counts(*args)
+                return function(*args)
+
+            return wrapper
+
+        for name in ("build_automaton", "build_formula"):
+            monkeypatch.setattr(reduction, name, counting(name, getattr(reduction, name)))
+        compiling = counting(
+            "compile_formula", mtl.compile_formula, lambda formula: not isinstance(formula, mtl.Program)
+        )
+        for module in (mtl, reduction):
+            monkeypatch.setattr(module, "compile_formula", compiling)
+        report = check_theorem(c1, "s2", 6, 3)
+        assert report.outcome == "pass" and report.mutants_total == 5
+        assert calls == {"build_automaton": 1, "build_formula": 1, "compile_formula": 1}
 
     def test_no_witness_when_receive_removed(self, c1):
         stripped = ChannelMachine(
