@@ -44,7 +44,6 @@ from .mtl import (
     Or,
     TrueConst,
     Until,
-    desugar,
     eval_at,
     satisfies,
 )

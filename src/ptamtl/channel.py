@@ -270,19 +270,28 @@ def enumerate_error_free(
     if target not in machine.states:
         raise ValueError(f"target state {target!r} undeclared")
     start = Configuration(machine.initial, ())
+    if start.state == target:
+        return [Computation(start)]
     results: list[Computation] = []
-
-    def recurse(config: Configuration, steps: list[tuple[str, Configuration]]):
-        if config.state == target:
-            results.append(Computation(start, tuple(steps)))
-            return
-        if len(steps) == max_steps:
-            return
-        for label, nxt in _successors(machine, config):
-            if len(nxt.channel) <= max_channel_len:
-                steps.append((label, nxt))
-                recurse(nxt, steps)
+    steps: list[tuple[str, Configuration]] = []
+    # depth first with an explicit stack: pending[d] yields the steps out of
+    # the configuration after d steps, so steps[:d] leads to it
+    pending = [_successors(machine, start)] if max_steps > 0 else []
+    while pending:
+        step = next(pending[-1], None)
+        if step is None:
+            pending.pop()
+            if steps:
                 steps.pop()
-
-    recurse(start, [])
+            continue
+        label, nxt = step
+        if len(nxt.channel) > max_channel_len:
+            continue
+        steps.append(step)
+        if nxt.state == target:
+            results.append(Computation(start, tuple(steps)))
+        elif len(steps) < max_steps:
+            pending.append(_successors(machine, nxt))
+            continue
+        steps.pop()
     return results

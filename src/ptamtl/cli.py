@@ -9,7 +9,9 @@ computation may be given inline or as ``@path`` to read from a file.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -111,6 +113,24 @@ def _cmd_det_check(args) -> int:
     return 0
 
 
+def _write_all(texts: dict[Path, str]) -> None:
+    """Write each text to its path, all of them or none: each goes to a
+    temporary file beside its path, and the temporary files are renamed into
+    place once all are written and no path is a directory."""
+    temps = [path.with_name(f".{path.name}.tmp") for path in texts]
+    try:
+        for temp, text in zip(temps, texts.values()):
+            temp.write_text(text)
+        for path in texts:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for temp, path in zip(temps, texts):
+            temp.replace(path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+
+
 def _cmd_reduce(args) -> int:
     machine, final = _reduction_input(args)
     bundle = build_bundle(machine, final)
@@ -118,10 +138,13 @@ def _cmd_reduce(args) -> int:
     pta_path = base.with_suffix(".pta")
     mtl_path = base.with_suffix(".mtl")
     alphabet_path = base.with_suffix(".alphabet")
+    texts = {
+        pta_path: formats.serialize_pta(bundle.automaton),
+        mtl_path: formats.serialize_formula(bundle.formula) + "\n",
+        alphabet_path: " ".join(bundle.alphabet) + "\n",
+    }
     try:
-        pta_path.write_text(formats.serialize_pta(bundle.automaton))
-        mtl_path.write_text(formats.serialize_formula(bundle.formula) + "\n")
-        alphabet_path.write_text(" ".join(bundle.alphabet) + "\n")
+        _write_all(texts)
     except OSError as error:
         raise ToolkitError(error) from None
     for path in (pta_path, mtl_path, alphabet_path):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .mtl import Formula, Not, Program, Progression, compile_formula, desugar, satisfies
+from .mtl import Formula, Not, Progression, compile_formula, satisfies
 from .pta import Pta, SearchStats, iter_accepted, membership
 from .timedwords import TimedWord
 
@@ -97,21 +97,16 @@ def bounded_modelcheck(
     # candidates.
     program = compile_formula(Not(formula))
     violation = Progression(program, grid)
-    # Counterexamples are re-checked by the batch evaluator on the core-only
-    # program of the negated formula, and against the automaton by exact
-    # membership: neither runs the progression that found them.  Desugared on
-    # first use.
-    core: Optional[Program] = None
-
     results: list[CandidateResult] = []
     for valuation in candidates:
         stats = SearchStats()
         search = iter_accepted(automaton, valuation, grid, horizon, max_events, strict_only, violation, stats)
         counterexample = next(search, None)
+        # a counterexample is re-checked by the batch evaluator on the program
+        # of the negated formula, and against the automaton by exact
+        # membership: neither runs the progression that found it
         if counterexample is not None:
-            if core is None:
-                core = desugar(program)
-            if not membership(automaton, valuation, counterexample) or not satisfies(counterexample, core):
+            if not membership(automaton, valuation, counterexample) or not satisfies(counterexample, program):
                 raise AssertionError("counterexample failed exact re-verification")
         rho = tuple(sorted(valuation.items()))
         results.append(CandidateResult(rho, counterexample, stats.words, stats.nodes_expanded, stats.memo_hits))

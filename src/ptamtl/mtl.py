@@ -5,29 +5,31 @@ current one, and only positions strictly in between are constrained.  The
 next modality is derivable from until precisely because of this strictness.
 
 Formulas are immutable ASTs.  The core grammar is atoms, true, negation,
-conjunction, and interval-constrained until; disjunction, implication,
-false, next, eventually, and globally are kept as first-class nodes for
-display.  :func:`desugar` compiles a formula into a program of core ops only.
+conjunction, and interval-constrained until; false, disjunction,
+implication, next, eventually, and globally are abbreviations, kept as
+first-class nodes for display.  :func:`compile_formula` is the one place
+that expands them: it hash-conses a formula into a post-order array of
+atom, true, and, and until ops whose children are signed references (2k is
+op k, 2k + 1 its negation), so equal subformulas share one reference
+whichever operators spell them.
 
-One engine evaluates them.  :func:`compile_formula` hash-conses a formula
-into a post-order op array, keyed on integer child ids, so equal subformulas
-share one op.  :func:`eval_at` decides a closed word at a position, and
-:func:`satisfies` is its answer at the first one.  One evaluator computes a
-row of truth values per op over a word whose timestamps are scaled to
-integers by their common denominator, each interval modality reading its
-windows by binary search and prefix counts; the connectives at the top of
-the formula are evaluated at the position alone.  Results are checked
-against a naive evaluator in the tests.
+:func:`eval_at` decides a closed word at a position, and :func:`satisfies`
+is its answer at the first one.  One evaluator computes a row of truth
+values per op over a word whose timestamps are scaled to integers by their
+common denominator, each until reading its windows by binary search and
+prefix counts; a negation is a flag on a row, never a computed row, and the
+conjunctions at the top of the formula are evaluated at the position alone.
+Results are checked against a naive evaluator of the ASTs in the tests.
 
 A search that extends prefixes one event at a time uses formula
 progression instead (Bacchus & Kabanza, AIJ 2000; Thati & Rosu, RV 2004).
 A :class:`Progression` reads a word of integer grid ticks, holding every
 time on one integer scale fixed for the whole search, and rewrites the
 formula after each event into its residual: a boolean combination of
-pending until and release obligations, each with its interval shifted to
-the last event.  Residuals are hash-consed ids and each step is memoized,
-so the engine is a lazily built automaton whose states can key a memo of
-search subtrees.  A residual is constant exactly when the three-valued
+pending until obligations and their negations, each with its interval
+shifted to the last event.  Residuals are hash-consed ids and each step is
+memoized, so the engine is a lazily built automaton whose states can key a
+memo of search subtrees.  A residual is constant exactly when the three-valued
 (Kleene) evaluation of the prefix, with every pending obligation unknown,
 is decided.  Pruning on a false residual is sound because a decided value
 keeps it on every extension by events at or after the last timestamp.
@@ -46,7 +48,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from math import lcm
-from operator import and_, or_
+from operator import and_, gt, lt, or_
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .timedwords import RationalLike, TimedWord, rat
@@ -193,20 +195,33 @@ def or_all(parts: Iterable[Formula]) -> Formula:
 
 # -- the compiled engine -------------------------------------------------------
 #
-# An op is (kind, first child or atom name, second child, interval index), -1
-# where absent; children precede their parent.  Kinds _NOT.._IMPLIES are the
-# boolean connectives, kinds from _NEXT on carry an interval.
+# A program holds four kinds of op: atom, true, and, until.  An op is (kind,
+# first child or atom name, second child, interval index), -1 where absent;
+# children precede their parent.  A child is a reference: 2k is op k and
+# 2k + 1 its negation, so negation costs no op and ``!!f`` is ``f``.  Op 0 is
+# true, so reference 0 is true and 1 is false.
 
-_ATOM, _TRUE, _FALSE, _NOT, _AND, _OR, _IMPLIES, _NEXT, _EVENTUALLY, _GLOBALLY, _UNTIL = range(11)
-_KINDS = {
-    Atom: _ATOM, TrueConst: _TRUE, FalseConst: _FALSE, Not: _NOT, And: _AND, Or: _OR,
-    Implies: _IMPLIES, Next: _NEXT, Eventually: _EVENTUALLY, Globally: _GLOBALLY, Until: _UNTIL,
-}  # fmt: skip
-_UNARY = (_NOT, _NEXT, _EVENTUALLY, _GLOBALLY)
+_ATOM, _TRUE, _AND, _UNTIL = range(4)
+
+# The derived operators, defined here once: a node becomes (kind, negate its
+# left operand, negate its right operand, negate the result).  A unary
+# modality's left operand is true.
+_CORE = {
+    And: (_AND, 0, 0, 0),
+    Or: (_AND, 1, 1, 1),  # !(!a & !b)
+    Implies: (_AND, 0, 1, 1),  # !(a & !b)
+    Until: (_UNTIL, 0, 0, 0),
+    Next: (_UNTIL, 1, 0, 0),  # false U a
+    Eventually: (_UNTIL, 0, 0, 0),  # true U a
+    Globally: (_UNTIL, 0, 1, 1),  # !(true U !a)
+}
+_UNARY = (Next, Eventually, Globally)
 
 
 class Program(NamedTuple):
-    """A formula compiled by :func:`compile_formula`; ``ops[root]`` is the whole formula."""
+    """A formula compiled by :func:`compile_formula`.  ``root`` is the
+    reference of the whole formula: op ``root >> 1``, negated if ``root`` is
+    odd."""
 
     ops: tuple
     intervals: tuple[Interval, ...]
@@ -214,95 +229,51 @@ class Program(NamedTuple):
 
 
 def compile_formula(formula: Union[Formula, Program]) -> Program:
-    """Compile a formula iteratively; equal subformulas get one op.  A
-    program is returned as it is."""
+    """Compile a formula iteratively into atom, true, and and until ops;
+    equal subformulas, also when spelled with different operators, get one
+    reference.  A program is returned as it is."""
     if isinstance(formula, Program):
         return formula
-    op_ids: dict[tuple, int] = {}
+    op_ids: dict[tuple, int] = {(_TRUE, -1, -1, -1): 0}
     interval_ids: dict[Interval, int] = {}
-    compiled: dict[int, int] = {}  # id(node) -> op id; ``formula`` keeps the nodes alive
+    refs: dict[int, int] = {}  # id(node) -> reference; ``formula`` keeps the nodes alive
     stack = [formula]
     while stack:
         node = stack.pop()
-        if id(node) in compiled:
+        if id(node) in refs:
             continue
-        kind = _KINDS.get(type(node))
-        if kind is None:
-            raise TypeError(f"unknown formula node {node!r}")
-        if kind == _ATOM:
-            key = (kind, node.name, -1, -1)
-        elif kind < _NOT:
-            key = (kind, -1, -1, -1)
-        else:
-            if kind in _UNARY:
-                left, right, b = node.operand, None, -1
-            else:
-                left, right = node.left, node.right
-                b = compiled.get(id(right))
-            a = compiled.get(id(left))
-            if a is None or b is None:  # operands first
+        cls = type(node)
+        rule = _CORE.get(cls)
+        if rule is not None:
+            unary = cls in _UNARY
+            left, right = (None, node.operand) if unary else (node.left, node.right)
+            x = 0 if unary else refs.get(id(left))
+            y = refs.get(id(right))
+            if x is None or y is None:  # operands first
                 stack.append(node)
-                if a is None:
+                if x is None:
                     stack.append(left)
-                if b is None:
+                if y is None:
                     stack.append(right)
                 continue
-            iv = -1 if kind < _NEXT else interval_ids.setdefault(node.interval, len(interval_ids))
-            key = (kind, a, b, iv)
-        compiled[id(node)] = op_ids.setdefault(key, len(op_ids))
-    return Program(tuple(op_ids), tuple(interval_ids), compiled[id(formula)])
-
-
-def desugar(formula: Union[Formula, Program]) -> Program:
-    """The formula compiled into the core grammar: a hash-consed program of
-    atom, true, not, and, and until ops only.
-
-    One pass over the ops of :func:`compile_formula`, children first, maps
-    each op to its core form.
-    """
-    program = compile_formula(formula)
-    op_ids: dict[tuple, int] = {}
-
-    def op(kind: int, a, b: int = -1, iv: int = -1) -> int:
-        return op_ids.setdefault((kind, a, b, iv), len(op_ids))
-
-    def neg(x: int) -> int:
-        return op(_NOT, x)
-
-    def disj(x: int, y: int) -> int:
-        return neg(op(_AND, neg(x), neg(y)))
-
-    def true() -> int:
-        return op(_TRUE, -1)
-
-    core: list[int] = []  # core[k]: the core op of op k
-    for kind, a, b, iv in program.ops:
-        x = core[a] if kind >= _NOT else -1
-        y = core[b] if b >= 0 else -1
-        if kind == _ATOM:
-            k = op(_ATOM, a)
-        elif kind == _TRUE:
-            k = true()
-        elif kind == _FALSE:
-            k = neg(true())
-        elif kind == _NOT:
-            k = neg(x)
-        elif kind == _AND:
-            k = op(_AND, x, y)
-        elif kind == _OR:
-            k = disj(x, y)
-        elif kind == _IMPLIES:
-            k = disj(neg(x), y)
-        elif kind == _NEXT:
-            k = op(_UNTIL, neg(true()), x, iv)
-        elif kind == _EVENTUALLY:
-            k = op(_UNTIL, true(), x, iv)
-        elif kind == _GLOBALLY:
-            k = neg(op(_UNTIL, true(), neg(x), iv))
+            kind, flip_x, flip_y, flip = rule
+            iv = -1 if kind == _AND else interval_ids.setdefault(node.interval, len(interval_ids))
+            ref = 2 * op_ids.setdefault((kind, x ^ flip_x, y ^ flip_y, iv), len(op_ids)) ^ flip
+        elif cls is Not:
+            x = refs.get(id(node.operand))
+            if x is None:
+                stack.append(node)
+                stack.append(node.operand)
+                continue
+            ref = x ^ 1
+        elif cls is Atom:
+            ref = 2 * op_ids.setdefault((_ATOM, node.name, -1, -1), len(op_ids))
+        elif cls is TrueConst or cls is FalseConst:
+            ref = int(cls is FalseConst)
         else:
-            k = op(_UNTIL, x, y, iv)
-        core.append(k)
-    return Program(tuple(op_ids), program.intervals, core[program.root])
+            raise TypeError(f"unknown formula node {node!r}")
+        refs[id(node)] = ref
+    return Program(tuple(op_ids), tuple(interval_ids), refs[id(formula)])
 
 
 def _order(ops: tuple, k: int, rows: list) -> tuple[int, ...]:
@@ -314,15 +285,21 @@ def _order(ops: tuple, k: int, rows: list) -> tuple[int, ...]:
         if j not in needed and rows[j] is None:
             needed.add(j)
             kind, a, b, _ = ops[j]
-            if kind >= _NOT:
-                stack.append(a)
-                if b >= 0:
-                    stack.append(b)
+            if kind >= _AND:
+                stack.append(a >> 1)
+                stack.append(b >> 1)
     return tuple(sorted(needed))
 
 
+# (p, q) -> (operator, flip): the row of a & b from the rows of a and b, each
+# negated if its flip is 1; !a & !b is stored as the flipped row of a | b
+_CONJUNCTIONS = {(0, 0): (and_, 0), (1, 0): (lt, 0), (0, 1): (gt, 0), (1, 1): (or_, 1)}
+
+
 def _evaluator(word: TimedWord, program: Program):
-    """Return ``row(k)``, the truth of op k at every position of the word."""
+    """Return ``row(r)``, the truth of reference r at every position of the
+    word as ``(values, flip)``: r holds at position i iff ``values[i] != flip``.
+    Negations are read from the flips and never computed."""
     ops = program.ops
     events = word.events
     n = len(events)
@@ -330,7 +307,7 @@ def _evaluator(word: TimedWord, program: Program):
     # exact integer times: scale by the common denominator of the timestamps
     scale = lcm(*[time.denominator for _, time in events])
     times = [time.numerator * (scale // time.denominator) for _, time in events]
-    rows: list = [None] * len(ops)
+    rows: list = [None] * len(ops)  # rows[k]: op k's (values, flip)
     windows: list = [None] * len(program.intervals)
     every = list(range(n + 1))
 
@@ -350,75 +327,68 @@ def _evaluator(word: TimedWord, program: Program):
             windows[iv] = (lo, hi)
         return windows[iv]
 
-    def until(fail: list[int], right: list[bool], iv: int) -> list[bool]:
-        """Some j in i's window has ``right`` true and ``left`` true strictly
-        between i and j.  fail[k] is the first position >= k where ``left``
-        is false (n if none), so j lies in [lo[i], min(hi[i], fail[i + 1] + 1))."""
-        lo, hi = window(iv)
-        count = list(accumulate(right, initial=0))  # count[k]: right true before k
-        return [count[b if b <= f else f + 1] > count[a] for a, b, f in zip(lo, hi, fail[1:])]
-
-    def compute(k: int) -> list[bool]:
+    def compute(k: int) -> tuple[list[bool], int]:
         kind, a, b, iv = ops[k]
         if kind == _ATOM:
-            return [symbol == a for symbol in symbols]
-        if kind < _NOT:
-            return [kind == _TRUE] * n
-        x = rows[a]
-        if kind == _NOT:
-            return [not v for v in x]
+            return [symbol == a for symbol in symbols], 0
+        if kind == _TRUE:
+            return [True] * n, 0
+        y, q = rows[b >> 1]  # children are filled first
+        q ^= b & 1
         if kind == _AND:
-            return list(map(and_, x, rows[b]))
-        if kind == _OR:
-            return list(map(or_, x, rows[b]))
-        if kind == _IMPLIES:
-            return [not v or w for v, w in zip(x, rows[b])]
-        if kind == _UNTIL:
+            x, p = rows[a >> 1]
+            operator, flip = _CONJUNCTIONS[p ^ (a & 1), q]
+            return list(map(operator, x, y)), flip
+        # a U b: some j in i's window has b true and a true strictly between
+        # i and j.  fail[k] is the first position >= k where a is false (n if
+        # none), so j lies in [lo[i], min(hi[i], fail[i + 1] + 1)).
+        lo, hi = window(iv)
+        count = list(accumulate((not v for v in y) if q else y, initial=0))  # count[k]: b true before k
+        if a == 0:  # true U b: every witness in the window counts
+            return [count[h] > count[l] for l, h in zip(lo, hi)], 0
+        if a == 1:  # false U b: only the next position
+            fail = every
+        else:
+            x, p = rows[a >> 1]
+            p ^= a & 1
             fail = [n] * (n + 1)
             for j in range(n - 1, -1, -1):
-                fail[j] = fail[j + 1] if x[j] else j
-            return until(fail, rows[b], iv)
-        if kind == _NEXT:  # false U phi
-            return until(every, x, iv)
-        # F x: some position in the window has x; G x: none has not x
-        lo, hi = window(iv)
-        hit = kind == _EVENTUALLY
-        count = list(accumulate((v == hit for v in x), initial=0))
-        return [(count[b] > count[a]) == hit for a, b in zip(lo, hi)]
+                fail[j] = j if x[j] == p else fail[j + 1]
+        return [count[h if h <= f else f + 1] > count[l] for l, h, f in zip(lo, hi, fail[1:])], 0
 
-    def row(k: int) -> list[bool]:
+    def row(r: int) -> tuple[list[bool], int]:
+        k = r >> 1
         if rows[k] is None:
             for j in _order(ops, k, rows):
                 rows[j] = compute(j)
-        return rows[k]
+        values, flip = rows[k]
+        return values, flip ^ (r & 1)
 
     return row
 
 
 def _value(program: Program, row, i: int) -> bool:
     """Truth at the position with index i (0-based), reading the rows of the
-    temporal operators and atoms from ``row(k)``.  The connectives above them
-    are evaluated at that position alone, left operand first, skipping the
-    right operand once the left decides the result."""
+    untils and atoms from ``row(r)``.  The conjunctions above them are
+    evaluated at that position alone, left operand first, skipping the right
+    operand once the left decides the result."""
     ops = program.ops
-    stack = [(program.root, False)]  # (op, its first operand done)
+    stack = [(program.root, 0)]  # (reference, operands done)
     value = False
     while stack:
-        k, after = stack.pop()
-        kind, a, b, _ = ops[k]
-        if not after:
-            if _NOT <= kind <= _IMPLIES:
-                stack.append((k, True))
-                stack.append((a, False))
-            else:
-                value = row(k)[i]
-        elif kind == _NOT:
-            value = not value
+        r, done = stack.pop()
+        kind, a, b, _ = ops[r >> 1]
+        if kind != _AND:
+            values, flip = row(r)
+            value = values[i] != flip
+        elif done == 0:
+            stack.append((r, 1))
+            stack.append((a, 0))
+        elif done == 1 and value:  # the left operand does not decide: b is the result
+            stack.append((r, 2))
+            stack.append((b, 0))
         else:
-            if kind == _IMPLIES:
-                value = not value  # a -> b is !a | b
-            if value == (kind == _AND):  # the left operand does not decide: b is the result
-                stack.append((b, False))
+            value = value != (r & 1)
     return value
 
 
@@ -426,10 +396,11 @@ def _value(program: Program, row, i: int) -> bool:
 #
 # A residual is an id of a hash-consed node: 0 is false, 1 true, 2 the formula
 # before the first event.  Others are ("&", ids) or ("|", ids), flattened,
-# deduplicated and sorted, or an obligation (k, negated, lower, lower closed,
-# upper or None, upper closed): op k or its negation from the last event, its
-# interval shifted to that event.  Only constants are absorbed, which keeps a
-# residual constant exactly when the Kleene value of the prefix is decided.
+# deduplicated and sorted, or an obligation (r, lower, lower closed, upper or
+# None, upper closed): the until or negated until of reference r from the
+# last event, its interval shifted to that event.  Only constants are
+# absorbed, which keeps a residual constant exactly when the Kleene value of
+# the prefix is decided.
 
 _START = 2
 
@@ -466,7 +437,7 @@ class Progression:
         self._nodes: list[tuple] = [("false",), ("true",), ("start",)]
         self._accepts: list[bool] = [False, True, False]  # the empty word has no first position
         self._ids: dict[tuple, int] = {}
-        self._now: dict[tuple, int] = {}  # (op, negated, symbol) -> residual
+        self._now: dict[tuple, int] = {}  # (reference, symbol) -> residual
         self._steps: dict[tuple, int] = {}  # (residual, symbol, ticks) -> residual
 
     def _intern(self, node: tuple) -> int:
@@ -477,7 +448,7 @@ class Progression:
             if type(node[0]) is str:  # its operands were interned before it
                 self._accepts.append((all if node[0] == "&" else any)(self._accepts[r] for r in node[1]))
             else:  # no witness is left: a pending until is false, a negated one true
-                self._accepts.append(node[1] != (self.program.ops[node[0]][0] == _GLOBALLY))
+                self._accepts.append(bool(node[0] & 1))
         return ident
 
     def accepts(self, residual: int) -> bool:
@@ -501,47 +472,44 @@ class Progression:
             return flat.pop() if flat else unit
         return self._intern((tag, tuple(sorted(flat))))
 
-    def now(self, k: int, negated: bool, symbol: str) -> int:
-        """The residual of op k, or of its negation, at an event reading
-        ``symbol``, before any later event."""
+    def now(self, r: int, symbol: str) -> int:
+        """The residual of reference r at an event reading ``symbol``, before
+        any later event."""
         memo = self._now
-        result = memo.get((k, negated, symbol))
+        result = memo.get((r, symbol))
         if result is not None:
             return result
         ops = self.program.ops
-        stack = [(k, negated, symbol)]
+        stack = [r]
         while stack:
-            key = stack[-1]
-            if key in memo:
+            ref = stack[-1]
+            if (ref, symbol) in memo:
                 stack.pop()
                 continue
-            j, neg, _ = key
-            kind, a, b, iv = ops[j]
+            neg = ref & 1
+            kind, a, b, iv = ops[ref >> 1]
             if kind == _ATOM:
                 result = int((a == symbol) != neg)
-            elif kind < _NOT:
-                result = int((kind == _TRUE) != neg)
-            elif kind >= _NEXT:
-                result = self._intern((j, neg, *self._windows[iv]))
-            else:  # a -> b is !a | b; a negated connective is its dual
-                left = (a, neg != (kind == _NOT or kind == _IMPLIES), symbol)
-                x = memo.get(left)
+            elif kind == _TRUE:
+                result = 1 - neg
+            elif kind == _UNTIL:
+                result = self._intern((ref, *self._windows[iv]))
+            else:  # a negated conjunction is the disjunction of the negated operands
+                x = memo.get((a ^ neg, symbol))
                 if x is None:
-                    stack.append(left)
+                    stack.append(a ^ neg)
                     continue
-                conj = (kind == _AND) != neg
-                if kind == _NOT or x == (0 if conj else 1):  # no right operand, or it cannot matter
+                if x == neg:  # the left operand decides
                     result = x
                 else:
-                    right = (b, neg, symbol)
-                    y = memo.get(right)
+                    y = memo.get((b ^ neg, symbol))
                     if y is None:
-                        stack.append(right)
+                        stack.append(b ^ neg)
                         continue
-                    result = self._join(conj, (x, y))
-            memo[key] = result
+                    result = self._join(not neg, (x, y))
+            memo[ref, symbol] = result
             stack.pop()
-        return memo[k, negated, symbol]
+        return memo[r, symbol]
 
     def step(self, residual: int, symbol: str, ticks: int) -> int:
         """The residual after one more event, reading ``symbol`` ``ticks``
@@ -563,7 +531,7 @@ class Progression:
             if r < _START:
                 result = r
             elif r == _START:
-                result = self.now(self.program.root, False, symbol)
+                result = self.now(self.program.root, symbol)
             elif type(node[0]) is str:  # operands in order, up to one that decides
                 conj = node[0] == "&"
                 zero = 0 if conj else 1
@@ -587,21 +555,21 @@ class Progression:
     def _advance(self, node: tuple, symbol: str, delay: int) -> int:
         """An obligation after an event ``delay`` later on the integer scale:
         ``a U b`` is (the event is in the window and b holds there) or (a holds
-        there and ``a U b``, its window shifted, holds from there).  F, X and G
-        are ``true U``, ``false U`` and ``!(true U !x)``; a negation is the dual."""
-        k, negated, lo, lo_closed, hi, hi_closed = node
-        kind, a, b, _ = self.program.ops[k]
-        flip = negated != (kind == _GLOBALLY)  # the until is negated
+        there and ``a U b``, its window shifted, holds from there); a negated
+        until is the dual."""
+        r, lo, lo_closed, hi, hi_closed = node
+        flip = r & 1  # the until is negated
+        _, a, b, _ = self.program.ops[r >> 1]
         inside = (delay > lo or (delay == lo and lo_closed)) and (
             hi is None or delay < hi or (delay == hi and hi_closed)
         )
-        witness = self.now(b if kind == _UNTIL else a, negated, symbol) if inside else int(flip)
+        witness = self.now(b ^ flip, symbol) if inside else flip
         if hi is not None and (delay > hi or (delay == hi and not hi_closed)):
-            later = int(flip)  # the window has passed
+            later = flip  # the window has passed
         else:  # a lower bound below 0 is [0, as later events come no earlier
             shifted = (max(lo - delay, 0), lo_closed or delay > lo, None if hi is None else hi - delay, hi_closed)
-            later = self._intern((k, negated, *shifted))
-        between = self.now(a, flip, symbol) if kind == _UNTIL else int((kind != _NEXT) != flip)
+            later = self._intern((r, *shifted))
+        between = self.now(a ^ flip, symbol)
         return self._join(flip, [witness, self._join(not flip, [between, later])])
 
 

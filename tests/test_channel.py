@@ -175,3 +175,18 @@ class TestSearch:
         labels = {gamma.labels for gamma in found}
         assert ("m1!", "m2!", "m1?") in labels
         assert ("eps", "m1!", "m2!", "m1?") in labels
+
+    def test_enumeration_is_depth_first_without_recursion(self, m2):
+        # the order is the depth-first one, which the benchmark pools are built from
+        found = enumerate_error_free(m2, "q3", 6, 3)
+        assert [" ".join(gamma.labels) for gamma in found] == [
+            "m1! m2! m1?",
+            "eps m1! m2! m1?",
+            "eps eps m1! m2! m1?",
+            "eps eps eps m1! m2! m1?",
+        ]
+        # a chain s0 eps s1 eps ... s1200 is walked in one computation of 1,200 steps
+        states = tuple(f"s{i}" for i in range(1201))
+        chain = ChannelMachine(states, "s0", ("m",), tuple((a, "eps", b) for a, b in zip(states, states[1:])))
+        assert [gamma.labels for gamma in enumerate_error_free(chain, "s1200", 1200, 1)] == [("eps",) * 1200]
+        assert enumerate_error_free(chain, "s1200", 1199, 1) == []

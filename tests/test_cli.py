@@ -118,11 +118,13 @@ class TestBasicCommands:
             (["det-check", "DIR"], "Is a directory"),
             (["eval", "@BYTES", "a@0"], "can't decode byte 0xff"),
             (["reduce", "MACHINE", "--out", "DIR/out"], "Is a directory"),  # DIR/out.pta is a directory
+            (["reduce", "MACHINE", "--out", "DIR/partial"], "Is a directory"),  # DIR/partial.mtl is a directory
         ],
     )
     def test_unreadable_input_is_an_error(self, capsys, tmp_path, machine_file, argv, message):
         directory = tmp_path / "dir"
         (directory / "out.pta").mkdir(parents=True)
+        (directory / "partial.mtl").mkdir()
         bad_bytes = tmp_path / "bytes.mtl"
         bad_bytes.write_bytes(b"G \xff")
         for name, path in (("MACHINE", machine_file), ("DIR", directory), ("BYTES", bad_bytes)):
@@ -130,6 +132,8 @@ class TestBasicCommands:
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert err.startswith("error:") and message in err, err
+        # a failed reduce writes none of its three files
+        assert sorted(p.name for p in directory.iterdir()) == ["out.pta", "partial.mtl"]
 
     def test_reused_parser_keeps_no_state_between_calls(self, capsys):
         # the parser is built once per process: an option given in one call

@@ -21,18 +21,14 @@ from ptamtl.mtl import (
     compile_formula,
     _AND,
     _ATOM,
-    _NOT,
     _TRUE,
     _UNTIL,
     _evaluator,
-    desugar,
     eval_at,
     satisfies,
 )
-from ptamtl.reduction import build_formula
 from ptamtl.timedwords import TimedWord
 
-from conftest import two_message_machine
 from util import kleene_evaluator, kleene_value, naive_eval, prefix_may_satisfy, random_formula, random_word
 
 
@@ -56,48 +52,43 @@ class TestInterval:
             Interval(0, None, True, True)
 
 
-def op(program, k):
-    """Op k of a program as (kind, first child, second child, interval)."""
-    kind, a, b, iv = program.ops[k]
-    return kind, a, b, (program.intervals[iv] if iv >= 0 else None)
+class TestCompiler:
+    @pytest.mark.parametrize(
+        "spelled, defined",
+        [
+            (lambda f, i: Not(Not(f)), lambda f, i: f),
+            (lambda f, i: Eventually(i, f), lambda f, i: Until(i, TrueConst(), f)),
+            (lambda f, i: Next(i, f), lambda f, i: Until(i, FalseConst(), f)),
+            (lambda f, i: Globally(i, f), lambda f, i: Not(Until(i, TrueConst(), Not(f)))),
+        ],
+        ids=["not-not", "eventually", "next", "globally"],
+    )
+    def test_four_kinds_and_one_reference_per_meaning(self, spelled, defined):
+        rng = random.Random(11)
+        for _ in range(200):
+            f = random_formula(rng, ["a", "b"], 3)
+            interval = rng.choice((FULL, Interval(1, 2, True, False), Interval.point(1)))
+            program = compile_formula(And(spelled(f, interval), defined(f, interval)))
+            for k, (kind, a, b, iv) in enumerate(program.ops):
+                assert kind in (_ATOM, _TRUE, _AND, _UNTIL)
+                if kind in (_AND, _UNTIL):  # children come before their parent
+                    assert 0 <= a >> 1 < k and 0 <= b >> 1 < k
+                else:
+                    assert b == -1
+                assert (iv >= 0) == (kind == _UNTIL)
+            kind, a, b, _ = program.ops[program.root >> 1]
+            assert program.root % 2 == 0 and kind == _AND
+            assert a == b, f
 
 
 class TestDesugar:
     def test_eventually(self):
-        core = desugar(Eventually(Interval(1, 2, True, True), Atom("b")))
-        kind, _, right, interval = op(core, core.root)
-        assert kind == _UNTIL
-        assert interval == Interval(1, 2, True, True)
-        assert op(core, right) == (_ATOM, "b", -1, None)
-
-    def test_next_is_false_until(self):
-        core = desugar(Next(FULL, Atom("a")))
-        kind, left, _, _ = op(core, core.root)
-        assert kind == _UNTIL
-        # left side is the expansion of false: not true
-        kind, inner, _, _ = op(core, left)
-        assert kind == _NOT
-        assert op(core, inner)[0] == _TRUE
-
-    def test_globally_shape(self):
-        core = desugar(Globally(FULL, Not(Atom("a"))))
-        kind, until, _, _ = op(core, core.root)
-        assert kind == _NOT
-        kind, _, right, _ = op(core, until)
-        assert kind == _UNTIL
-        kind, inner, _, _ = op(core, right)
-        assert kind == _NOT
-        assert op(core, inner)[0] == _NOT
-
-    def test_core_only(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            formula = random_formula(rng, ["a", "b"], 3)
-            core = desugar(formula)
-            for k, (kind, a, b, _) in enumerate(core.ops):
-                assert kind in (_ATOM, _TRUE, _NOT, _AND, _UNTIL)
-                if kind not in (_ATOM, _TRUE):  # children come before their parent
-                    assert 0 <= a < k and b < k
+        program = compile_formula(Eventually(Interval(1, 2, True, True), Atom("b")))
+        kind, left, right, iv = program.ops[program.root >> 1]
+        assert program.root % 2 == 0 and kind == _UNTIL
+        assert left == 0  # true
+        assert program.intervals[iv] == Interval(1, 2, True, True)
+        assert right % 2 == 0 and program.ops[right >> 1] == (_ATOM, "b", -1, -1)
 
 
 class TestEvalAt:
@@ -152,16 +143,6 @@ class TestProperties:
         for _ in range(30):
             word = random_word(rng, ["a", "b"], 6)
             assert not eval_at(word, len(word), Next(FULL, TrueConst()))
-
-    def test_desugar_preserves_semantics(self):
-        rng = random.Random(7)
-        alphabet = ["a", "b", "c"]
-        for _ in range(100):
-            formula = random_formula(rng, alphabet, 3)
-            word = random_word(rng, alphabet, 6)
-            core = desugar(formula)
-            for position in range(1, len(word) + 1):
-                assert eval_at(word, position, formula) == eval_at(word, position, core)
 
     def test_table_evaluator_matches_naive_reference(self):
         rng = random.Random(8)
@@ -251,8 +232,10 @@ class TestClosedRows:
             row, oracle = _evaluator(word, program), kleene_evaluator(word, program, True)
             for k in range(len(program.ops)):
                 assert 1 not in oracle(k), (program, word, k)
-                assert all(type(v) is bool for v in row(k)), (program, word, k)
-                assert row(k) == [v == 2 for v in oracle(k)], (program, word, k)
+                values, flip = row(2 * k)
+                assert all(type(v) is bool for v in values), (program, word, k)
+                assert [v != flip for v in values] == [v == 2 for v in oracle(k)], (program, word, k)
+                assert row(2 * k + 1) == (values, 1 - flip)
             assert satisfies(word, program) == (kleene_value(program, oracle) == 2), (program, word)
 
 
@@ -375,34 +358,18 @@ class TestCompiledEngine:
         right = Eventually(window, And(Atom("a"), Not(Atom("b"))))
         assert left is not right
         program = compile_formula(Or(left, right))
-        _, first, second, _ = program.ops[program.root]
+        _, first, second, _ = program.ops[program.root >> 1]
         assert first == second
-        assert len(program.ops) == 6  # a, b, !b, a & !b, F, the disjunction
+        assert len(program.ops) == 6  # true, a, b, a & !b, F, the conjunction of the negations
 
     def test_desugar_builds_equal_subformulas_once(self):
-        # F a and true U a are different ops with one core form
+        # F a and true U a are spelled differently and share one op
         for other in (Eventually(FULL, Atom("a")), Until(FULL, TrueConst(), Atom("a"))):
-            core = desugar(Or(Eventually(FULL, Atom("a")), other))
-            kind, conjunction, _, _ = op(core, core.root)
-            assert kind == _NOT
-            kind, left, right, _ = op(core, conjunction)
-            assert kind == _AND
-            assert op(core, left)[0] == _NOT and left == right
-            assert len(core.ops) == len(set(core.ops))
-
-    def test_op_count_is_the_number_of_distinct_subformulas(self):
-        formula = build_formula(two_message_machine(), "q3")
-        distinct = set()
-        stack = [formula]
-        while stack:
-            node = stack.pop()
-            if node in distinct:
-                continue
-            distinct.add(node)
-            for name in ("operand", "left", "right"):
-                if hasattr(node, name):
-                    stack.append(getattr(node, name))
-        assert len(compile_formula(formula).ops) == len(distinct)
+            program = compile_formula(Or(Eventually(FULL, Atom("a")), other))
+            kind, left, right, _ = program.ops[program.root >> 1]
+            assert program.root % 2 == 1 and kind == _AND  # !(!F a & !F a)
+            assert left % 2 == 1 and left == right
+            assert len(program.ops) == 4  # true, a, F a, the conjunction
 
     def test_compiled_program_gives_the_same_answers(self):
         # one program serves many words, so it must carry no state between them
@@ -422,7 +389,7 @@ class TestCompiledEngine:
     def test_deep_conjunction(self):
         formula = and_all([Atom("a")] * 3000)
         program = compile_formula(formula)
-        assert len(program.ops) == 3000  # the atom and 2999 conjunctions
+        assert len(program.ops) == 3001  # true, the atom and 2999 conjunctions
         good = W(("a", 0), ("a", 1))
         bad = W(("a", 0), ("b", 1))
         for target in (formula, program):
@@ -436,6 +403,3 @@ class TestCompiledEngine:
         assert satisfies(bad, deep_temporal)
         assert not satisfies(good, deep_temporal)
         assert prefix_may_satisfy(good, deep_temporal)
-        core = desugar(deep_temporal)
-        assert satisfies(bad, core)
-        assert not satisfies(good, core)

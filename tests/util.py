@@ -20,13 +20,7 @@ from ptamtl.channel import ChannelMachine, Configuration, label_kind, subword
 from ptamtl.mtl import (
     _AND,
     _ATOM,
-    _EVENTUALLY,
-    _IMPLIES,
-    _NEXT,
-    _NOT,
-    _OR,
     _TRUE,
-    _UNTIL,
     And,
     Atom,
     Eventually,
@@ -126,10 +120,9 @@ def _order(ops: tuple, k: int, rows: list) -> tuple[int, ...]:
         if j not in needed and rows[j] is None:
             needed.add(j)
             kind, a, b, _ = ops[j]
-            if kind >= _NOT:
-                stack.append(a)
-                if b >= 0:
-                    stack.append(b)
+            if kind >= _AND:
+                stack.append(a >> 1)
+                stack.append(b >> 1)
     return tuple(sorted(needed))
 
 
@@ -144,7 +137,6 @@ def kleene_evaluator(word: TimedWord, program: Program, closed: bool):
     times = [time.numerator * (scale // time.denominator) for _, time in events]
     rows: list = [None] * len(ops)
     windows: list = [None] * len(program.intervals)
-    every = list(range(n + 1))
 
     def window(iv: int) -> tuple[list[int], list[int]]:
         """lo[i]:hi[i] are the positions j > i with t_j - t_i in the interval;
@@ -163,17 +155,20 @@ def kleene_evaluator(word: TimedWord, program: Program, closed: bool):
             windows[iv] = (lo, hi)
         return windows[iv]
 
-    def until(weak: list[int], strict: list[int], right: list[int], iv: int) -> list[int]:
-        """Some j in i's window has ``right`` true and ``left`` true strictly
-        between i and j.  weak[k] / strict[k] is the first position >= k where
-        ``left`` is not true / is false (n if none)."""
+    def until(x: list[int], right: list[int], iv: int) -> list[int]:
+        """Some j in i's window has ``right`` true and ``x`` true strictly
+        between i and j."""
+        weak, strict = [n] * (n + 1), [n] * (n + 1)  # the first position >= k where x is not true / is false
+        for j in range(n - 1, -1, -1):
+            weak[j] = j if x[j] != 2 else weak[j + 1]
+            strict[j] = j if x[j] == 0 else strict[j + 1]
         lo, hi = window(iv)  # sure[k] / maybe[k]: right values true / not false before k
         sure = list(accumulate((v == 2 for v in right), initial=0))
         maybe = list(accumulate((v != 0 for v in right), initial=0))
         result = []
         for i in range(n):
             a, b = lo[i], hi[i]
-            clear = weak[i + 1] + 1  # witnesses before ``clear`` have left true in between
+            clear = weak[i + 1] + 1  # witnesses before ``clear`` have x true in between
             e = b if b < clear else clear
             if sure[e] > sure[a]:
                 result.append(2)
@@ -187,44 +182,20 @@ def kleene_evaluator(word: TimedWord, program: Program, closed: bool):
                 result.append(1 if open_future or (s < e and maybe[e] > maybe[s]) else 0)
         return result
 
-    def reach(inner: list[int], iv: int, hit: int, miss: int) -> list[int]:
-        """Eventually (hit 2, miss 0) or globally (hit 0, miss 2) over i's window."""
-        lo, hi = window(iv)
-        decided = list(accumulate((v == hit for v in inner), initial=0))
-        doubtful = list(accumulate((v != miss for v in inner), initial=0))
-        return [
-            hit if decided[b] > decided[a]
-            else 1 if doubtful[b] > doubtful[a] or (not closed and b == n)
-            else miss
-            for a, b in zip(lo, hi)
-        ]  # fmt: skip
+    def ref(r: int) -> list[int]:
+        """The values of reference r: op r >> 1, negated if r is odd."""
+        values = rows[r >> 1]
+        return [2 - v for v in values] if r & 1 else values
 
     def compute(k: int) -> list[int]:
         kind, a, b, iv = ops[k]
         if kind == _ATOM:
             return [2 if symbol == a else 0 for symbol in symbols]
-        if kind < _NOT:
-            return [2 if kind == _TRUE else 0] * n
-        x = rows[a]
-        if kind == _NOT:
-            return [2 - v for v in x]
+        if kind == _TRUE:
+            return [2] * n
         if kind == _AND:
-            return list(map(min, x, rows[b]))
-        if kind == _OR:
-            return list(map(max, x, rows[b]))
-        if kind == _IMPLIES:
-            return list(map(max, [2 - v for v in x], rows[b]))
-        if kind == _UNTIL:
-            weak, strict = [n] * (n + 1), [n] * (n + 1)
-            for j in range(n - 1, -1, -1):
-                weak[j] = j if x[j] != 2 else weak[j + 1]
-                strict[j] = j if x[j] == 0 else strict[j + 1]
-            return until(weak, strict, rows[b], iv)
-        if kind == _NEXT:  # false U phi
-            return until(every, every, x, iv)
-        if kind == _EVENTUALLY:
-            return reach(x, iv, 2, 0)
-        return reach(x, iv, 0, 2)
+            return list(map(min, ref(a), ref(b)))
+        return until(ref(a), ref(b), iv)
 
     def row(k: int) -> list[int]:
         if rows[k] is None:
@@ -236,33 +207,33 @@ def kleene_evaluator(word: TimedWord, program: Program, closed: bool):
 
 
 def kleene_value(program: Program, row) -> int:
-    """Value at position 1, reading the rows of the temporal operators and
-    atoms from ``row(k)``.  The connectives above them are evaluated at that
-    position alone, left operand first, skipping the right operand once the
-    left decides the result."""
+    """Value at position 1, reading the rows of the untils and atoms from
+    ``row(k)``.  The conjunctions above them are evaluated at that position
+    alone, left operand first, skipping the right operand once the left
+    decides the result."""
     ops = program.ops
-    stack = [(program.root, 0, 0)]  # (op, phase, left value)
+    stack = [(program.root, 0, 0)]  # (reference, phase, left value)
     value = 0
     while stack:
-        k, phase, left = stack.pop()
-        kind, a, b, _ = ops[k]
-        if phase == 0:
-            if _NOT <= kind <= _IMPLIES:
-                stack.append((k, 1, 0))
-                stack.append((a, 0, 0))
-            else:
-                value = row(k)[0]
-        elif kind == _NOT:
-            value = 2 - value
+        r, phase, left = stack.pop()
+        kind, a, b, _ = ops[r >> 1]
+        if kind != _AND:
+            value = row(r >> 1)[0]
+        elif phase == 0:
+            stack.append((r, 1, 0))
+            stack.append((a, 0, 0))
+            continue
         elif phase == 1:
-            if kind == _IMPLIES:
-                value = 2 - value  # a -> b is !a | b
-            if value != (0 if kind == _AND else 2):
-                stack.append((k, 2, value))
+            if value != 0:
+                stack.append((r, 2, value))
                 stack.append((b, 0, 0))
+                continue
         else:
-            value = min(left, value) if kind == _AND else max(left, value)
+            value = min(left, value)
+        if r & 1:
+            value = 2 - value
     return value
+
 
 def prefix_may_satisfy(word: TimedWord, formula: Union[Formula, Program]) -> bool:
     """False only when no extension of the word can satisfy the formula.
