@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .channel import ChannelMachine, Computation, Configuration, step_exact
 from .errors import ParseError
@@ -260,6 +260,19 @@ def serialize_formula(formula: Formula) -> str:
 # -- channel machines ---------------------------------------------------------
 
 
+def _key_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """The line number, key and values of each ``key: values`` line of a
+    machine or automaton file, skipping blank lines and ``//`` comments."""
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("//"):
+            continue
+        if ":" not in line:
+            raise ParseError(f"expected 'key: values', got {line!r}", line=number)
+        key, _, rest = line.partition(":")
+        yield number, key.strip(), rest
+
+
 def parse_machine(text: str) -> tuple[ChannelMachine, Optional[str]]:
     """Parse a machine description; returns the machine and the optional
     target state from a ``final:`` line."""
@@ -268,14 +281,7 @@ def parse_machine(text: str) -> tuple[ChannelMachine, Optional[str]]:
     messages: list[str] = []
     transitions: list[tuple[str, str, str]] = []
     final: Optional[str] = None
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("//"):
-            continue
-        if ":" not in line:
-            raise ParseError(f"expected 'key: values', got {line!r}", line=number)
-        key, _, rest = line.partition(":")
-        key = key.strip()
+    for number, key, rest in _key_lines(text):
         fields = rest.split()
         if key == "states":
             states.extend(fields)
@@ -349,14 +355,7 @@ _EDGE_LINE = re.compile(
 def parse_pta(text: str) -> Pta:
     header: dict[str, list[str]] = {}
     edges: list[Edge] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("//"):
-            continue
-        if ":" not in line:
-            raise ParseError(f"expected 'key: values', got {line!r}", line=number)
-        key, _, rest = line.partition(":")
-        key = key.strip()
+    for number, key, rest in _key_lines(text):
         if key == "edge":
             match = _EDGE_LINE.match(rest.strip())
             if match is None:

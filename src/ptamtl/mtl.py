@@ -25,14 +25,16 @@ A search that extends prefixes one event at a time uses formula
 progression instead (Bacchus & Kabanza, AIJ 2000; Thati & Rosu, RV 2004).
 A :class:`Progression` reads a word of integer grid ticks, holding every
 time on one integer scale fixed for the whole search, and rewrites the
-formula after each event into its residual: a boolean combination of
-pending until obligations and their negations, each with its interval
-shifted to the last event.  Residuals are hash-consed ids and each step is
-memoized, so the engine is a lazily built automaton whose states can key a
-memo of search subtrees.  A residual is constant exactly when the three-valued
-(Kleene) evaluation of the prefix, with every pending obligation unknown,
-is decided.  Pruning on a false residual is sound because a decided value
-keeps it on every extension by events at or after the last timestamp.
+formula after each event into its residual: negated and plain conjunctions
+of pending until obligations, each with its interval shifted to the last
+event.  A residual is a signed reference to a hash-consed node, as a
+program child is one, so a negation costs no node and each step is memoized
+once for a residual and its negation.  The engine is a lazily built
+automaton whose states can key a memo of search subtrees.  A residual is
+constant exactly when the three-valued (Kleene) evaluation of the prefix,
+with every pending obligation unknown, is decided.  Pruning on a false
+residual is sound because a decided value keeps it on every extension by
+events at or after the last timestamp.
 With its pending obligations closed, a residual is the verdict of a word
 that ends there, so the batch evaluator stays off the search path as the
 independent checker.  The tests hold progression to a Kleene evaluation
@@ -394,13 +396,15 @@ def _value(program: Program, row, i: int) -> bool:
 
 # -- formula progression ---------------------------------------------------------
 #
-# A residual is an id of a hash-consed node: 0 is false, 1 true, 2 the formula
-# before the first event.  Others are ("&", ids) or ("|", ids), flattened,
-# deduplicated and sorted, or an obligation (r, lower, lower closed, upper or
-# None, upper closed): the until or negated until of reference r from the
-# last event, its interval shifted to that event.  Only constants are
-# absorbed, which keeps a residual constant exactly when the Kleene value of
-# the prefix is decided.
+# A residual is a signed reference to a hash-consed node, as a program child
+# is one: 2k is node k and 2k + 1 its negation.  Node 0 is false, so 0 is false
+# and 1 true, and node 1 is the formula before the first event, so 2 is the
+# start.  Every other node is a conjunction (_AND, references), flattened,
+# deduplicated and sorted, or an obligation (_UNTIL, k, lower, lower closed,
+# upper or None, upper closed): the until of op k from the last event, its
+# interval shifted to that event.  A disjunction is the negated conjunction of
+# the negated operands.  Only constants are absorbed, which keeps a residual
+# constant exactly when the Kleene value of the prefix is decided.
 
 _START = 2
 
@@ -416,9 +420,12 @@ class Progression:
 
     A residual is false (0) or true (1) exactly when the Kleene evaluation
     of the prefix, every pending obligation unknown, is; no extension of a
-    prefix with a false residual satisfies the formula.  Equal residuals are one id, and :meth:`now` and :meth:`step`
-    are memoized, so the engine builds the automaton of the formula's
-    residuals lazily, as a search visits it.
+    prefix with a false residual satisfies the formula.  Equal residuals are
+    one id, and ``r ^ 1`` is the negation of residual r, as it is of a
+    program reference: :meth:`now`, :meth:`step` and :meth:`accepts` flip
+    with it.  :meth:`now` is memoized per op and :meth:`step` per node, so
+    the engine builds the automaton of the formula's residuals lazily, as a
+    search visits it.
     """
 
     start = _START
@@ -434,143 +441,126 @@ class Progression:
             (iv.lower * scale, iv.lower_closed, None if iv.upper is None else iv.upper * scale, iv.upper_closed)
             for iv in program.intervals
         ]
-        self._nodes: list[tuple] = [("false",), ("true",), ("start",)]
-        self._accepts: list[bool] = [False, True, False]  # the empty word has no first position
+        self._nodes: list = [None, None]  # false and the start have no operands
+        self._accepts: list[bool] = [False, False]  # the empty word has no first position
         self._ids: dict[tuple, int] = {}
-        self._now: dict[tuple, int] = {}  # (reference, symbol) -> residual
-        self._steps: dict[tuple, int] = {}  # (residual, symbol, ticks) -> residual
+        self._now: dict[tuple, int] = {}  # (op, symbol) -> residual
+        self._steps: dict[tuple, int] = {}  # (node, symbol, ticks) -> residual
 
     def _intern(self, node: tuple) -> int:
-        ident = self._ids.get(node)
-        if ident is None:
-            ident = self._ids[node] = len(self._nodes)
+        k = self._ids.get(node)
+        if k is None:
+            k = self._ids[node] = len(self._nodes)
             self._nodes.append(node)
-            if type(node[0]) is str:  # its operands were interned before it
-                self._accepts.append((all if node[0] == "&" else any)(self._accepts[r] for r in node[1]))
-            else:  # no witness is left: a pending until is false, a negated one true
-                self._accepts.append(bool(node[0] & 1))
-        return ident
+            # a conjunction's operands were interned before it; an obligation
+            # with no witness left is false
+            self._accepts.append(node[0] == _AND and all(map(self.accepts, node[1])))
+        return 2 * k
 
     def accepts(self, residual: int) -> bool:
         """Whether a word whose last residual this is satisfies the formula."""
-        return self._accepts[residual]
+        return self._accepts[residual >> 1] != (residual & 1)
 
-    def _join(self, conj: bool, parts) -> int:
-        """The conjunction (``conj``) or disjunction of the residuals."""
-        tag, unit, zero = ("&", 1, 0) if conj else ("|", 0, 1)
+    def _and(self, parts) -> int:
+        """The conjunction of the residuals."""
+        nodes = self._nodes
         flat = set()
         for r in parts:
-            if r == zero:
-                return zero
-            if r != unit:
-                node = self._nodes[r]
-                if node[0] == tag:
-                    flat.update(node[1])
-                else:
-                    flat.add(r)
+            if r == 0:
+                return 0
+            if r & 1 == 0 and nodes[r >> 1][0] == _AND:
+                flat.update(nodes[r >> 1][1])
+            elif r != 1:
+                flat.add(r)
         if len(flat) < 2:
-            return flat.pop() if flat else unit
-        return self._intern((tag, tuple(sorted(flat))))
+            return flat.pop() if flat else 1
+        return self._intern((_AND, tuple(sorted(flat))))
 
     def now(self, r: int, symbol: str) -> int:
         """The residual of reference r at an event reading ``symbol``, before
         any later event."""
         memo = self._now
-        result = memo.get((r, symbol))
-        if result is not None:
-            return result
-        ops = self.program.ops
-        stack = [r]
-        while stack:
-            ref = stack[-1]
-            if (ref, symbol) in memo:
-                stack.pop()
-                continue
-            neg = ref & 1
-            kind, a, b, iv = ops[ref >> 1]
-            if kind == _ATOM:
-                result = int((a == symbol) != neg)
-            elif kind == _TRUE:
-                result = 1 - neg
-            elif kind == _UNTIL:
-                result = self._intern((ref, *self._windows[iv]))
-            else:  # a negated conjunction is the disjunction of the negated operands
-                x = memo.get((a ^ neg, symbol))
-                if x is None:
-                    stack.append(a ^ neg)
-                    continue
-                if x == neg:  # the left operand decides
-                    result = x
+        result = memo.get((r >> 1, symbol))
+        if result is None:
+            ops = self.program.ops
+            stack = [r >> 1]
+            while stack:
+                k = stack[-1]
+                kind, a, b, iv = ops[k]
+                if kind == _ATOM:
+                    result = int(a == symbol)
+                elif kind == _TRUE:
+                    result = 1
+                elif kind == _UNTIL:
+                    result = self._intern((_UNTIL, k, *self._windows[iv]))
                 else:
-                    y = memo.get((b ^ neg, symbol))
-                    if y is None:
-                        stack.append(b ^ neg)
+                    x = memo.get((a >> 1, symbol))
+                    if x is None:
+                        stack.append(a >> 1)
                         continue
-                    result = self._join(not neg, (x, y))
-            memo[ref, symbol] = result
-            stack.pop()
-        return memo[r, symbol]
+                    result = x ^ (a & 1)
+                    if result:  # the left operand does not decide
+                        y = memo.get((b >> 1, symbol))
+                        if y is None:
+                            stack.append(b >> 1)
+                            continue
+                        result = self._and((result, y ^ (b & 1)))
+                memo[k, symbol] = result
+                stack.pop()
+        return result ^ (r & 1)
 
     def step(self, residual: int, symbol: str, ticks: int) -> int:
         """The residual after one more event, reading ``symbol`` ``ticks``
         ticks after the previous event."""
         memo = self._steps
-        result = memo.get((residual, symbol, ticks))
-        if result is not None:
-            return result
-        if ticks < 0:
-            raise ValueError("timestamps must be non-decreasing")
-        nodes = self._nodes
-        stack = [residual]
-        while stack:
-            r = stack[-1]
-            if (r, symbol, ticks) in memo:
+        result = memo.get((residual >> 1, symbol, ticks))
+        if result is None:
+            if ticks < 0:
+                raise ValueError("timestamps must be non-decreasing")
+            nodes = self._nodes
+            stack = [residual >> 1]
+            while stack:
+                k = stack[-1]
+                if k == 0:
+                    result = 0
+                elif k == 1:
+                    result = self.now(self.program.root, symbol)
+                elif nodes[k][0] == _AND:  # operands in order, up to a false one
+                    values = []
+                    for c in nodes[k][1]:
+                        value = memo.get((c >> 1, symbol, ticks))
+                        if value is None:
+                            break
+                        values.append(value ^ (c & 1))
+                        if not values[-1]:
+                            break
+                    if value is None:
+                        stack.append(c >> 1)
+                        continue
+                    result = self._and(values)
+                else:
+                    result = self._advance(nodes[k], symbol, ticks * self._factor)
+                memo[k, symbol, ticks] = result
                 stack.pop()
-                continue
-            node = nodes[r]
-            if r < _START:
-                result = r
-            elif r == _START:
-                result = self.now(self.program.root, symbol)
-            elif type(node[0]) is str:  # operands in order, up to one that decides
-                conj = node[0] == "&"
-                zero = 0 if conj else 1
-                values = []
-                for c in node[1]:
-                    result = memo.get((c, symbol, ticks))
-                    if result is None or result == zero:
-                        break
-                    values.append(result)
-                if result is None:
-                    stack.append(c)
-                    continue
-                if result != zero:
-                    result = self._join(conj, values)
-            else:
-                result = self._advance(node, symbol, ticks * self._factor)
-            memo[r, symbol, ticks] = result
-            stack.pop()
-        return memo[residual, symbol, ticks]
+        return result ^ (residual & 1)
 
     def _advance(self, node: tuple, symbol: str, delay: int) -> int:
         """An obligation after an event ``delay`` later on the integer scale:
         ``a U b`` is (the event is in the window and b holds there) or (a holds
-        there and ``a U b``, its window shifted, holds from there); a negated
-        until is the dual."""
-        r, lo, lo_closed, hi, hi_closed = node
-        flip = r & 1  # the until is negated
-        _, a, b, _ = self.program.ops[r >> 1]
+        there and ``a U b``, its window shifted, holds from there)."""
+        _, k, lo, lo_closed, hi, hi_closed = node
+        _, a, b, _ = self.program.ops[k]
         inside = (delay > lo or (delay == lo and lo_closed)) and (
             hi is None or delay < hi or (delay == hi and hi_closed)
         )
-        witness = self.now(b ^ flip, symbol) if inside else flip
+        witness = self.now(b, symbol) if inside else 0
         if hi is not None and (delay > hi or (delay == hi and not hi_closed)):
-            later = flip  # the window has passed
+            later = 0  # the window has passed
         else:  # a lower bound below 0 is [0, as later events come no earlier
             shifted = (max(lo - delay, 0), lo_closed or delay > lo, None if hi is None else hi - delay, hi_closed)
-            later = self._intern((r, *shifted))
-        between = self.now(a ^ flip, symbol)
-        return self._join(flip, [witness, self._join(not flip, [between, later])])
+            later = self._intern((_UNTIL, k, *shifted))
+        between = self._and((self.now(a, symbol), later))
+        return self._and((witness ^ 1, between ^ 1)) ^ 1  # witness | between
 
 
 def eval_at(word: TimedWord, position: int, formula: Union[Formula, Program]) -> bool:

@@ -233,8 +233,8 @@ def constraint_feasible(constraint: ClockConstraint) -> bool:
     the system is infeasible iff the constraint graph has a cycle of total
     weight below zero, or exactly zero containing a strict edge.  Strictness
     is folded into the weights lexicographically (each strict edge costs an
-    infinitesimal), so both cycle kinds keep the Bellman-Ford relaxation
-    running and are caught by the standard still-relaxable test.  Guards
+    infinitesimal), so both cycle kinds, and only they, keep the
+    Bellman-Ford relaxation changing a distance in every round.  Guards
     define rational polyhedra, so feasibility over the rationals coincides
     with feasibility over the reals.
     """
@@ -291,11 +291,7 @@ def constraint_feasible(constraint: ClockConstraint) -> bool:
                 changed = True
         if not changed:
             return True
-    for u, v, (c, eps) in weighted:
-        du = dist[u]
-        if (du[0] + c, du[1] + eps) < dist[v]:
-            return False  # still relaxable: negative (or zero-strict) cycle
-    return True
+    return False  # relaxed in every one of len(nodes) rounds: a negative (or zero-strict) cycle
 
 
 def conjoin(first: ClockConstraint, second: ClockConstraint) -> ClockConstraint:

@@ -262,6 +262,9 @@ def test_criterion_8_counterexample_wiring():
     formula = build_formula(c1, "s2")
     verdict = bounded_modelcheck(automaton, Not(formula), candidates, **bounds)
     assert verdict.outcome == "counterexample-found"
+    # the search counts repeat only while residual classes stay as they are
+    c1_result = verdict.candidates[0]
+    assert (c1_result.words_checked, c1_result.nodes_expanded, c1_result.memo_hits) == (1, 18, 4)
     witness = verdict.counterexample
     assert membership(automaton, dict(verdict.valuation), witness)
     assert not satisfies(witness, Not(formula))
@@ -279,6 +282,8 @@ def test_criterion_8_counterexample_wiring():
     )  # fmt: skip
     assert m2_verdict.outcome == "counterexample-found"
     assert m2_verdict.candidates[0].words_checked == 1
+    m2_result = m2_verdict.candidates[0]
+    assert (m2_result.nodes_expanded, m2_result.memo_hits) == (122, 52)
     assert membership(m2_automaton, dict(m2_verdict.valuation), m2_verdict.counterexample)
     assert not satisfies(m2_verdict.counterexample, m2_violation)
 

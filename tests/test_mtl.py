@@ -288,6 +288,25 @@ class TestIncrementalMonitor:
                 assert_matches_open_value(r, prefixes[i], program)
                 assert (r == 0, r == 1) == (first[i] == 0, first[i] == 1)
 
+    def test_negation_is_a_flip_on_residuals(self):
+        # r ^ 1 negates a residual as it negates a program reference
+        rng = random.Random(37)
+        alphabet = ["a", "b", "c"]
+        for _ in range(150):
+            program = compile_formula(random_formula(rng, alphabet, 5))
+            engine = Progression(program, UNIT)
+            for r in range(2 * len(program.ops)):
+                for symbol in alphabet:
+                    assert engine.now(r ^ 1, symbol) == engine.now(r, symbol) ^ 1, (program, r, symbol)
+            for _ in range(3):
+                x, last = engine.start, 0
+                for symbol, tick in ticks(mixed_word(rng, alphabet, 6)):
+                    assert engine.accepts(x ^ 1) == (not engine.accepts(x)), (program, x)
+                    y = engine.step(x, symbol, tick - last)
+                    assert engine.step(x ^ 1, symbol, tick - last) == y ^ 1, (program, x, symbol)
+                    x, last = y, tick
+                assert engine.accepts(x ^ 1) == (not engine.accepts(x)), (program, x)
+
     def test_ticks_are_read_on_the_unit(self):
         # a tick stands for tick * unit also when the unit's numerator is not 1
         rng = random.Random(35)
