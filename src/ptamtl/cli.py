@@ -87,11 +87,11 @@ def _search_bounds(args) -> None:
 
 
 def _cmd_eval(args) -> int:
-    formula = formats.parse_formula(_maybe_file(args.formula))
+    program = formats.parse_program(_maybe_file(args.formula))
     word = formats.parse_timed_word(_maybe_file(args.word))
     if args.at is not None and not 1 <= args.at <= len(word):
         raise UsageError(f"--at must lie in 1..{len(word)}")
-    verdict = satisfies(word, formula) if args.at is None else eval_at(word, args.at, formula)
+    verdict = satisfies(word, program) if args.at is None else eval_at(word, args.at, program)
     print("true" if verdict else "false")
     return 0
 
@@ -216,7 +216,7 @@ def _cmd_mc_bounded(args) -> int:
     if horizon < 0:
         raise UsageError("--horizon must not be negative")
     automaton = formats.parse_pta(_read(args.pta))
-    formula = formats.parse_formula(_maybe_file(args.formula))
+    program = formats.parse_program(_maybe_file(args.formula))
     if args.candidates is not None:
         candidates = [_valuation(automaton, part) for part in args.candidates.split(";")]
     elif args.k is None and not automaton.parameters:
@@ -229,7 +229,7 @@ def _cmd_mc_bounded(args) -> int:
         candidates = [{name: Fraction(1, i)} for i in range(1, k + 1)]
     verdict = bounded_modelcheck(
         automaton,
-        formula,
+        program,
         candidates,
         grid,
         horizon,
@@ -339,7 +339,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("encode", help="encode an error-free computation as a timed word")
     p.add_argument("machine")
-    p.add_argument("final")
+    p.add_argument("final", nargs="?", default=None)
     p.add_argument("computation", help="'state label state ...' or @file")
     p.add_argument("--delta", default="0")
     p.add_argument("--slots", default=None, help="comma-separated slot offsets")
@@ -347,7 +347,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check-lcn", help="check encoding-language membership at width n")
     p.add_argument("machine")
-    p.add_argument("final")
+    p.add_argument("final", nargs="?", default=None)
     p.add_argument("n", type=int)
     p.add_argument("word")
     p.add_argument("--explain", action="store_true")
@@ -355,13 +355,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("decode", help="decode a timed word back into a computation")
     p.add_argument("machine")
-    p.add_argument("final")
+    p.add_argument("final", nargs="?", default=None)
     p.add_argument("word")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("search", help="bounded error-free reachability search")
     p.add_argument("machine")
-    p.add_argument("final")
+    p.add_argument("final", nargs="?", default=None)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--chan", type=int, required=True)
     p.set_defaults(func=_cmd_search)
@@ -380,7 +380,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify-reduction", help="end-to-end bounded reduction check")
     p.add_argument("machine")
-    p.add_argument("final")
+    p.add_argument("final", nargs="?", default=None)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--chan", type=int, required=True)
     p.add_argument("--json", action="store_true")

@@ -1,7 +1,10 @@
 """Text formats: timed words, MTL formulas, channel machines, automata.
 
 Parsing and serialization round-trip: parse(serialize(v)) == v for every
-value, and serialize(parse(t)) is the canonical spelling of t.
+value, formula ASTs included, and serialize(parse(t)) is the canonical
+spelling of t.  A formula text is also read straight into a compiled
+program by :func:`parse_program`, with no AST in between; it is the program
+``compile_formula(parse_formula(t))``, ops and intervals numbered alike.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .mtl import (
     Next,
     Not,
     Or,
+    Program,
+    ProgramBuilder,
     TrueConst,
     Until,
 )
@@ -82,7 +87,9 @@ def serialize_timed_word(word: TimedWord) -> str:
 # U X F G; `true` and `false`; parentheses for grouping.  X, F, G and U take
 # an optional interval suffix like [1,2], (0,1), [0,inf) or [=2], which is one
 # token: a malformed interval such as [2,1] is a parse error quoting it as
-# written.  Precedence: unary > & > | > -> > U.
+# written.  Precedence: unary > & > | > -> > U.  One precedence loop reads
+# the text for parse_formula, which builds AST nodes, and for parse_program,
+# which hands each node, as it completes, to mtl.ProgramBuilder.
 
 # an identifier: ASCII letters, digits and underscores, not leading with a digit
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -128,20 +135,31 @@ _OPERATORS = {("op" if cls is Not else "ident", op): (4, cls) for cls, op in _PR
 }  # fmt: skip
 
 
-def _reduce(operands: list[Formula], operator: tuple[int, type, Optional[Interval]]) -> None:
+def _node(cls: type, interval: Optional[Interval], *operands) -> Formula:
+    """The formula node of class ``cls``: the AST parser's reduce action."""
+    return cls(*operands) if interval is None else cls(interval, *operands)
+
+
+def _reduce(operands: list, operator: tuple[int, type, Optional[Interval]], make) -> None:
     """Replace the last operand, or the last two, by ``operator`` applied to them."""
-    level, make, interval = operator
-    args = [operands.pop()] if level == 4 else [operands.pop(-2), operands.pop()]
-    operands.append(make(*args) if interval is None else make(interval, *args))
+    level, cls, interval = operator
+    if level == 4:
+        operands.append(make(cls, interval, operands.pop()))
+    else:
+        right = operands.pop()
+        operands[-1] = make(cls, interval, operands[-1], right)
 
 
-def parse_formula(text: str) -> Formula:
+def _parse(text: str, make):
+    """Parse a formula, calling ``make(cls, interval, *operands)`` for each
+    node, operands first and the left one first, and return the root's value:
+    ``make`` builds a formula node or an op."""
     # Operator precedence parsing with explicit stacks, so deep nesting does
     # not recurse.  ``pending`` holds the operators still waiting for their
     # last operand, as (precedence, class, interval) tuples, and None for each
     # open parenthesis.
     tokens = _scan(text)
-    operands: list[Formula] = []
+    operands: list = []
     pending: list = []
     i, operand_due = 0, True
     while True:
@@ -150,27 +168,27 @@ def parse_formula(text: str) -> Formula:
         operator = _OPERATORS.get((kind, value))
         # a unary operator where an operand is due, a binary one after an operand
         if operator is not None and (operator[0] == 4) == operand_due:
-            level, make = operator
+            level, cls = operator
             while pending and pending[-1] is not None and (
-                pending[-1][0] > level or (pending[-1][0] == level and make in (And, Or))
+                pending[-1][0] > level or (pending[-1][0] == level and cls in (And, Or))
             ):
-                _reduce(operands, pending.pop())
+                _reduce(operands, pending.pop(), make)
             interval = None
-            if make in (Next, Eventually, Globally, Until):  # its interval, if it has one
+            if cls in (Next, Eventually, Globally, Until):  # its interval, if it has one
                 interval = FULL
                 if tokens[i][0] == "interval":
                     interval = tokens[i][2]
                     i += 1
-            pending.append((level, make, interval))
+            pending.append((level, cls, interval))
             operand_due = True
         elif operand_due:
             if kind == "op" and value == "(":
                 pending.append(None)
                 continue
             if kind == "ident" and value not in KEYWORDS or kind == "op" and value in ("#", "*"):
-                operands.append(Atom(value))
+                operands.append(make(Atom, None, value))
             elif kind == "ident" and value in ("true", "false"):
-                operands.append(TrueConst() if value == "true" else FalseConst())
+                operands.append(make(TrueConst if value == "true" else FalseConst, None))
             elif kind == "end":
                 raise ParseError("unexpected end of formula")
             elif value == "U":
@@ -182,7 +200,7 @@ def parse_formula(text: str) -> Formula:
             operand_due = False
         else:  # the group or the text ends here
             while pending and pending[-1] is not None:
-                _reduce(operands, pending.pop())
+                _reduce(operands, pending.pop(), make)
             if not pending:
                 if kind != "end":
                     raise ParseError(f"trailing input starting at {value!r}")
@@ -190,6 +208,19 @@ def parse_formula(text: str) -> Formula:
             if kind != "op" or value != ")":
                 raise ParseError(f"expected ')', found {value!r}")
             pending.pop()
+
+
+def parse_formula(text: str) -> Formula:
+    """The formula of a text, as an AST."""
+    return _parse(text, _node)
+
+
+def parse_program(text: str) -> Program:
+    """The program of a formula text, built while parsing, with no AST:
+    equal to ``compile_formula(parse_formula(text))``, ops and intervals
+    numbered alike, and raising the same errors."""
+    builder = ProgramBuilder()
+    return builder.program(_parse(text, builder.build))
 
 
 def serialize_interval(interval: Interval) -> str:

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
-from .mtl import Formula, Not, Progression, compile_formula, satisfies
+from .mtl import Formula, Program, Progression, compile_formula, satisfies
 from .pta import Pta, SearchStats, iter_accepted, membership
 from .timedwords import TimedWord
 
@@ -74,14 +74,15 @@ class McVerdict:
 
 def bounded_modelcheck(
     automaton: Pta,
-    formula: Formula,
+    formula: Union[Formula, Program],
     candidates: Sequence[Mapping[str, Fraction]],
     grid: Fraction,
     horizon: Fraction,
     max_events: int,
     strict_only: bool = False,
 ) -> McVerdict:
-    """Scan each candidate valuation for an accepted word violating the formula.
+    """Scan each candidate valuation for an accepted word violating the formula,
+    given as an AST or as a program.
 
     With ``strict_only`` the word space is restricted to strictly monotonic
     timed words.  That restriction is exact whenever every non-strict word
@@ -95,8 +96,9 @@ def bounded_modelcheck(
     # as no extension can violate the property: absence claims stay exact
     # relative to the bounds.  Residuals are valuation-free, shared by the
     # candidates.
-    program = compile_formula(Not(formula))
-    violation = Progression(program, grid)
+    program = compile_formula(formula)
+    negated = program._replace(root=program.root ^ 1)
+    violation = Progression(negated, grid)
     results: list[CandidateResult] = []
     for valuation in candidates:
         stats = SearchStats()
@@ -106,7 +108,7 @@ def bounded_modelcheck(
         # of the negated formula, and against the automaton by exact
         # membership: neither runs the progression that found it
         if counterexample is not None:
-            if not membership(automaton, valuation, counterexample) or not satisfies(counterexample, program):
+            if not membership(automaton, valuation, counterexample) or not satisfies(counterexample, negated):
                 raise AssertionError("counterexample failed exact re-verification")
         rho = tuple(sorted(valuation.items()))
         results.append(CandidateResult(rho, counterexample, stats.words, stats.nodes_expanded, stats.memo_hits))

@@ -7,11 +7,14 @@ next modality is derivable from until precisely because of this strictness.
 Formulas are immutable ASTs.  The core grammar is atoms, true, negation,
 conjunction, and interval-constrained until; false, disjunction,
 implication, next, eventually, and globally are abbreviations, kept as
-first-class nodes for display.  :func:`compile_formula` is the one place
-that expands them: it hash-conses a formula into a post-order array of
-atom, true, and, and until ops whose children are signed references (2k is
-op k, 2k + 1 its negation), so equal subformulas share one reference
-whichever operators spell them.
+first-class nodes for display.  :class:`ProgramBuilder` is the one place
+that expands them: it hash-conses a formula, one node at a time and
+operands first, into a post-order array of atom, true, and, and until ops
+whose children are signed references (2k is op k, 2k + 1 its negation), so
+equal subformulas share one reference whichever operators spell them.
+:func:`compile_formula` feeds it the nodes of an AST, left operand first,
+and :func:`formats.parse_program` the nodes of a formula's text as it
+reads them, so both number the ops of one formula alike.
 
 :func:`eval_at` decides a closed word at a position, and :func:`satisfies`
 is its answer at the first one.  One evaluator computes a row of truth
@@ -217,65 +220,117 @@ _CORE = {
     Eventually: (_UNTIL, 0, 0, 0),  # true U a
     Globally: (_UNTIL, 0, 1, 1),  # !(true U !a)
 }
-_UNARY = (Next, Eventually, Globally)
+# the fields of an operator node: bit 1 set for a left and a right operand
+# rather than one operand, bit 0 for an interval
+_SHAPES = {Not: 0, Next: 1, Eventually: 1, Globally: 1, And: 2, Or: 2, Implies: 2, Until: 3}
 
 
 class Program(NamedTuple):
-    """A formula compiled by :func:`compile_formula`.  ``root`` is the
-    reference of the whole formula: op ``root >> 1``, negated if ``root`` is
-    odd."""
+    """A formula compiled by a :class:`ProgramBuilder`, from an AST by
+    :func:`compile_formula` or from text by :func:`formats.parse_program`.
+    ``root`` is the reference of the whole formula: op ``root >> 1``,
+    negated if ``root`` is odd."""
 
     ops: tuple
     intervals: tuple[Interval, ...]
     root: int
 
 
-def compile_formula(formula: Union[Formula, Program]) -> Program:
-    """Compile a formula iteratively into atom, true, and and until ops;
-    equal subformulas, also when spelled with different operators, get one
-    reference.  A program is returned as it is."""
-    if isinstance(formula, Program):
-        return formula
-    op_ids: dict[tuple, int] = {(_TRUE, -1, -1, -1): 0}
-    interval_ids: dict[Interval, int] = {}
-    refs: dict[int, int] = {}  # id(node) -> reference; ``formula`` keeps the nodes alive
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        if id(node) in refs:
-            continue
-        cls = type(node)
+class ProgramBuilder:
+    """Builds a program one node at a time, operands first: the one place
+    where a formula's operators become ops.  ``build(cls, interval, x, y)``
+    takes a node's class, its interval (None for a node without one) and its
+    operands: an atom's name, the reference of a unary node's operand, or
+    the references of a binary node's left and right operands, each built
+    before it.  Negation flips the reference, true and false are references
+    0 and 1, and an atom or any other operator is interned by the rule in
+    ``_CORE``, so equal subformulas, also when spelled with different
+    operators, get one reference.  Ops and intervals are numbered in the
+    order they are first built."""
+
+    __slots__ = ("_ops", "_intervals")
+
+    def __init__(self):
+        self._ops: dict[tuple, int] = {(_TRUE, -1, -1, -1): 0}
+        self._intervals: dict[Interval, int] = {}
+
+    def build(self, cls: type, interval: Optional[Interval], x=None, y=None) -> int:
         rule = _CORE.get(cls)
         if rule is not None:
-            unary = cls in _UNARY
-            left, right = (None, node.operand) if unary else (node.left, node.right)
-            x = 0 if unary else refs.get(id(left))
-            y = refs.get(id(right))
-            if x is None or y is None:  # operands first
-                stack.append(node)
-                if x is None:
-                    stack.append(left)
-                if y is None:
-                    stack.append(right)
-                continue
             kind, flip_x, flip_y, flip = rule
-            iv = -1 if kind == _AND else interval_ids.setdefault(node.interval, len(interval_ids))
-            ref = 2 * op_ids.setdefault((kind, x ^ flip_x, y ^ flip_y, iv), len(op_ids)) ^ flip
-        elif cls is Not:
-            x = refs.get(id(node.operand))
-            if x is None:
-                stack.append(node)
-                stack.append(node.operand)
-                continue
-            ref = x ^ 1
-        elif cls is Atom:
-            ref = 2 * op_ids.setdefault((_ATOM, node.name, -1, -1), len(op_ids))
-        elif cls is TrueConst or cls is FalseConst:
-            ref = int(cls is FalseConst)
+            if y is None:  # a unary modality: its left operand is true
+                x, y = 0, x
+            ops = self._ops
+            iv = -1 if kind == _AND else self._intervals.setdefault(interval, len(self._intervals))
+            return 2 * ops.setdefault((kind, x ^ flip_x, y ^ flip_y, iv), len(ops)) ^ flip
+        if cls is Not:
+            return x ^ 1
+        if cls is Atom:
+            ops = self._ops
+            return 2 * ops.setdefault((_ATOM, x, -1, -1), len(ops))
+        if cls is TrueConst or cls is FalseConst:
+            return int(cls is FalseConst)
+        raise TypeError(f"unknown formula node class {cls.__name__}")
+
+    def program(self, root: int) -> Program:
+        """The program of the ops built so far, with ``root`` as its root."""
+        return Program(tuple(self._ops), tuple(self._intervals), root)
+
+
+def compile_formula(formula: Union[Formula, Program]) -> Program:
+    """Compile a formula iteratively, in post-order with the left operand
+    first, so that the ops are numbered as :func:`formats.parse_program`
+    numbers them reading the formula's text.  A program is returned as it
+    is."""
+    if isinstance(formula, Program):
+        return formula
+    build = (builder := ProgramBuilder()).build
+    refs: dict[int, int] = {}  # id(node) -> reference; ``formula`` keeps the nodes alive
+    stack: list = [formula]  # nodes, and (node, class, shape) once its operands are pushed
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is tuple:  # the operands are built
+            node, cls, shape = node
+            if shape < 2:
+                x, y = refs[id(node.operand)], None
+            else:
+                x, y = refs[id(node.left)], refs[id(node.right)]
+        elif id(node) in refs:
+            continue
         else:
-            raise TypeError(f"unknown formula node {node!r}")
-        refs[id(node)] = ref
-    return Program(tuple(op_ids), tuple(interval_ids), refs[id(formula)])
+            shape = _SHAPES.get(cls)
+            if shape is None:  # atom, true or false
+                refs[id(node)] = build(cls, None, node.name) if cls is Atom else build(cls, None)
+                continue
+            # an atom operand due next is built in place rather than pushed
+            # and popped: atoms are about a fifth of a reduction formula's nodes
+            if shape < 2:
+                operand = node.operand
+                x, y = refs.get(id(operand)), None
+                if x is None:
+                    if type(operand) is not Atom:
+                        stack.append((node, cls, shape))
+                        stack.append(operand)
+                        continue
+                    x = refs[id(operand)] = build(Atom, None, operand.name)
+            else:
+                left, right = node.left, node.right
+                x = refs.get(id(left))
+                if x is None and type(left) is Atom:
+                    x = refs[id(left)] = build(Atom, None, left.name)
+                y = refs.get(id(right))
+                if y is None and x is not None and type(right) is Atom:
+                    y = refs[id(right)] = build(Atom, None, right.name)
+                if x is None or y is None:  # operands first, the left one on top
+                    stack.append((node, cls, shape))
+                    if y is None:
+                        stack.append(right)
+                    if x is None:
+                        stack.append(left)
+                    continue
+        refs[id(node)] = build(cls, node.interval if shape & 1 else None, x, y)
+    return builder.program(refs[id(formula)])
 
 
 def _order(ops: tuple, k: int, rows: list) -> tuple[int, ...]:

@@ -26,8 +26,9 @@ from ptamtl.encoding import (
     frac_alignment,
     n_prefix,
 )
+from ptamtl.formats import parse_program, serialize_formula
 from ptamtl.modelcheck import bounded_modelcheck
-from ptamtl.mtl import Not, eval_at, satisfies
+from ptamtl.mtl import Not, compile_formula, eval_at, satisfies
 from ptamtl.pta import (
     ClockConstraint,
     constraint_feasible,
@@ -167,8 +168,11 @@ def test_criterion_5_formula_checker_differential_gate():
     ):
         corpus, _ = build_corpus(machine, target, step_bound=6, channel_bound=3)
         formula = build_formula(machine, target)
+        # the formula as reduce writes it and mc-bounded reads it back
+        program = parse_program(serialize_formula(formula))
+        assert program == compile_formula(formula)
         for word in corpus:
-            by_formula = satisfies(word, formula)
+            by_formula = satisfies(word, program)
             by_checker = check_membership(word, machine, target, n_prefix(word))
             assert by_formula == by_checker, (word, by_formula, by_checker)
             total += 1

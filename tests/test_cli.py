@@ -191,6 +191,34 @@ class TestPipelineCommands:
         assert report["mutants_total"] == 5
         assert report["mutants_automaton_rejected"] == 5
 
+    def test_target_defaults_to_the_final_line(self, capsys, tmp_path, m2):
+        path = tmp_path / "m2.machine"
+        path.write_text(formats.serialize_machine(m2, final="q3"))
+        bounds = ["--steps", "8", "--chan", "3", "--json"]
+        assert main(["verify-reduction", str(path), *bounds]) == 0
+        implicit = capsys.readouterr().out
+        assert main(["verify-reduction", str(path), "q3", *bounds]) == 0
+        assert capsys.readouterr().out == implicit
+        assert json.loads(implicit)["outcome"] == "pass"
+
+    def test_positionals_bind_without_a_target(self, capsys, machine_file):
+        # the file's final: line names s2; n, the computation and the word
+        # still bind to their own positionals
+        assert main(["encode", str(machine_file), "s0 m! s1 m? s2"]) == 0
+        assert main(["check-lcn", str(machine_file), "1", W_C1_TEXT]) == 0
+        assert main(["check-lcn", str(machine_file), "2", W_C1_TEXT]) == 0
+        assert main(["decode", str(machine_file), W_C1_TEXT]) == 0
+        assert main(["search", str(machine_file), "--steps", "6", "--chan", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [W_C1_TEXT, "true", "false", "s0 m! s1 m? s2", "s0 m! s1 m? s2"]
+
+    def test_an_explicit_target_overrides_the_final_line(self, capsys, machine_file):
+        assert main(["encode", str(machine_file), "s1", "s0 m! s1"]) == 0
+        assert main(["check-lcn", str(machine_file), "s1", "1", W_C1_TEXT]) == 0
+        assert main(["search", str(machine_file), "s1", "--steps", "6", "--chan", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["s0@0 #@1/2 m!@1 s1@2 m@5/2 *@3", "false", "s0 m! s1"]
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -221,6 +249,12 @@ class TestPipelineCommands:
             (["reduce", "S1=U"], "symbol 'U' collides with a reserved spelling"),
             (["verify-reduction", "S1=q-0", "s2", "--steps", "6", "--chan", "3"], "symbol 'q-0' is not an identifier"),
             (["verify-reduction", "S1=U", "s2", "--steps", "6", "--chan", "3"], "symbol 'U' collides"),
+            # no target given, and no final: line in the machine file
+            (["encode", "BARE", "s0 m! s1 m? s2"], "no target state"),
+            (["check-lcn", "BARE", "1", W_C1_TEXT], "no target state"),
+            (["decode", "BARE", W_C1_TEXT], "no target state"),
+            (["search", "BARE", "--steps", "6", "--chan", "3"], "no target state"),
+            (["verify-reduction", "BARE", "--steps", "6", "--chan", "3"], "no target state"),
         ],
     )
     def test_bad_input_is_a_usage_error(self, capsys, machine_file, cadence_file, tmp_path, c1, argv, message):
@@ -401,6 +435,24 @@ class TestDeterminism:
             outputs.add(done.stdout)
         (output,) = outputs
         assert all(c["memo_hits"] > 0 for c in json.loads(output)["candidates"])
+
+    def test_mc_bounded_on_the_reduction_formula_independent_of_hash_seed(self, tmp_path, reduction_file, c1):
+        # the negated reduction formula, read from its file into a program as
+        # the perfbench mc-reduction ops read it
+        formula_file = tmp_path / "c1.mtl"
+        formula_file.write_text("!(" + formats.serialize_formula(build_formula(c1, "s2")) + ")")
+        argv = ["mc-bounded", str(reduction_file), f"@{formula_file}", "--k", "2", "--grid", "1/2",
+                "--horizon", "5", "--max-events", "9", "--strict-only", "--json"]  # fmt: skip
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        outputs = set()
+        for seed in range(1, 5):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=pythonpath)
+            done = subprocess.run(
+                [sys.executable, "-m", "ptamtl.cli", *argv], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.add(done.stdout)
+        (output,) = outputs
+        assert json.loads(output)["counterexample"] == W_C1_TEXT
 
 
 class TestVerdictShapes:

@@ -6,11 +6,12 @@ import pytest
 from ptamtl import formats
 from ptamtl.channel import ChannelMachine
 from ptamtl.errors import ParseError
-from ptamtl.mtl import FULL, And, Atom, Implies, Interval, Not, Until, and_all, or_all
+from ptamtl.mtl import FULL, And, Atom, Implies, Interval, Not, Until, and_all, compile_formula, or_all
 from ptamtl.pta import ClockConstraint, Edge, Pta
+from ptamtl.reduction import build_formula
 from ptamtl.timedwords import TimedWord
 
-from conftest import two_phase_automaton
+from conftest import send_receive_machine, two_message_machine, two_phase_automaton
 from util import random_formula, random_word
 
 F = Fraction
@@ -166,6 +167,84 @@ class TestFormulaFormat:
         # a point interval opens with [ only, and bounds are ASCII digits
         with pytest.raises(ParseError):
             formats.parse_formula(text)
+
+
+def _outcome(parse, text):
+    """What parsing the text gives: the value, or the error's message and column."""
+    try:
+        return parse(text)
+    except ParseError as error:
+        return str(error), error.column
+
+
+def _via_ast(text):
+    return compile_formula(formats.parse_formula(text))
+
+
+class TestProgramParity:
+    """parse_program reads text straight into ops; it must give exactly the
+    program compile_formula makes of the parsed AST, ops and intervals
+    numbered alike, and fail with the same error on every malformed text."""
+
+    def test_random_formulas(self):
+        rng = random.Random(15)
+        alphabet = ["a", "b", "m!", "m?", "#", "*"]
+        for _ in range(400):
+            formula = random_formula(rng, alphabet, 5)
+            text = formats.serialize_formula(formula)
+            assert formats.parse_program(text) == _via_ast(text) == compile_formula(formula), text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "X " * 1000 + "a",
+            "!" * 1000 + "a",
+            "F[1,2] !G(0,1) " * 500 + "a",
+            "a -> " * 1000 + "a",
+            "a U[1,2] " * 1000 + "a",
+            " & ".join(f"a{i % 7}" for i in range(3000)),
+            "(" + " | ".join(["a", "!b"] * 1500) + ") & c",
+            "(a U[0,1] (b & " * 500 + "c" + "))" * 500,
+        ],
+        ids=["next", "not", "mixed-unary", "implies", "until", "conjunction", "disjunction", "right-until"],
+    )
+    def test_deep_chains(self, text):
+        assert formats.parse_program(text) == _via_ast(text)
+
+    @pytest.mark.parametrize(
+        "machine, target", [(send_receive_machine(), "s2"), (two_message_machine(), "q3")], ids=["c1", "m2"]
+    )
+    def test_reduction_formulas(self, machine, target):
+        # the text reduce writes, and its negation as mc-bounded reads it
+        formula = build_formula(machine, target)
+        text = formats.serialize_formula(formula)
+        program = formats.parse_program(text)
+        assert program == _via_ast(text) == compile_formula(formula)
+        negated = formats.parse_program(f"!({text})")
+        assert negated == _via_ast(f"!({text})") == program._replace(root=program.root ^ 1)
+
+    def test_one_character_mutations_fail_alike(self):
+        rng = random.Random(16)
+        valid = [
+            "a U[1,2) (b & !c)",
+            "F[=2] b | G[0,inf) !a",
+            "m! & !m? & # & * -> X(0,3] true",
+            "(a | false) U (b -> c U[2,2] a)",
+        ] + [formats.serialize_formula(random_formula(rng, ["a", "b", "m!", "#"], 4)) for _ in range(60)]
+        characters = " ()[],=!&|-><UXFGab01inf#*?_$"
+        errors = 0
+        for text in valid:
+            for _ in range(40):
+                i = rng.randrange(len(text) + 1)
+                edit = rng.randrange(3)
+                if edit == 0:
+                    mutant = text[:i] + text[i + 1 :]
+                else:
+                    mutant = text[:i] + rng.choice(characters) + text[i + (edit == 2) :]
+                outcome = _outcome(formats.parse_program, mutant)
+                assert outcome == _outcome(_via_ast, mutant), mutant
+                errors += type(outcome) is tuple
+        assert 1000 < errors < len(valid) * 40 - 500  # most mutants are malformed, many are not
 
 
 class TestMachineFormat:

@@ -17,6 +17,8 @@ def check_against_brute_force(automaton, formula, rho, grid, horizon, events, st
     (None when every word satisfies the formula)."""
     violation = compile_formula(Not(formula))
     verdict = bounded_modelcheck(automaton, formula, [rho], grid, horizon, events, strict)
+    # the formula compiled beforehand gives the same verdict
+    assert bounded_modelcheck(automaton, compile_formula(formula), [rho], grid, horizon, events, strict) == verdict
 
     def viable(word):
         return prefix_may_satisfy(word, violation)

@@ -80,6 +80,23 @@ class TestCompiler:
             assert program.root % 2 == 0 and kind == _AND
             assert a == b, f
 
+    def test_ops_are_numbered_left_operand_first(self):
+        # in post-order with the left operand first, the order in which a
+        # parser reading the formula's text meets them
+        window = Interval(1, 2, True, True)
+        program = compile_formula(Or(Until(window, Atom("b"), Atom("a")), Not(Eventually(FULL, Atom("c")))))
+        assert program.ops == (
+            (_TRUE, -1, -1, -1),
+            (_ATOM, "b", -1, -1),
+            (_ATOM, "a", -1, -1),
+            (_UNTIL, 2, 4, 0),
+            (_ATOM, "c", -1, -1),
+            (_UNTIL, 0, 8, 1),
+            (_AND, 7, 10, -1),  # !(!(b U a) & F c)
+        )
+        assert program.intervals == (window, FULL)
+        assert program.root == 13
+
 
 class TestDesugar:
     def test_eventually(self):

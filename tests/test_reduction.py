@@ -11,7 +11,8 @@ from ptamtl.channel import (
     search_error_free,
 )
 from ptamtl.encoding import check_membership, decode, default_layout, encode, n_prefix
-from ptamtl.mtl import satisfies
+from ptamtl.formats import parse_program, serialize_formula
+from ptamtl.mtl import compile_formula, satisfies
 from ptamtl.pta import is_deterministic, membership
 from ptamtl.reduction import (
     build_automaton,
@@ -121,8 +122,11 @@ class TestFormulaCheckerAgreement:
         corpus, _ = build_corpus(machine, target, step_bound=6, channel_bound=3)
         assert len(corpus) >= (35 if which == "c1" else 100)
         formula = build_formula(machine, target)
+        # the formula as reduce writes it and mc-bounded reads it back
+        program = parse_program(serialize_formula(formula))
+        assert program == compile_formula(formula)
         for word in corpus:
-            by_formula = satisfies(word, formula)
+            by_formula = satisfies(word, program)
             by_checker = check_membership(word, machine, target, n_prefix(word))
             assert by_formula == by_checker, (
                 f"disagreement on {word!r}: formula={by_formula} checker={by_checker}"
