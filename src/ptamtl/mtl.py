@@ -32,7 +32,10 @@ formula after each event into its residual: negated and plain conjunctions
 of pending until obligations, each with its interval shifted to the last
 event.  A residual is a signed reference to a hash-consed node, as a
 program child is one, so a negation costs no node and each step is memoized
-once for a residual and its negation.  The engine is a lazily built
+once for a residual and its negation.  A step looks up each operand of a
+conjunction once, resuming its scan after stepping a missing operand, and
+builds an obligation's shifted window only when the result depends on it,
+so a node costs work linear in its width.  The engine is a lazily built
 automaton whose states can key a memo of search subtrees.  A residual is
 constant exactly when the three-valued (Kleene) evaluation of the prefix,
 with every pending obligation unknown, is decided.  Pruning on a false
@@ -49,7 +52,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from math import lcm
@@ -87,18 +89,6 @@ class Interval:
     @classmethod
     def point(cls, value: int) -> "Interval":
         return cls(value, value, True, True)
-
-    def contains(self, value: Fraction) -> bool:
-        if self.lower_closed:
-            if value < self.lower:
-                return False
-        elif value <= self.lower:
-            return False
-        if self.upper is None:
-            return True
-        if self.upper_closed:
-            return value <= self.upper
-        return value < self.upper
 
     @property
     def is_full(self) -> bool:
@@ -480,7 +470,9 @@ class Progression:
     program reference: :meth:`now`, :meth:`step` and :meth:`accepts` flip
     with it.  :meth:`now` is memoized per op and :meth:`step` per node, so
     the engine builds the automaton of the formula's residuals lazily, as a
-    search visits it.
+    search visits it.  A step looks up each operand of a node once, and
+    builds the shifted until obligation only when the result depends on it:
+    when the left operand holds at the event and no witness decides.
     """
 
     start = _START
@@ -573,26 +565,29 @@ class Progression:
             if ticks < 0:
                 raise ValueError("timestamps must be non-decreasing")
             nodes = self._nodes
-            stack = [residual >> 1]
+            # a frame is a node and the steps of its operands so far, so a
+            # conjunction's scan resumes at operand len(values)
+            stack = [(residual >> 1, [])]
             while stack:
-                k = stack[-1]
+                k, values = stack[-1]
                 if k == 0:
                     result = 0
                 elif k == 1:
                     result = self.now(self.program.root, symbol)
                 elif nodes[k][0] == _AND:  # operands in order, up to a false one
-                    values = []
-                    for c in nodes[k][1]:
-                        value = memo.get((c >> 1, symbol, ticks))
+                    parts = nodes[k][1]
+                    for i in range(len(values), len(parts)):
+                        value = memo.get((parts[i] >> 1, symbol, ticks))
                         if value is None:
                             break
-                        values.append(value ^ (c & 1))
-                        if not values[-1]:
+                        value ^= parts[i] & 1
+                        values.append(value)
+                        if not value:
                             break
                     if value is None:
-                        stack.append(c >> 1)
+                        stack.append((parts[i] >> 1, []))
                         continue
-                    result = self._and(values)
+                    result = self._and(values) if value else 0
                 else:
                     result = self._advance(nodes[k], symbol, ticks * self._factor)
                 memo[k, symbol, ticks] = result
@@ -604,18 +599,19 @@ class Progression:
         ``a U b`` is (the event is in the window and b holds there) or (a holds
         there and ``a U b``, its window shifted, holds from there)."""
         _, k, lo, lo_closed, hi, hi_closed = node
-        _, a, b, _ = self.program.ops[k]
-        inside = (delay > lo or (delay == lo and lo_closed)) and (
-            hi is None or delay < hi or (delay == hi and hi_closed)
-        )
-        witness = self.now(b, symbol) if inside else 0
         if hi is not None and (delay > hi or (delay == hi and not hi_closed)):
-            later = 0  # the window has passed
-        else:  # a lower bound below 0 is [0, as later events come no earlier
-            shifted = (max(lo - delay, 0), lo_closed or delay > lo, None if hi is None else hi - delay, hi_closed)
-            later = self._intern((_UNTIL, k, *shifted))
-        between = self._and((self.now(a, symbol), later))
-        return self._and((witness ^ 1, between ^ 1)) ^ 1  # witness | between
+            return 0  # the window has passed
+        _, a, b, _ = self.program.ops[k]
+        witness = self.now(b, symbol) if delay > lo or (delay == lo and lo_closed) else 0
+        if witness == 1:
+            return 1
+        left = self.now(a, symbol)
+        if left == 0:
+            return witness
+        # a lower bound below 0 is [0, as later events come no earlier
+        shifted = (max(lo - delay, 0), lo_closed or delay > lo, None if hi is None else hi - delay, hi_closed)
+        between = self._and((left, self._intern((_UNTIL, k, *shifted))))
+        return between if witness == 0 else self._and((witness ^ 1, between ^ 1)) ^ 1  # witness | between
 
 
 def eval_at(word: TimedWord, position: int, formula: Union[Formula, Program]) -> bool:

@@ -29,7 +29,7 @@ from ptamtl.mtl import (
 )
 from ptamtl.timedwords import TimedWord
 
-from util import kleene_evaluator, kleene_value, naive_eval, prefix_may_satisfy, random_formula, random_word
+from util import interval_contains, kleene_evaluator, kleene_value, naive_eval, prefix_may_satisfy, random_formula, random_word
 
 
 def W(*pairs):
@@ -38,10 +38,10 @@ def W(*pairs):
 
 class TestInterval:
     def test_contains(self):
-        assert Interval(1, 2, False, False).contains(Fraction(3, 2))
-        assert not Interval(1, 2, False, False).contains(Fraction(1))
-        assert Interval.point(2).contains(Fraction(2))
-        assert Interval(0, None, True, False).contains(Fraction(1000))
+        assert interval_contains(Interval(1, 2, False, False), Fraction(3, 2))
+        assert not interval_contains(Interval(1, 2, False, False), Fraction(1))
+        assert interval_contains(Interval.point(2), Fraction(2))
+        assert interval_contains(Interval(0, None, True, False), Fraction(1000))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -369,6 +369,50 @@ class TestIncrementalMonitor:
             assert r > 2
             assert engine.step(r, "b", 1) == after_b
             assert engine.step(r, "a", 1) == r
+
+    def test_a_wide_conjunction_steps_in_linear_lookups(self):
+        # distinct conjuncts, so the residual after the first event is one
+        # node with 400 operands, none of them stepped yet
+        width = 400
+        formula = and_all(Eventually(Interval(0, i, True, True), Atom(f"a{i}")) for i in range(width))
+        program = compile_formula(formula)
+        engine = Progression(program, 1)
+
+        class CountingDict(dict):
+            gets = 0
+
+            def get(self, key, default=None):
+                CountingDict.gets += 1
+                return super().get(key, default)
+
+        engine._steps = CountingDict()
+        first = engine.step(engine.start, "b", 0)
+        assert len(engine._nodes[first >> 1][1]) == width
+        for symbol, delay in (("a7", 0), ("a7", 3), ("b", 2), ("a399", 500)):
+            CountingDict.gets, before = 0, len(engine._steps)
+            r = engine.step(first, symbol, delay)
+            stepped = len(engine._steps) - before
+            assert CountingDict.gets <= 3 * stepped, (symbol, delay, CountingDict.gets, stepped)
+            word = W(("b", 0), (symbol, delay))
+            assert engine.accepts(r) == satisfies(word, program)
+            for after, tick in (("a0", delay), ("a399", delay + 1)):
+                extended = TimedWord(word.events + ((after, tick),))
+                assert engine.accepts(engine.step(r, after, tick - delay)) == satisfies(extended, program)
+
+    def test_the_shifted_obligation_is_built_only_when_used(self):
+        engine = Progression(Until(Interval(0, 5, True, True), Atom("a"), Atom("b")), 1)
+        pending = engine.step(engine.start, "c", 0)
+        assert pending > 2
+        nodes = len(engine._nodes)
+        # a false at the event, a witness in the window or a passed window decides
+        assert engine.step(pending, "c", 1) == 0
+        assert engine.step(pending, "b", 2) == 1
+        assert engine.step(pending, "a", 6) == 0  # the window has passed
+        assert len(engine._nodes) == nodes
+        # a holds and no witness: the obligation with its window shifted
+        shifted = engine.step(pending, "a", 1)
+        assert len(engine._nodes) == nodes + 1
+        assert engine._nodes[shifted >> 1][2:] == (0, True, 4, True)
 
     def test_decided_entries_never_change_on_extension(self):
         # the invariant the incremental monitor and the pruning rely on

@@ -44,6 +44,20 @@ from ptamtl.timedwords import TimedWord
 # -- naive MTL reference evaluator --------------------------------------------
 
 
+def interval_contains(interval: Interval, value: Fraction) -> bool:
+    """Whether a time distance lies in the interval, read off its endpoints."""
+    if interval.lower_closed:
+        if value < interval.lower:
+            return False
+    elif value <= interval.lower:
+        return False
+    if interval.upper is None:
+        return True
+    if interval.upper_closed:
+        return value <= interval.upper
+    return value < interval.upper
+
+
 def naive_eval(word: TimedWord, position: int, formula: Formula) -> bool:
     """Direct recursion over the satisfaction relation, no tables, no reuse.
 
@@ -72,7 +86,7 @@ def naive_eval(word: TimedWord, position: int, formula: Formula) -> bool:
         return (not naive_eval(word, i, formula.left)) or naive_eval(word, i, formula.right)
     if isinstance(formula, Until):
         for j in range(i + 1, n + 1):
-            if formula.interval.contains(t(j) - t(i)) and naive_eval(word, j, formula.right):
+            if interval_contains(formula.interval, t(j) - t(i)) and naive_eval(word, j, formula.right):
                 if all(naive_eval(word, k, formula.left) for k in range(i + 1, j)):
                     return True
         return False
@@ -80,19 +94,19 @@ def naive_eval(word: TimedWord, position: int, formula: Formula) -> bool:
         # false U_I phi: the witness must be the immediate successor
         return (
             i + 1 <= n
-            and formula.interval.contains(t(i + 1) - t(i))
+            and interval_contains(formula.interval, t(i + 1) - t(i))
             and naive_eval(word, i + 1, formula.operand)
         )
     if isinstance(formula, Eventually):
         return any(
-            formula.interval.contains(t(j) - t(i)) and naive_eval(word, j, formula.operand)
+            interval_contains(formula.interval, t(j) - t(i)) and naive_eval(word, j, formula.operand)
             for j in range(i + 1, n + 1)
         )
     if isinstance(formula, Globally):
         return all(
             naive_eval(word, j, formula.operand)
             for j in range(i + 1, n + 1)
-            if formula.interval.contains(t(j) - t(i))
+            if interval_contains(formula.interval, t(j) - t(i))
         )
     raise TypeError(f"unknown node {formula!r}")
 
