@@ -12,9 +12,11 @@ that expands them: it hash-conses a formula, one node at a time and
 operands first, into a post-order array of atom, true, and, and until ops
 whose children are signed references (2k is op k, 2k + 1 its negation), so
 equal subformulas share one reference whichever operators spell them.
-:func:`compile_formula` feeds it the nodes of an AST, left operand first,
+:attr:`Formula.program` feeds it the nodes of an AST, left operand first,
 and :func:`formats.parse_program` the nodes of a formula's text as it
-reads them, so both number the ops of one formula alike.
+reads them, so both number the ops of one formula alike.  A formula
+compiles once: its program is cached on the formula object and freed with
+it, and :func:`compile_formula` reads it from there.
 
 :func:`eval_at` decides a closed word at a position, and :func:`satisfies`
 is its answer at the first one.  One evaluator computes a row of truth
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from math import lcm
 from operator import and_, gt, lt, or_
@@ -100,9 +102,65 @@ POSITIVE = Interval(0, None, False, False)
 
 
 class Formula:
-    """Base class for formula nodes."""
+    """Base class for formula nodes.  The nodes are frozen dataclasses whose
+    equality, hash and repr read their fields only, so the program cached on
+    a node leaves them as they are."""
 
     __slots__ = ()
+
+    @cached_property
+    def program(self) -> Program:
+        """The formula compiled on first use and kept on this object, built
+        iteratively, in post-order with the left operand first, so that the
+        ops are numbered as :func:`formats.parse_program` numbers them reading
+        the formula's text."""
+        build = (builder := ProgramBuilder()).build
+        refs: dict[int, int] = {}  # id(node) -> reference; ``self`` keeps the nodes alive
+        stack: list = [self]  # nodes, and (node, class, shape) once its operands are pushed
+        while stack:
+            node = stack.pop()
+            cls = type(node)
+            if cls is tuple:  # the operands are built
+                node, cls, shape = node
+                if shape < 2:
+                    x, y = refs[id(node.operand)], None
+                else:
+                    x, y = refs[id(node.left)], refs[id(node.right)]
+            elif id(node) in refs:
+                continue
+            else:
+                shape = _SHAPES.get(cls)
+                if shape is None:  # atom, true or false
+                    refs[id(node)] = build(cls, None, node.name) if cls is Atom else build(cls, None)
+                    continue
+                # an atom operand due next is built in place rather than pushed
+                # and popped: atoms are about a fifth of a reduction formula's nodes
+                if shape < 2:
+                    operand = node.operand
+                    x, y = refs.get(id(operand)), None
+                    if x is None:
+                        if type(operand) is not Atom:
+                            stack.append((node, cls, shape))
+                            stack.append(operand)
+                            continue
+                        x = refs[id(operand)] = build(Atom, None, operand.name)
+                else:
+                    left, right = node.left, node.right
+                    x = refs.get(id(left))
+                    if x is None and type(left) is Atom:
+                        x = refs[id(left)] = build(Atom, None, left.name)
+                    y = refs.get(id(right))
+                    if y is None and x is not None and type(right) is Atom:
+                        y = refs[id(right)] = build(Atom, None, right.name)
+                    if x is None or y is None:  # operands first, the left one on top
+                        stack.append((node, cls, shape))
+                        if y is None:
+                            stack.append(right)
+                        if x is None:
+                            stack.append(left)
+                        continue
+            refs[id(node)] = build(cls, node.interval if shape & 1 else None, x, y)
+        return builder.program(refs[id(self)])
 
 
 @dataclass(frozen=True)
@@ -268,74 +326,10 @@ class ProgramBuilder:
 
 
 def compile_formula(formula: Union[Formula, Program]) -> Program:
-    """Compile a formula iteratively, in post-order with the left operand
-    first, so that the ops are numbered as :func:`formats.parse_program`
-    numbers them reading the formula's text.  A program is returned as it
-    is."""
-    if isinstance(formula, Program):
-        return formula
-    build = (builder := ProgramBuilder()).build
-    refs: dict[int, int] = {}  # id(node) -> reference; ``formula`` keeps the nodes alive
-    stack: list = [formula]  # nodes, and (node, class, shape) once its operands are pushed
-    while stack:
-        node = stack.pop()
-        cls = type(node)
-        if cls is tuple:  # the operands are built
-            node, cls, shape = node
-            if shape < 2:
-                x, y = refs[id(node.operand)], None
-            else:
-                x, y = refs[id(node.left)], refs[id(node.right)]
-        elif id(node) in refs:
-            continue
-        else:
-            shape = _SHAPES.get(cls)
-            if shape is None:  # atom, true or false
-                refs[id(node)] = build(cls, None, node.name) if cls is Atom else build(cls, None)
-                continue
-            # an atom operand due next is built in place rather than pushed
-            # and popped: atoms are about a fifth of a reduction formula's nodes
-            if shape < 2:
-                operand = node.operand
-                x, y = refs.get(id(operand)), None
-                if x is None:
-                    if type(operand) is not Atom:
-                        stack.append((node, cls, shape))
-                        stack.append(operand)
-                        continue
-                    x = refs[id(operand)] = build(Atom, None, operand.name)
-            else:
-                left, right = node.left, node.right
-                x = refs.get(id(left))
-                if x is None and type(left) is Atom:
-                    x = refs[id(left)] = build(Atom, None, left.name)
-                y = refs.get(id(right))
-                if y is None and x is not None and type(right) is Atom:
-                    y = refs[id(right)] = build(Atom, None, right.name)
-                if x is None or y is None:  # operands first, the left one on top
-                    stack.append((node, cls, shape))
-                    if y is None:
-                        stack.append(right)
-                    if x is None:
-                        stack.append(left)
-                    continue
-        refs[id(node)] = build(cls, node.interval if shape & 1 else None, x, y)
-    return builder.program(refs[id(formula)])
-
-
-def _order(ops: tuple, k: int, rows: list) -> tuple[int, ...]:
-    """Op k and every op its row depends on whose row is still missing,
-    children before parents: the order in which their rows are filled."""
-    needed, stack = set(), [k]
-    while stack:
-        j = stack.pop()
-        if j not in needed and rows[j] is None:
-            needed.add(j)
-            kind, a, b, _ = ops[j]
-            if kind >= _AND:
-                stack.append(a >> 1)
-                stack.append(b >> 1)
-    return tuple(sorted(needed))
+    """The program of a formula: ``formula.program``, compiled on first use
+    and kept on the formula object, so a formula compiles once however many
+    words it is evaluated on.  A program is returned as it is."""
+    return formula if isinstance(formula, Program) else formula.program
 
 
 # (p, q) -> (operator, flip): the row of a & b from the rows of a and b, each
@@ -406,8 +400,20 @@ def _evaluator(word: TimedWord, program: Program):
     def row(r: int) -> tuple[list[bool], int]:
         k = r >> 1
         if rows[k] is None:
-            for j in _order(ops, k, rows):
+            # post-order: an op is computed once its children's rows are filled
+            stack = [k]
+            while stack:
+                j = stack[-1]
+                kind, a, b, _ = ops[j]
+                if kind >= _AND:
+                    if rows[a >> 1] is None:
+                        stack.append(a >> 1)
+                        continue
+                    if rows[b >> 1] is None:
+                        stack.append(b >> 1)
+                        continue
                 rows[j] = compute(j)
+                stack.pop()
         values, flip = rows[k]
         return values, flip ^ (r & 1)
 

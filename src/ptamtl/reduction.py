@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Optional
 
 from .channel import (
@@ -64,7 +63,6 @@ from .mtl import (
     Program,
     Until,
     and_all,
-    compile_formula,
     or_all,
     satisfies,
 )
@@ -343,10 +341,10 @@ class ReductionBundle:
     def alphabet(self) -> tuple[str, ...]:
         return self.automaton.alphabet
 
-    @cached_property
+    @property
     def program(self) -> Program:
-        """The formula compiled on first use, once per bundle."""
-        return compile_formula(self.formula)
+        """The formula's program, compiled once, on the formula."""
+        return self.formula.program
 
 
 def build_bundle(machine: ChannelMachine, target: str) -> ReductionBundle:

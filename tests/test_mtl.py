@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -97,6 +99,76 @@ class TestCompiler:
         assert program.intervals == (window, FULL)
         assert program.root == 13
 
+    def test_a_formula_compiles_once_on_the_object(self):
+        formula = Or(Until(Interval(1, 2, True, True), Atom("b"), Atom("a")), Not(Eventually(FULL, Atom("c"))))
+        program = compile_formula(formula)
+        assert compile_formula(formula) is program and formula.program is program
+        assert compile_formula(program) is program
+
+    def test_an_equal_formula_gets_an_equal_program_of_its_own(self):
+        def spell():
+            return And(Eventually(FULL, Atom("a")), Globally(Interval(0, 2, True, True), Not(Atom("b"))))
+
+        first, second = spell(), spell()
+        assert first == second and first is not second
+        program = compile_formula(first)
+        assert compile_formula(second) == program and compile_formula(second) is not program
+
+    def test_equality_hash_and_repr_ignore_the_cached_program(self):
+        rng = random.Random(13)
+        for _ in range(50):
+            formula = random_formula(rng, ["a", "b"], 4)
+            twin = dataclasses.replace(formula)
+            before = (formula == twin, hash(formula), repr(formula))
+            compile_formula(formula)
+            assert "program" in vars(formula) and "program" not in vars(twin)
+            assert (formula == twin, hash(formula), repr(formula)) == before == (True, hash(twin), repr(twin))
+
+    def test_deep_formulas_compile_twice_to_one_object(self):
+        from ptamtl.formats import parse_formula
+
+        for formula in (and_all([Eventually(FULL, Atom("b"))] * 3000), parse_formula("X " * 1000 + "a")):
+            program = compile_formula(formula)
+            assert compile_formula(formula) is program
+
+    def test_a_subformula_compiled_after_its_parent_has_its_own_root(self):
+        child = Until(Interval(0, 3, True, False), Atom("a"), Eventually(FULL, Atom("b")))
+        parent = Or(Atom("c"), child)
+        before = compile_formula(parent)
+        program = compile_formula(child)
+        assert program is not before and program == compile_formula(Until(child.interval, child.left, child.right))
+        kind, a, b, _ = program.ops[program.root >> 1]
+        assert program.root % 2 == 0 and kind == _UNTIL and program.ops[a >> 1] == (_ATOM, "a", -1, -1)
+        assert compile_formula(parent) is before
+
+    def test_satisfies_on_many_words_builds_one_program(self, monkeypatch):
+        from ptamtl import mtl
+
+        built = []
+
+        class CountingBuilder(mtl.ProgramBuilder):
+            def __init__(self):
+                built.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(mtl, "ProgramBuilder", CountingBuilder)
+        rng = random.Random(14)
+        formula = Until(Interval(0, 2, True, True), Not(Atom("b")), And(Atom("a"), Next(FULL, Atom("b"))))
+        for _ in range(50):
+            word = random_word(rng, ["a", "b"], 6)
+            assert satisfies(word, formula) == naive_eval(word, 1, formula)
+        assert len(built) == 1
+
+    def test_first_and_repeated_calls_agree_with_the_naive_reference(self):
+        rng = random.Random(15)
+        alphabet = ["a", "b", "c"]
+        for _ in range(100):
+            formula = random_formula(rng, alphabet, 4)
+            words = [random_word(rng, alphabet, 6) for _ in range(3)]
+            first = [satisfies(word, formula) for word in words]
+            repeated = [satisfies(word, formula) for word in words]
+            assert first == repeated == [naive_eval(word, 1, formula) for word in words], formula
+
 
 class TestDesugar:
     def test_eventually(self):
@@ -128,6 +200,26 @@ class TestEvalAt:
         word = W(("b", 0), ("a", 1))
         assert eval_at(word, 1, Until(FULL, TrueConst(), Atom("a")))
         assert not eval_at(word, 1, Until(FULL, TrueConst(), Atom("b")))
+
+    def test_rows_deeper_than_the_recursion_limit_fill_on_a_stack(self):
+        # one until at the root, 2,000 nested untils (F and X, each negated)
+        # under it: the root's row fills every row below it
+        formula = Atom("a")
+        for depth in range(2000):
+            modality = Eventually(Interval(0, 1, True, True), formula) if depth % 2 else Next(FULL, formula)
+            formula = Not(modality) if depth % 3 else modality
+        formula = Eventually(FULL, formula)
+        program = compile_formula(formula)
+        assert sum(op[0] == _UNTIL for op in program.ops) == 2001 > sys.getrecursionlimit()
+        rng = random.Random(16)
+        verdicts = set()
+        for _ in range(40):
+            word = random_word(rng, ["a", "b"], 6)
+            values, flip = _evaluator(word, program)(program.root)
+            for i, value in enumerate(values):
+                verdicts.add(value != flip)
+                assert (value != flip) == naive_eval(word, i + 1, formula), (word, i)
+        assert verdicts == {False, True}
 
 
 class TestSatisfies:

@@ -274,28 +274,24 @@ class TestCheckTheorem:
 
     def test_builds_and_compiles_once(self, c1, monkeypatch):
         # the witness and every mutant are checked against one bundle and
-        # one compiled formula
+        # one compiled formula: one program builder for the whole check
         from ptamtl import mtl, reduction
 
-        calls = {"build_automaton": 0, "build_formula": 0, "compile_formula": 0}
+        calls = {"build_automaton": 0, "build_formula": 0, "ProgramBuilder": 0}
 
-        def counting(name, function, counts=lambda *args: True):
+        def counting(name, function):
             def wrapper(*args):
-                calls[name] += counts(*args)
+                calls[name] += 1
                 return function(*args)
 
             return wrapper
 
         for name in ("build_automaton", "build_formula"):
             monkeypatch.setattr(reduction, name, counting(name, getattr(reduction, name)))
-        compiling = counting(
-            "compile_formula", mtl.compile_formula, lambda formula: not isinstance(formula, mtl.Program)
-        )
-        for module in (mtl, reduction):
-            monkeypatch.setattr(module, "compile_formula", compiling)
+        monkeypatch.setattr(mtl.ProgramBuilder, "__init__", counting("ProgramBuilder", mtl.ProgramBuilder.__init__))
         report = check_theorem(c1, "s2", 6, 3)
         assert report.outcome == "pass" and report.mutants_total == 5
-        assert calls == {"build_automaton": 1, "build_formula": 1, "compile_formula": 1}
+        assert calls == {"build_automaton": 1, "build_formula": 1, "ProgramBuilder": 1}
 
     def test_no_witness_when_receive_removed(self, c1):
         stripped = ChannelMachine(
