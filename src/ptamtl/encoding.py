@@ -96,13 +96,6 @@ class ConfigBlock:
         return tuple(s for s, _ in self.symbols if s != HASH)
 
 
-def _classes(machine: ChannelMachine):
-    states = frozenset(machine.states)
-    messages = frozenset(machine.messages)
-    labels = frozenset(machine.labels())
-    return states, messages, labels
-
-
 def decompose(word: TimedWord, machine: ChannelMachine) -> list[ConfigBlock]:
     """Parse a timed word into blocks, or raise DecodeStructureError naming
     the first offending event.
@@ -113,8 +106,9 @@ def decompose(word: TimedWord, machine: ChannelMachine) -> list[ConfigBlock]:
     state exactly two units after it), and the end marker closes the word one
     unit after the final state symbol.
     """
-    states, messages, labels = _classes(machine)
-    display = messages | {HASH}
+    states = frozenset(machine.states)
+    display = frozenset(machine.messages) | {HASH}
+    labels = frozenset(machine.labels())
     events = word.events
 
     def fail(index: int, reason: str):
@@ -127,10 +121,11 @@ def decompose(word: TimedWord, machine: ChannelMachine) -> list[ConfigBlock]:
         symbol, start = events[i]
         if symbol not in states:
             fail(i, "expected a control-state symbol")
+        close = start + 1
         i += 1
         symbols: list[tuple[str, Fraction]] = []
         previous = Fraction(0)
-        while i < len(events) and events[i][1] < start + 1:
+        while i < len(events) and events[i][1] < close:
             s, t = events[i]
             offset = t - start
             if s not in display:
@@ -145,7 +140,7 @@ def decompose(word: TimedWord, machine: ChannelMachine) -> list[ConfigBlock]:
         if i == len(events):
             fail(i - 1, "block is not closed by a label or the end marker")
         trailer, t = events[i]
-        if t != start + 1:
+        if t != close:
             fail(i, "expected the label or end marker exactly one unit after the state")
         if trailer == STAR:
             if i + 1 != len(events):
@@ -159,7 +154,7 @@ def decompose(word: TimedWord, machine: ChannelMachine) -> list[ConfigBlock]:
         if i == len(events):
             fail(i - 1, "a label must be followed by the next state symbol")
         nxt_symbol, nxt_time = events[i]
-        if nxt_time != start + 2:
+        if nxt_time != close + 1:
             fail(i, "expected the next state symbol exactly two units after the previous")
         if nxt_symbol not in states:
             fail(i, "expected a control-state symbol two units after the previous")
@@ -188,10 +183,14 @@ def explain_membership(
         blocks = decompose(word, machine)
     except DecodeStructureError as error:
         return f"structure: {error}"
-    times = word.times
-    if any(a >= b for a, b in zip(times, times[1:])):
-        return "timestamps are not strictly increasing"
+    return _violation(blocks, machine, target, width)
 
+
+def _violation(
+    blocks: list[ConfigBlock], machine: ChannelMachine, target: str, width: int
+) -> Optional[str]:
+    """The first condition of the encoding language that a decomposed word
+    violates, or None."""
     # initial display: the right state, all hashes, exactly the declared width
     first = blocks[0]
     if first.state != machine.initial:
@@ -233,53 +232,23 @@ def _check_step(block: ConfigBlock, nxt: ConfigBlock, number: int) -> Optional[s
     """Copy/replace/append discipline between two adjacent blocks."""
     kind, message = label_kind(block.trailer)
     landing = {offset: symbol for symbol, offset in nxt.symbols}
-
-    def copied(symbol: str, offset: Fraction) -> bool:
-        return landing.get(offset) == symbol
-
-    def appended_tail(expected: str, after: Fraction) -> Optional[str]:
-        tail = [(s, o) for s, o in nxt.symbols if o > after]
-        if len(tail) != 1 or tail[0][0] != expected:
-            return (
-                f"block {number}: the appended {expected!r} must be the only display "
-                "symbol after the copied ones"
-            )
-        return None
-
+    symbols = block.symbols
+    replaced = None  # the offset of the hash a send replaces
     if kind == "empty":
-        if any(s != HASH for s, _ in block.symbols):
+        if any(s != HASH for s, _ in symbols):
             return f"block {number}: empty test over a non-empty display"
-        for symbol, offset in block.symbols:
-            if not copied(HASH, offset):
-                return f"block {number}: hash at offset {offset} is not copied forward"
-        return None
-
-    if kind == "send":
-        hashes = [o for s, o in block.symbols if s == HASH]
-        if hashes:
-            replaced = hashes[0]
-            if landing.get(replaced) != message:
-                return (
-                    f"block {number}: first hash (offset {replaced}) must become "
-                    f"{message!r} two units later"
-                )
-            for symbol, offset in block.symbols:
-                if offset != replaced and not copied(symbol, offset):
-                    return f"block {number}: symbol at offset {offset} is not copied forward"
-            return None
-        # full display: copy everything and append the message at the end
-        for symbol, offset in block.symbols:
-            if not copied(symbol, offset):
-                return f"block {number}: symbol at offset {offset} is not copied forward"
-        anchor = block.offsets[-1] if block.symbols else Fraction(0)
-        return appended_tail(message, anchor)
-
-    # receive
-    if block.symbols and block.symbols[0][0] == message:
-        # head matches: shift left one slot, append a hash in the last slot
+    elif kind == "send":
+        replaced = next((o for s, o in symbols if s == HASH), None)
+        if replaced is not None and landing.get(replaced) != message:
+            return (
+                f"block {number}: first hash (offset {replaced}) must become "
+                f"{message!r} two units later"
+            )
+    elif symbols and symbols[0][0] == message:
+        # receive, head matches: shift left one slot, append a hash in the last slot
         offsets = block.offsets
         for j in range(1, block.width):
-            if landing.get(offsets[j - 1]) != block.symbols[j][0]:
+            if landing.get(offsets[j - 1]) != symbols[j][0]:
                 return (
                     f"block {number}: symbol at offset {offsets[j]} must shift to "
                     f"offset {offsets[j - 1]} two units later"
@@ -287,12 +256,25 @@ def _check_step(block: ConfigBlock, nxt: ConfigBlock, number: int) -> Optional[s
         if landing.get(offsets[-1]) != HASH:
             return f"block {number}: a hash must appear in the freed last slot"
         return None
-    # head mismatch (or empty display): an insertion error; copy and append a hash
-    for symbol, offset in block.symbols:
-        if not copied(symbol, offset):
-            return f"block {number}: symbol at offset {offset} is not copied forward"
-    anchor = block.offsets[-1] if block.symbols else Fraction(0)
-    return appended_tail(HASH, anchor)
+
+    for symbol, offset in symbols:
+        if offset != replaced and landing.get(offset) != symbol:
+            noun = "hash" if kind == "empty" else "symbol"
+            return f"block {number}: {noun} at offset {offset} is not copied forward"
+    if kind == "empty" or replaced is not None:
+        return None
+    # a send on a full display appends its message right after the copied
+    # display; a receive whose head does not match (or an empty display) is an
+    # insertion error and appends a hash there
+    expected = message if kind == "send" else HASH
+    anchor = symbols[-1][1] if symbols else Fraction(0)
+    tail = [(s, o) for s, o in nxt.symbols if o > anchor]
+    if len(tail) != 1 or tail[0][0] != expected:
+        return (
+            f"block {number}: the appended {expected!r} must be the only display "
+            "symbol after the copied ones"
+        )
+    return None
 
 
 def check_membership(
@@ -360,10 +342,15 @@ def decode(word: TimedWord, machine: ChannelMachine, target: str) -> Computation
     (i.e. its maximal display width must equal the declared width).
     """
     width = n_prefix(word)
-    reason = explain_membership(word, machine, target, width)
+    if target not in machine.states:
+        raise ValueError(f"target state {target!r} undeclared")
+    try:
+        blocks = decompose(word, machine)
+    except DecodeStructureError as error:
+        raise DecodeStructureError(f"structure: {error}") from error
+    reason = _violation(blocks, machine, target, width)
     if reason is not None:
         raise DecodeStructureError(reason)
-    blocks = decompose(word, machine)
     widest = max(block.width for block in blocks)
     if widest > width:
         raise DecodeInsertionError(
@@ -428,8 +415,7 @@ def inject_insertion(
         )
     if not 0 < offset < 1:
         raise InjectionError("offset must lie strictly between 0 and 1")
-    for number in range(block_index, len(blocks) + 1):
-        block = blocks[number - 1]
+    for number, block in enumerate(blocks[block_index - 1 :], start=block_index):
         if offset in block.offsets:
             raise InjectionError(f"offset {offset} collides with a slot of block {number}")
         message_offsets = [o for s, o in block.symbols if s != HASH]
@@ -446,14 +432,9 @@ def inject_insertion(
                         f"offset {offset} would displace the slot replaced by the send "
                         f"out of block {number}"
                     )
-    events = list(word.events)
-    for number in range(block_index, len(blocks) + 1):
-        time = blocks[number - 1].start + offset
-        position = 0
-        while position < len(events) and events[position][1] < time:
-            position += 1
-        events.insert(position, (HASH, time))
-    mutated = TimedWord(events)
+    # each new time is fresh in its block, so the sort is unambiguous
+    hashes = tuple((HASH, block.start + offset) for block in blocks[block_index - 1 :])
+    mutated = TimedWord(sorted(word.events + hashes, key=lambda event: event[1]))
     declared = n_prefix(word)
     reason = explain_membership(mutated, machine, blocks[-1].state, declared)
     if reason is not None:

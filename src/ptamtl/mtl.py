@@ -114,52 +114,22 @@ class Formula:
         iteratively, in post-order with the left operand first, so that the
         ops are numbered as :func:`formats.parse_program` numbers them reading
         the formula's text."""
-        build = (builder := ProgramBuilder()).build
+        builder = ProgramBuilder()
         refs: dict[int, int] = {}  # id(node) -> reference; ``self`` keeps the nodes alive
-        stack: list = [self]  # nodes, and (node, class, shape) once its operands are pushed
+        stack = [(self, None)]  # (node, its operands once they are pushed)
         while stack:
-            node = stack.pop()
-            cls = type(node)
-            if cls is tuple:  # the operands are built
-                node, cls, shape = node
-                if shape < 2:
-                    x, y = refs[id(node.operand)], None
-                else:
-                    x, y = refs[id(node.left)], refs[id(node.right)]
-            elif id(node) in refs:
+            node, operands = stack.pop()
+            if id(node) in refs:
                 continue
+            if operands is None:  # a node's fields are set in declaration order
+                operands = [v for v in vars(node).values() if isinstance(v, Formula)]
+                stack.append((node, operands))
+                stack.extend((operand, None) for operand in reversed(operands))
+            elif type(node) is Atom:
+                refs[id(node)] = builder.build(Atom, None, node.name)
             else:
-                shape = _SHAPES.get(cls)
-                if shape is None:  # atom, true or false
-                    refs[id(node)] = build(cls, None, node.name) if cls is Atom else build(cls, None)
-                    continue
-                # an atom operand due next is built in place rather than pushed
-                # and popped: atoms are about a fifth of a reduction formula's nodes
-                if shape < 2:
-                    operand = node.operand
-                    x, y = refs.get(id(operand)), None
-                    if x is None:
-                        if type(operand) is not Atom:
-                            stack.append((node, cls, shape))
-                            stack.append(operand)
-                            continue
-                        x = refs[id(operand)] = build(Atom, None, operand.name)
-                else:
-                    left, right = node.left, node.right
-                    x = refs.get(id(left))
-                    if x is None and type(left) is Atom:
-                        x = refs[id(left)] = build(Atom, None, left.name)
-                    y = refs.get(id(right))
-                    if y is None and x is not None and type(right) is Atom:
-                        y = refs[id(right)] = build(Atom, None, right.name)
-                    if x is None or y is None:  # operands first, the left one on top
-                        stack.append((node, cls, shape))
-                        if y is None:
-                            stack.append(right)
-                        if x is None:
-                            stack.append(left)
-                        continue
-            refs[id(node)] = build(cls, node.interval if shape & 1 else None, x, y)
+                interval = getattr(node, "interval", None)
+                refs[id(node)] = builder.build(type(node), interval, *(refs[id(o)] for o in operands))
         return builder.program(refs[id(self)])
 
 
@@ -268,9 +238,6 @@ _CORE = {
     Eventually: (_UNTIL, 0, 0, 0),  # true U a
     Globally: (_UNTIL, 0, 1, 1),  # !(true U !a)
 }
-# the fields of an operator node: bit 1 set for a left and a right operand
-# rather than one operand, bit 0 for an interval
-_SHAPES = {Not: 0, Next: 1, Eventually: 1, Globally: 1, And: 2, Or: 2, Implies: 2, Until: 3}
 
 
 class Program(NamedTuple):

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor
+from operator import eq, ge, gt, le, lt
 from typing import Iterator, Mapping, Optional, Union
 
 from .mtl import TRUE, Progression
@@ -36,21 +37,7 @@ from .timedwords import TimedWord, rat
 
 Bound = Union[int, str]  # a natural constant or a parameter name
 
-_RELATIONS = ("<", "<=", "=", ">=", ">")
-
-
-def _compare(value: Fraction, relation: str, bound: Fraction) -> bool:
-    if relation == "<":
-        return value < bound
-    if relation == "<=":
-        return value <= bound
-    if relation == "=":
-        return value == bound
-    if relation == ">=":
-        return value >= bound
-    if relation == ">":
-        return value > bound
-    raise ValueError(f"unknown relation {relation!r}")
+_RELATIONS = {"<": lt, "<=": le, "=": eq, ">=": ge, ">": gt}
 
 
 @dataclass(frozen=True)
@@ -139,9 +126,6 @@ class Pta:
             index.setdefault((edge.source, edge.symbol), []).append(edge)
         return {key: tuple(group) for key, group in index.items()}
 
-    def edges_from(self, location: str, symbol: str) -> tuple[Edge, ...]:
-        return self.edge_index.get((location, symbol), ())
-
 
 def constraint_sat(
     valuation: Mapping[str, Fraction],
@@ -163,7 +147,7 @@ def constraint_sat(
             bound = parameters[atom.bound]
         else:
             bound = Fraction(atom.bound)
-        if not _compare(value, atom.relation, bound):
+        if not _RELATIONS[atom.relation](value, bound):
             return False
     return True
 
@@ -179,7 +163,7 @@ def _frontier_successors(
     found = set()
     for location, resets in frontier:
         values = {clock: now - reset_at for clock, reset_at in zip(clocks, resets)}
-        for edge in automaton.edges_from(location, symbol):
+        for edge in automaton.edge_index.get((location, symbol), ()):
             if constraint_sat(values, parameters, edge.guard):
                 updated = tuple(
                     now if clock in edge.resets else reset_at
@@ -294,20 +278,15 @@ def constraint_feasible(constraint: ClockConstraint) -> bool:
     return False  # relaxed in every one of len(nodes) rounds: a negative (or zero-strict) cycle
 
 
-def conjoin(first: ClockConstraint, second: ClockConstraint) -> ClockConstraint:
-    return ClockConstraint(first.atoms + second.atoms)
-
-
 def is_deterministic(automaton: Pta) -> bool:
     """Single initial location, and no two same-source same-label edges with
     jointly satisfiable guards under any valuation."""
     if len(automaton.initial) != 1:
         return False
-    edges = automaton.edges
-    for i, first in enumerate(edges):
-        for second in edges[i + 1 :]:
-            if first.source == second.source and first.symbol == second.symbol:
-                if constraint_feasible(conjoin(first.guard, second.guard)):
+    for group in automaton.edge_index.values():
+        for i, first in enumerate(group):
+            for second in group[i + 1 :]:
+                if constraint_feasible(ClockConstraint(first.guard.atoms + second.guard.atoms)):
                     return False
     return True
 

@@ -450,14 +450,9 @@ def insertion_mutants(
     if len(blocks) < 2:
         return []
     top = max((max(b.offsets) for b in blocks if b.symbols), default=Fraction(0))
-    targets: list[int] = []
-    while len(targets) < count:
-        for block_index in range(2, len(blocks) + 1):
-            targets.append(block_index)
-            if len(targets) == count:
-                break
     mutants = []
-    for rank, block_index in enumerate(targets, start=1):
+    for rank in range(1, count + 1):
+        block_index = 2 + (rank - 1) % (len(blocks) - 1)
         offset = top + (1 - top) * Fraction(rank, count + 1)
         mutants.append(inject_insertion(word, machine, block_index, offset))
     return mutants

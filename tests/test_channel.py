@@ -165,6 +165,24 @@ class TestSearch:
         assert not result.found
         assert result.truncated
 
+    @pytest.mark.parametrize(
+        "transitions, max_steps, found, truncated",
+        [
+            # a0 and a1 swap forever: the cut at a1 meets only a0, already seen
+            ((("a0", "eps", "a1"), ("a1", "eps", "a0")), 1, False, False),
+            ((("a0", "eps", "a1"), ("a1", "eps", "a2")), 1, False, True),
+            ((("a0", "eps", "a1"), ("a1", "eps", "a2")), 2, True, False),
+        ],
+        ids=["cut-meets-seen", "cut-hides-target", "within-bound"],
+    )
+    def test_step_bound_cuts_only_an_unexplored_successor(
+        self, transitions, max_steps, found, truncated
+    ):
+        machine = ChannelMachine(("a0", "a1", "a2"), "a0", ("m",), transitions)
+        result = search_error_free(machine, "a2", max_steps, 2)
+        assert result.found == found
+        assert result.truncated == truncated
+
     def test_enumeration_matches_expectations(self, m2):
         found = enumerate_error_free(m2, "q3", 8, 3)
         assert found, "expected witnesses"

@@ -191,6 +191,44 @@ class TestPipelineCommands:
         assert report["mutants_total"] == 5
         assert report["mutants_automaton_rejected"] == 5
 
+    @pytest.mark.parametrize(
+        "steps, expected",
+        [
+            (
+                "6",
+                [
+                    "outcome: pass",
+                    "search_complete: True",
+                    "mutants_total: 5",
+                    "mutants_formula_kept: 5",
+                    "mutants_automaton_rejected: 5",
+                    "witness: s0 m! s1 m? s2",
+                    "forward: {'encoding-in-language': True, 'formula-satisfied': True, "
+                    "'automaton-accepts': True}",
+                    "valuation: p=1/2",
+                    "backward: {'valuation-pinned': True, 'no-insertions': True, "
+                    "'decodes-error-free': True, 'channel-bounded': True}",
+                ],
+            ),
+            (
+                "1",
+                [
+                    "outcome: inconclusive (no witness within bounds; bounds exhausted)",
+                    "search_complete: False",
+                    "mutants_total: 0",
+                    "mutants_formula_kept: 0",
+                    "mutants_automaton_rejected: 0",
+                    "notes: ['no error-free computation within bounds']",
+                ],
+            ),
+        ],
+        ids=["pass", "no-witness"],
+    )
+    def test_verify_reduction_text(self, capsys, machine_file, steps, expected):
+        code = main(["verify-reduction", str(machine_file), "s2", "--steps", steps, "--chan", "3"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == expected
+
     def test_target_defaults_to_the_final_line(self, capsys, tmp_path, m2):
         path = tmp_path / "m2.machine"
         path.write_text(formats.serialize_machine(m2, final="q3"))
@@ -274,34 +312,46 @@ class TestPipelineCommands:
 
 
 class TestMcBounded:
-    def test_counterexample_on_negated_encoding_formula(self, capsys, machine_file, tmp_path):
+    @pytest.fixture
+    def negated_encoding_args(self, capsys, machine_file, tmp_path):
+        """mc-bounded arguments: the c1 reduction automaton against its own
+        formula negated, so the encoded witness is a counterexample."""
         out = tmp_path / "bundle"
         main(["reduce", str(machine_file), "s2", "--out", str(out)])
         capsys.readouterr()
         negated = "!(" + (tmp_path / "bundle.mtl").read_text().strip() + ")"
         formula_file = tmp_path / "negated.mtl"
         formula_file.write_text(negated)
-        code = main(
-            [
-                "mc-bounded",
-                str(tmp_path / "bundle.pta"),
-                "@" + str(formula_file),
-                "--candidates",
-                "p=1/2",
-                "--grid",
-                "1/2",
-                "--horizon",
-                "5",
-                "--max-events",
-                "9",
-                "--strict-only",
-                "--json",
-            ]
-        )
+        return [
+            "mc-bounded",
+            str(tmp_path / "bundle.pta"),
+            "@" + str(formula_file),
+            "--candidates",
+            "p=1/2",
+            "--grid",
+            "1/2",
+            "--horizon",
+            "5",
+            "--max-events",
+            "9",
+            "--strict-only",
+        ]
+
+    def test_counterexample_on_negated_encoding_formula(self, capsys, negated_encoding_args):
+        code = main([*negated_encoding_args, "--json"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["outcome"] == "counterexample-found"
         assert report["counterexample"] == W_C1_TEXT
+
+    def test_counterexample_text(self, capsys, negated_encoding_args):
+        assert main(negated_encoding_args) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "outcome: counterexample-found",
+            "valuation: p=1/2",
+            f"counterexample: {W_C1_TEXT}",
+            "  p=1/2: refuted (1 words checked)",
+        ]
 
     def test_no_counterexample_when_property_holds(self, capsys, cadence_file):
         code = main(

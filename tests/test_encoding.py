@@ -210,6 +210,68 @@ class TestCheckMembership:
         reason = explain_membership(w_c1, c1, "s2", 2)
         assert "declared width" in reason
 
+    @pytest.mark.parametrize(
+        "labels, displays, width, expected",
+        [
+            (
+                ["m1!"],
+                [[("#", "0")], [("m1", "0")]],
+                1,
+                "structure: event 2 (#@0): display symbols must come strictly after "
+                "the state symbol",
+            ),
+            (
+                ["m1!"],
+                [[("m1", "1/2")], [("m1", "1/2")]],
+                1,
+                "the initial display must consist of hash symbols only",
+            ),
+            (
+                ["m1!", "m2!"],
+                [[("#", "1/4"), ("#", "1/2")], [("m1", "1/4"), ("#", "1/2")]],
+                2,
+                "word ends in x1, not the target state",
+            ),
+            (
+                ["m1!"],
+                [[("#", "1/2")], [("#", "1/4"), ("m1", "1/2")]],
+                1,
+                "block 2: hash symbols may only follow message symbols",
+            ),
+            (
+                ["eps", "eps"],
+                [[], [("m1", "1/2")], []],
+                0,
+                "block 2: empty test over a non-empty display",
+            ),
+            (
+                ["m1!", "m2!"],
+                [[("#", "1/2")], [("m1", "1/2")], [("m2", "3/4")]],
+                1,
+                "block 2: symbol at offset 1/2 is not copied forward",
+            ),
+            (
+                ["m1!", "m2?"],
+                [[("#", "1/2")], [("m1", "1/2")], [("#", "3/4")]],
+                1,
+                "block 2: symbol at offset 1/2 is not copied forward",
+            ),
+        ],
+        ids=[
+            "display-at-state-time",
+            "initial-display-not-hashes",
+            "ends-outside-target",
+            "hash-before-message",
+            "empty-test-non-empty-display",
+            "full-send-uncopied",
+            "mismatched-receive-uncopied",
+        ],
+    )
+    def test_each_outcome_has_its_message(self, labels, displays, width, expected):
+        machine = chain_machine("x", labels)
+        word = block_word(machine, displays, labels[: len(displays) - 1])
+        assert explain_membership(word, machine, f"x{len(labels)}", width) == expected
+
 
 class TestEncode:
     def test_send_receive_round(self, c1, gamma_c1, w_c1):
@@ -268,8 +330,12 @@ class TestDecode:
             decode(mutated, c1, "s2")
 
     def test_non_member_raises_structure_error(self, c1):
-        with pytest.raises(DecodeStructureError):
+        with pytest.raises(DecodeStructureError) as caught:
             decode(W(("s0", 0), ("m!", "1/2")), c1, "s2")
+        assert str(caught.value) == (
+            "structure: event 2 (m!@1/2): only message or hash symbols may appear "
+            "inside a block"
+        )
 
 
 class TestMaxWidth:
