@@ -408,7 +408,17 @@ def inject_insertion(
     declared width, with the maximal display width increased by one.
     """
     offset = rat(offset)
-    blocks = decompose(word, machine)
+    return _inject(word, machine, decompose(word, machine), block_index, offset)
+
+
+def _inject(
+    word: TimedWord,
+    machine: ChannelMachine,
+    blocks: list[ConfigBlock],
+    block_index: int,
+    offset: Fraction,
+) -> TimedWord:
+    """:func:`inject_insertion` on a word already decomposed into ``blocks``."""
     if not 2 <= block_index <= len(blocks):
         raise InjectionError(
             f"block index must be between 2 and {len(blocks)}, got {block_index}"

@@ -5,11 +5,15 @@ value, formula ASTs included, and serialize(parse(t)) is the canonical
 spelling of t.  A formula text is also read straight into a compiled
 program by :func:`parse_program`, with no AST in between; it is the program
 ``compile_formula(parse_formula(t))``, ops and intervals numbered alike.
+Both read a formula as one split of its text into plain token strings and
+the gaps between them; the first scan error in the text, a character
+outside the syntax or a malformed interval, is reported with its column.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -87,51 +91,82 @@ def serialize_timed_word(word: TimedWord) -> str:
 # U X F G; `true` and `false`; parentheses for grouping.  X, F, G and U take
 # an optional interval suffix like [1,2], (0,1), [0,inf) or [=2], which is one
 # token: a malformed interval such as [2,1] is a parse error quoting it as
-# written.  Precedence: unary > & > | > -> > U.  One precedence loop reads
-# the text for parse_formula, which builds AST nodes, and for parse_program,
-# which hands each node, as it completes, to mtl.ProgramBuilder.
+# written.  Precedence: unary > & > | > -> > U.  The scanner splits the text
+# once on the token pattern, so the tokens, as plain strings, alternate with
+# the gaps between them.  A text is clean when every gap is whitespace and
+# every distinct interval token is well formed; any other text is walked
+# again, in text order, for its first error, which wins over any syntax
+# error.  One precedence loop then reads the tokens for parse_formula, which
+# builds AST nodes, and for parse_program, which hands each node, as it
+# completes, to mtl.ProgramBuilder.
 
 # an identifier: ASCII letters, digits and underscores, not leading with a digit
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# a token: an identifier with an optional ! or ?, an interval, -> or a
+# one-character operator; its one group makes split keep the tokens
 _TOKEN = re.compile(
-    rf"\s*(?:(?P<ident>{IDENTIFIER.pattern}[!?]?)"
-    r"|(?P<interval>\[\s*=\s*(?P<point>[0-9]+)\s*\]"
-    r"|(?P<open>[\[(])\s*(?P<lower>[0-9]+)\s*,\s*(?P<upper>[0-9]+|inf)\s*(?P<close>[\])]))"
-    r"|(?P<op>->|[()&|!#*])|(?P<bad>\S))"
+    rf"({IDENTIFIER.pattern}[!?]?"
+    r"|\[\s*=\s*[0-9]+\s*\]|[\[(]\s*[0-9]+\s*,\s*(?:[0-9]+|inf)\s*[\])]"
+    r"|->|[()&|!#*])"
 )
 # identifiers the syntax reserves: none of them can be read back as an atom
 KEYWORDS = frozenset({"true", "false", "U", "X", "F", "G", "inf"})
+# the first characters of an atom's token: an identifier's, # and *
+_ATOM_START = frozenset(string.ascii_letters + "_#*")
 
 
-def _scan(text: str) -> list[tuple[str, str, Optional[Interval]]]:
-    """The tokens of a formula as (kind, text, interval), the interval set for
-    interval tokens only, closed by an ``end`` token."""
-    tokens = []
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        value = match[kind]
-        interval = None
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", column=match.start(kind) + 1)
-        if kind == "interval":
+def _is_interval(token: str) -> bool:
+    return len(token) > 1 and token[0] in "[("
+
+
+def _interval(token: str) -> Interval:
+    """The interval an interval token spells; ValueError if it is empty."""
+    spelled = "".join(token.split())  # [=2], [1,2), (0,inf) and the like
+    if spelled[1] == "=":
+        return Interval.point(int(spelled[2:-1]))
+    lower, upper = spelled[1:-1].split(",")
+    return Interval(int(lower), None if upper == "inf" else int(upper), spelled[0] == "[", spelled[-1] == "]")
+
+
+def _scan(text: str) -> tuple[list[Optional[str]], dict[str, Interval]]:
+    """The tokens of a formula, closed by None for its end, and the interval
+    of each distinct interval token."""
+    pieces = _TOKEN.split(text)  # gap, token, gap, ..., token, gap
+    tokens: list = pieces[1::2]
+    if not "".join(pieces[::2]).strip():
+        try:
+            intervals = {token: _interval(token) for token in set(tokens) if _is_interval(token)}
+        except ValueError:
+            pass
+        else:
+            tokens.append(None)
+            return tokens, intervals
+    raise _first_error(pieces)
+
+
+def _first_error(pieces: list[str]) -> ParseError:
+    """The first scan error of a text split into gaps and tokens, in text
+    order: a character outside the syntax or a malformed interval."""
+    column = 1
+    for i, piece in enumerate(pieces):
+        if i % 2 == 0:
+            for j, character in enumerate(piece):
+                if not character.isspace():
+                    return ParseError(f"unexpected character {character!r}", column=column + j)
+        elif _is_interval(piece):
             try:
-                if match["point"] is not None:
-                    interval = Interval.point(int(match["point"]))
-                else:
-                    upper = None if match["upper"] == "inf" else int(match["upper"])
-                    interval = Interval(int(match["lower"]), upper, match["open"] == "[", match["close"] == "]")
+                _interval(piece)
             except ValueError as error:
-                raise ParseError(f"bad interval {value!r}: {error}", column=match.start(kind) + 1) from None
-        tokens.append((kind, value, interval))
-    tokens.append(("end", "end of input", None))
-    return tokens
+                return ParseError(f"bad interval {piece!r}: {error}", column=column)
+        column += len(piece)
+    raise AssertionError("a text with a scan error has a first one")
 
 
 _PREFIXES = {Not: "!", Next: "X", Eventually: "F", Globally: "G"}  # the unary operators
 # operators by token: (precedence, class); the unary ones bind tightest, & and
 # | associate to the left, -> and U to the right
-_OPERATORS = {("op" if cls is Not else "ident", op): (4, cls) for cls, op in _PREFIXES.items()} | {
-    ("op", "&"): (3, And), ("op", "|"): (2, Or), ("op", "->"): (1, Implies), ("ident", "U"): (0, Until),
+_OPERATORS = {op: (4, cls) for cls, op in _PREFIXES.items()} | {
+    "&": (3, And), "|": (2, Or), "->": (1, Implies), "U": (0, Until),
 }  # fmt: skip
 
 
@@ -158,14 +193,14 @@ def _parse(text: str, make):
     # not recurse.  ``pending`` holds the operators still waiting for their
     # last operand, as (precedence, class, interval) tuples, and None for each
     # open parenthesis.
-    tokens = _scan(text)
+    tokens, intervals = _scan(text)
     operands: list = []
     pending: list = []
     i, operand_due = 0, True
     while True:
-        kind, value, _ = tokens[i]
+        token = tokens[i]
         i += 1
-        operator = _OPERATORS.get((kind, value))
+        operator = _OPERATORS.get(token)
         # a unary operator where an operand is due, a binary one after an operand
         if operator is not None and (operator[0] == 4) == operand_due:
             level, cls = operator
@@ -175,38 +210,39 @@ def _parse(text: str, make):
                 _reduce(operands, pending.pop(), make)
             interval = None
             if cls in (Next, Eventually, Globally, Until):  # its interval, if it has one
-                interval = FULL
-                if tokens[i][0] == "interval":
-                    interval = tokens[i][2]
+                interval = intervals.get(tokens[i])
+                if interval is None:
+                    interval = FULL
+                else:
                     i += 1
             pending.append((level, cls, interval))
             operand_due = True
         elif operand_due:
-            if kind == "op" and value == "(":
+            if token == "(":
                 pending.append(None)
                 continue
-            if kind == "ident" and value not in KEYWORDS or kind == "op" and value in ("#", "*"):
-                operands.append(make(Atom, None, value))
-            elif kind == "ident" and value in ("true", "false"):
-                operands.append(make(TrueConst if value == "true" else FalseConst, None))
-            elif kind == "end":
+            if token is None:
                 raise ParseError("unexpected end of formula")
-            elif value == "U":
+            if token[0] in _ATOM_START and token not in KEYWORDS:
+                operands.append(make(Atom, None, token))
+            elif token == "true" or token == "false":
+                operands.append(make(TrueConst if token == "true" else FalseConst, None))
+            elif token == "U":
                 raise ParseError("'U' is an operator, not an atom")
-            elif value == "inf":
+            elif token == "inf":
                 raise ParseError("'inf' is reserved for interval endpoints")
             else:
-                raise ParseError(f"unexpected token {value!r}")
+                raise ParseError(f"unexpected token {token!r}")
             operand_due = False
         else:  # the group or the text ends here
             while pending and pending[-1] is not None:
                 _reduce(operands, pending.pop(), make)
             if not pending:
-                if kind != "end":
-                    raise ParseError(f"trailing input starting at {value!r}")
+                if token is not None:
+                    raise ParseError(f"trailing input starting at {token!r}")
                 return operands[0]
-            if kind != "op" or value != ")":
-                raise ParseError(f"expected ')', found {value!r}")
+            if token != ")":
+                raise ParseError(f"expected ')', found {'end of input' if token is None else token!r}")
             pending.pop()
 
 

@@ -446,6 +446,13 @@ class Progression:
     search visits it.  A step looks up each operand of a node once, and
     builds the shifted until obligation only when the result depends on it:
     when the left operand holds at the event and no witness decides.
+
+    The memos are split by what a call holds fixed: ``_now`` maps a symbol
+    to a table ``{op: residual}`` and ``_steps`` maps ``(symbol, ticks)`` to
+    a table ``{node: residual}``, so a call fetches its table once and keys
+    every lookup in it, its operands' included, by an int.  Their size is
+    the number of inner entries, one per (op, symbol) and per (node, symbol,
+    ticks) reached.
     """
 
     start = _START
@@ -464,8 +471,8 @@ class Progression:
         self._nodes: list = [None, None]  # false and the start have no operands
         self._accepts: list[bool] = [False, False]  # the empty word has no first position
         self._ids: dict[tuple, int] = {}
-        self._now: dict[tuple, int] = {}  # (op, symbol) -> residual
-        self._steps: dict[tuple, int] = {}  # (node, symbol, ticks) -> residual
+        self._now: dict[str, dict[int, int]] = {}  # symbol -> {op: residual}
+        self._steps: dict[tuple, dict[int, int]] = {}  # (symbol, ticks) -> {node: residual}
 
     def _intern(self, node: tuple) -> int:
         k = self._ids.get(node)
@@ -499,8 +506,10 @@ class Progression:
     def now(self, r: int, symbol: str) -> int:
         """The residual of reference r at an event reading ``symbol``, before
         any later event."""
-        memo = self._now
-        result = memo.get((r >> 1, symbol))
+        memo = self._now.get(symbol)
+        if memo is None:
+            memo = self._now[symbol] = {}
+        result = memo.get(r >> 1)
         if result is None:
             ops = self.program.ops
             stack = [r >> 1]
@@ -514,29 +523,31 @@ class Progression:
                 elif kind == _UNTIL:
                     result = self._intern((_UNTIL, k, *self._windows[iv]))
                 else:
-                    x = memo.get((a >> 1, symbol))
+                    x = memo.get(a >> 1)
                     if x is None:
                         stack.append(a >> 1)
                         continue
                     result = x ^ (a & 1)
                     if result:  # the left operand does not decide
-                        y = memo.get((b >> 1, symbol))
+                        y = memo.get(b >> 1)
                         if y is None:
                             stack.append(b >> 1)
                             continue
                         result = self._and((result, y ^ (b & 1)))
-                memo[k, symbol] = result
+                memo[k] = result
                 stack.pop()
         return result ^ (r & 1)
 
     def step(self, residual: int, symbol: str, ticks: int) -> int:
         """The residual after one more event, reading ``symbol`` ``ticks``
         ticks after the previous event."""
-        memo = self._steps
-        result = memo.get((residual >> 1, symbol, ticks))
-        if result is None:
+        memo = self._steps.get((symbol, ticks))
+        if memo is None:
             if ticks < 0:
                 raise ValueError("timestamps must be non-decreasing")
+            memo = self._steps[symbol, ticks] = {}
+        result = memo.get(residual >> 1)
+        if result is None:
             nodes = self._nodes
             # a frame is a node and the steps of its operands so far, so a
             # conjunction's scan resumes at operand len(values)
@@ -550,7 +561,7 @@ class Progression:
                 elif nodes[k][0] == _AND:  # operands in order, up to a false one
                     parts = nodes[k][1]
                     for i in range(len(values), len(parts)):
-                        value = memo.get((parts[i] >> 1, symbol, ticks))
+                        value = memo.get(parts[i] >> 1)
                         if value is None:
                             break
                         value ^= parts[i] & 1
@@ -563,7 +574,7 @@ class Progression:
                     result = self._and(values) if value else 0
                 else:
                     result = self._advance(nodes[k], symbol, ticks * self._factor)
-                memo[k, symbol, ticks] = result
+                memo[k] = result
                 stack.pop()
         return result ^ (residual & 1)
 

@@ -36,13 +36,13 @@ from .channel import (
 from .encoding import (
     HASH,
     STAR,
+    _inject,
     check_membership,
     decode,
     decompose,
     default_layout,
     encode,
     explain_membership,
-    inject_insertion,
     max_width,
 )
 from .formats import IDENTIFIER, KEYWORDS
@@ -454,7 +454,7 @@ def insertion_mutants(
     for rank in range(1, count + 1):
         block_index = 2 + (rank - 1) % (len(blocks) - 1)
         offset = top + (1 - top) * Fraction(rank, count + 1)
-        mutants.append(inject_insertion(word, machine, block_index, offset))
+        mutants.append(_inject(word, machine, blocks, block_index, offset))
     return mutants
 
 

@@ -169,6 +169,62 @@ class TestFormulaFormat:
             formats.parse_formula(text)
 
 
+class TestParseErrors:
+    """Every kind of formula error, with its exact message and column (None
+    where the error has no column), from both entry points.  A scan error,
+    a character outside the syntax or a malformed interval, is the first one
+    in the text, and it wins over any syntax error."""
+
+    @pytest.mark.parametrize(
+        "text, message, column",
+        [
+            ("a $", "unexpected character '$'", 3),
+            ("a$", "unexpected character '$'", 2),
+            ("a & \u00e9", "unexpected character '\u00e9'", 5),
+            ("\t\ta | \u0663", "unexpected character '\u0663'", 7),
+            ("a\n\n& ]", "unexpected character ']'", 6),
+            ("F[1,2 a", "unexpected character '['", 2),
+            ("X(=2] a", "unexpected character '='", 3),
+            ("a ,\tb", "unexpected character ','", 3),
+            ("a \u3000$", "unexpected character '$'", 4),
+            ("$ F[2,1] a", "unexpected character '$'", 1),
+            # after a syntax error: the scan error still wins
+            ("a U U b $", "unexpected character '$'", 9),
+            ("(a b\n,", "unexpected character ','", 6),
+            ("a & ) \u00e9", "unexpected character '\u00e9'", 7),
+            ("F[2,1] a", "bad interval '[2,1]': empty interval: upper endpoint below lower", 2),
+            ("a U(3,3] b", "bad interval '(3,3]': empty interval: point interval must be closed on both ends", 4),
+            ("a U[0,inf] b $", "bad interval '[0,inf]': an unbounded interval must be right-open", 4),
+            ("a & b U\t[2, 1] c", "bad interval '[2, 1]': empty interval: upper endpoint below lower", 9),
+            ("F[1,2] a U[3,2] $", "bad interval '[3,2]': empty interval: upper endpoint below lower", 11),
+            ("G G[0,inf] a $", "bad interval '[0,inf]': an unbounded interval must be right-open", 4),
+            ("a &", "unexpected end of formula", None),
+            ("", "unexpected end of formula", None),
+            ("  \n", "unexpected end of formula", None),
+            ("!", "unexpected end of formula", None),
+            ("(a", "expected ')', found 'end of input'", None),
+            ("((a)", "expected ')', found 'end of input'", None),
+            ("(a b", "expected ')', found 'b'", None),
+            ("(a U[1,2] b [1,2]", "expected ')', found '[1,2]'", None),
+            ("a b", "trailing input starting at 'b'", None),
+            ("a)", "trailing input starting at ')'", None),
+            ("true false", "trailing input starting at 'false'", None),
+            (")", "unexpected token ')'", None),
+            ("a -> -> b", "unexpected token '->'", None),
+            ("a & [0,1]", "unexpected token '[0,1]'", None),
+            ("U", "'U' is an operator, not an atom", None),
+            ("a & U", "'U' is an operator, not an atom", None),
+            ("inf", "'inf' is reserved for interval endpoints", None),
+            ("F inf", "'inf' is reserved for interval endpoints", None),
+        ],
+    )
+    def test_message_and_column(self, text, message, column):
+        for parse in (formats.parse_formula, formats.parse_program):
+            with pytest.raises(ParseError) as caught:
+                parse(text)
+            assert (str(caught.value), caught.value.column) == (message, column)
+
+
 def _outcome(parse, text):
     """What parsing the text gives: the value, or the error's message and column."""
     try:

@@ -477,13 +477,20 @@ class TestIncrementalMonitor:
                 CountingDict.gets += 1
                 return super().get(key, default)
 
-        engine._steps = CountingDict()
+        def entries():
+            return sum(map(len, engine._steps.values()))
+
         first = engine.step(engine.start, "b", 0)
         assert len(engine._nodes[first >> 1][1]) == width
         for symbol, delay in (("a7", 0), ("a7", 3), ("b", 2), ("a399", 500)):
-            CountingDict.gets, before = 0, len(engine._steps)
+            # a step reads and fills only the table of its (symbol, ticks),
+            # so a counting table put there sees every lookup
+            assert (symbol, delay) not in engine._steps
+            table = engine._steps[symbol, delay] = CountingDict()
+            CountingDict.gets, before = 0, entries()
             r = engine.step(first, symbol, delay)
-            stepped = len(engine._steps) - before
+            stepped = entries() - before
+            assert stepped == len(table) > 0
             assert CountingDict.gets <= 3 * stepped, (symbol, delay, CountingDict.gets, stepped)
             word = W(("b", 0), (symbol, delay))
             assert engine.accepts(r) == satisfies(word, program)

@@ -262,6 +262,32 @@ class TestInsertionExclusion:
                         assert not membership(automaton, {"p": F(1, k)}, mutant)
         assert total >= 20
 
+    def test_the_source_word_is_decomposed_once(self, m2, monkeypatch):
+        from ptamtl import encoding, reduction
+        from ptamtl.encoding import decompose, inject_insertion
+
+        gamma = max(enumerate_error_free(m2, "q3", 8, 3), key=lambda g: len(g.steps))
+        word = encode(m2, "q3", gamma, default_layout(max_channel(gamma)))
+        blocks = decompose(word, m2)
+        assert (len(word), len(blocks)) == (36, 9)
+        # the documented rotation over blocks 2.. and fresh offsets above every slot
+        top = max(max(b.offsets) for b in blocks if b.symbols)
+        expected = [
+            inject_insertion(word, m2, 2 + (rank - 1) % (len(blocks) - 1), top + (1 - top) * F(rank, 6))
+            for rank in range(1, 6)
+        ]
+        calls = []
+
+        def counting(w, machine):
+            calls.append(w)
+            return decompose(w, machine)
+
+        monkeypatch.setattr(encoding, "decompose", counting)
+        monkeypatch.setattr(reduction, "decompose", counting)
+        assert insertion_mutants(word, m2, count=5) == expected
+        # the source word once, then each mutant once, by its membership check
+        assert calls == [word, *expected]
+
 
 class TestCheckTheorem:
     def test_pass_on_send_receive(self, c1):
