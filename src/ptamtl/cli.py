@@ -69,13 +69,17 @@ def _reduction_input(args):
 
 
 def _valuation(automaton, text: str) -> dict[str, Fraction]:
-    """A parameter valuation that sets exactly the automaton's parameters."""
+    """A parameter valuation that sets exactly the automaton's parameters,
+    each to a non-negative rational."""
     valuation = formats.parse_valuation(text)
     if set(valuation) != set(automaton.parameters):
         names = ", ".join(automaton.parameters) or "none"
         raise UsageError(
             f"valuation {formats.serialize_valuation(valuation)!r} must set exactly the automaton's parameters ({names})"
         )
+    for name, value in valuation.items():
+        if value < 0:
+            raise UsageError(f"parameter {name!r} must not be negative")
     return valuation
 
 

@@ -14,12 +14,14 @@ so each guard reduces to an integer range check on elapsed ticks
 (Henzinger, Manna & Pnueli, "What good are digital clocks?", ICALP 1992).
 Its frontier states hold each clock's age (ticks since its reset) capped
 above the largest guard bound, the classic max-constant extrapolation: every
-age from the cap on passes the same guards.  A formula residual along each
-prefix prunes it, decides each accepted word (plain enumeration is the search
-for ``true``) and, with that frontier as it is, keys a memo of subtrees that
-yielded nothing.  Open subtrees sit on an explicit stack, so a word may be
-longer than the recursion limit.  The search shares no guard code with
-:func:`membership`, which re-checks the words it finds.
+age from the cap on passes the same guards, so a delay past the cap moves a
+frontier as the cap does, and each walk works out a frontier's successors
+once per (frontier, capped delay, events left).  A formula residual along
+each prefix prunes it, decides each accepted word (plain enumeration is the
+search for ``true``) and, with that frontier as it is, keys a memo of
+subtrees that yielded nothing.  Open subtrees sit on an explicit stack, so a
+word may be longer than the recursion limit.  The search shares no guard code
+with :func:`membership`, which re-checks the words it finds.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor
 from operator import eq, ge, gt, le, lt
 from typing import Iterator, Mapping, Optional, Union
 
@@ -327,28 +328,31 @@ def _grid_move(
     q = bound / grid the atom ``clock ~ bound`` holds iff ``d ~ q``, which
     for an integer d is: ``<`` d <= ceil(q) - 1, ``<=`` d <= floor(q),
     ``>=`` d >= ceil(q), ``>`` d >= floor(q) + 1, and ``=`` d == q when q is
-    an integer, never otherwise.  Elapsed ticks are never negative, so lo
-    starts at 0.
+    an integer, never otherwise.  Floor and remainder come from one integer
+    division of q's numerator by its denominator, and ceil is the floor plus
+    one unless the division is exact.  Elapsed ticks are never negative, so
+    lo starts at 0.
     """
     ranges: dict[int, tuple[int, Optional[int]]] = {}
     for atom in edge.guard.atoms:
         if isinstance(atom.bound, str):
             if atom.bound not in parameters:
                 raise KeyError(f"undeclared parameter {atom.bound!r}")
-            q = rat(parameters[atom.bound]) / grid
+            bound = rat(parameters[atom.bound])
         else:
-            q = atom.bound / grid
+            bound = atom.bound
+        q, rest = divmod(bound.numerator * grid.denominator, bound.denominator * grid.numerator)
         lo, hi = 0, None
         if atom.relation == "<":
-            hi = ceil(q) - 1
+            hi = q - (not rest)
         elif atom.relation == "<=":
-            hi = floor(q)
+            hi = q
         elif atom.relation == ">=":
-            lo = ceil(q)
+            lo = q + (rest != 0)
         elif atom.relation == ">":
-            lo = floor(q) + 1
-        elif q.denominator == 1:
-            lo = hi = q.numerator
+            lo = q + 1
+        elif not rest:
+            lo = hi = q
         else:
             return None
         index = clocks.index(atom.clock)
@@ -401,11 +405,11 @@ def iter_accepted(
     an accepted word.  The default is :class:`ptamtl.mtl.Progression` of
     ``true``, which accepts every word.
 
-    A subtree that yielded nothing is memoized under the monitor state, the
-    tick, the depth and the frontier; when the key comes up again, its words
-    are counted in ``stats.words`` and skipped.  This is sound whatever the
-    caller does: a state must fix the steps and the verdicts of every
-    extension, as a residual does.
+    A subtree that yielded nothing is memoized under the frontier, the tick,
+    the depth and the monitor state; when the key comes up again, its words
+    are counted in ``stats.words`` and the child is not entered.  This is
+    sound whatever the caller does: a state must fix the steps and the
+    verdicts of every extension, as a residual does.
 
     Time is counted in integer ticks of ``grid``: each guard is compiled
     once per call into integer ranges on a clock's age in ticks (see
@@ -413,9 +417,13 @@ def iter_accepted(
     and a :class:`TimedWord` is built only for a yielded word.  A frontier
     state is a location with each clock's age capped at one above the
     largest finite guard bound, so the memo key holds the frontier as it
-    is.  A state is dropped once it cannot reach a final location, ignoring
-    guards, within the events left.  :func:`membership` stays the exact
-    reference.
+    is.  A delay of cap ticks or more ages every state to the cap or resets
+    it, so a table keyed by (frontier, delay capped at cap, events left)
+    holds each frontier's successors, by symbol, for the rest of the walk;
+    every child with the same key gets the same frontier object, whose hash
+    is computed once.  A state is dropped once it cannot reach a final
+    location, ignoring guards, within the events left.  :func:`membership`
+    stays the exact reference.
     """
     grid = rat(grid)
     horizon = rat(horizon)
@@ -439,11 +447,13 @@ def iter_accepted(
     bounds = [b for group in moves.values() for _, _, checks, _ in group for _, lo, hi in checks for b in (lo, hi)]
     cap = max((b for b in bounds if b is not None), default=0) + 1  # all ages from cap on pass the same guards
     table: dict = {}
+    steps: dict = {}  # the successor table: (frontier, capped delay, events left) -> successors
 
     def successors(frontier, delay, remaining):
-        # the frontier's successors ``delay`` ticks later, grouped by symbol;
-        # a state needing more events than remain is dropped: its successors
-        # need at most one fewer, so they would be dropped a level down
+        # the frontier's successors ``delay`` ticks later, as (symbol, frontier)
+        # pairs sorted by symbol; a state needing more events than remain is
+        # dropped: its successors need at most one fewer, so they would be
+        # dropped a level down
         found: dict[str, set] = {}
         for location, ages in frontier:
             for symbol, target, checks, flags in moves.get(location, ()):
@@ -456,53 +466,54 @@ def iter_accepted(
                 else:
                     aged = tuple(0 if f else min(a + delay, cap) for f, a in zip(flags, ages))
                     found.setdefault(symbol, set()).add((target, aged))
-        return found
+        return tuple((symbol, frozenset(found[symbol])) for symbol in sorted(found))
 
-    def children(prefix: tuple, frontier: frozenset, state, tick: int):
-        # the subtrees below a prefix, (tick, symbol) ascending, skipping those
-        # whose residual is false
-        depth = len(prefix)
+    def children(prefix: tuple, key: tuple):
+        # the subtrees below a prefix, (tick, symbol) ascending, each with its
+        # memo key, skipping those whose residual is false and counting those
+        # the memo holds
+        frontier, tick, depth, state = key
         if depth == max_events:
             return
         stats.nodes_expanded += 1
         remaining = max_events - depth - 1
         for t in range(tick + 1 if strict and depth else tick, last_tick + 1):
-            found = successors(frontier, t - tick, remaining)
-            for symbol in sorted(found):
-                child = monitor.step(state, symbol, t - tick)
+            delay = t - tick
+            step = (frontier, min(delay, cap), remaining)  # all delays from cap on age every state alike
+            found = steps.get(step)
+            if found is None:
+                found = steps[step] = successors(frontier, step[1], remaining)
+            for symbol, targets in found:
+                child = monitor.step(state, symbol, delay)
                 if child:
-                    yield prefix + ((symbol, t),), frozenset(found[symbol]), child
+                    below = (targets, t, depth + 1, child)
+                    known = table.get(below)
+                    if known is None:
+                        yield prefix + ((symbol, t),), below
+                    else:
+                        stats.memo_hits += 1
+                        stats.words += known
 
     # The open subtrees, root first, each with its memo key, the words
     # reached and yielded before it and its children: an explicit stack, so
     # that a word's length costs no Python recursion.
-    stack: list[tuple] = []
+    root = (frozenset((loc, (0,) * len(clocks)) for loc in automaton.initial), 0, 0, monitor.start)
+    stack: list[tuple] = [(root, stats.words, 0, children((), root))]
     yielded = 0
-    entering = ((), frozenset((loc, (0,) * len(clocks)) for loc in automaton.initial), monitor.start)
-    while True:
-        if entering is not None:
-            prefix, frontier, state = entering
-            depth = len(prefix)
-            tick = prefix[-1][1] if depth else 0
-            key = (frontier, tick, depth, state)
-            known = table.get(key)
-            if known is not None:
-                stats.memo_hits += 1
-                stats.words += known
-            else:
-                stack.append((key, stats.words, yielded, children(prefix, frontier, state, tick)))
-                if depth and any(loc in finals for loc, _ in frontier):
-                    stats.words += 1
-                    if monitor.accepts(state):
-                        yielded += 1
-                        yield TimedWord([(symbol, t * grid) for symbol, t in prefix])
-        if not stack:
-            return
+    while stack:
         entering = next(stack[-1][3], None)
         if entering is None:  # the subtree is done; memoize it if it yielded nothing
             key, words_before, yielded_before, _ = stack.pop()
             if yielded == yielded_before:
                 table[key] = stats.words - words_before
+            continue
+        prefix, key = entering
+        stack.append((key, stats.words, yielded, children(prefix, key)))
+        if any(loc in finals for loc, _ in key[0]):
+            stats.words += 1
+            if monitor.accepts(key[3]):
+                yielded += 1
+                yield TimedWord([(symbol, t * grid) for symbol, t in prefix])
 
 
 def enumerate_accepted(

@@ -293,6 +293,8 @@ class TestPipelineCommands:
             (["decode", "BARE", W_C1_TEXT], "no target state"),
             (["search", "BARE", "--steps", "6", "--chan", "3"], "no target state"),
             (["verify-reduction", "BARE", "--steps", "6", "--chan", "3"], "no target state"),
+            # a parameter ranges over the non-negative rationals
+            (["member", "CADENCE", "p=-1", "a@1/2"], "parameter 'p' must not be negative"),
         ],
     )
     def test_bad_input_is_a_usage_error(self, capsys, machine_file, cadence_file, tmp_path, c1, argv, message):
@@ -441,6 +443,7 @@ class TestMcBounded:
             ("--candidates", "q=1", "must set exactly the automaton's parameters (p)"),
             ("--candidates", "p=1/2;p=1,q=1", "must set exactly the automaton's parameters (p)"),
             ("--candidates", "p=1,p=2", "parameter 'p' set twice"),
+            ("--candidates", "p=1/2;p=-1", "parameter 'p' must not be negative"),
             ("--grid", "1e1", "bad rational '1e1'"),
         ],
     )

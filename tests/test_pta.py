@@ -1,14 +1,20 @@
+import itertools
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
+from ptamtl.formats import parse_formula
+from ptamtl.modelcheck import bounded_modelcheck
 from ptamtl.pta import (
     TRUE_GUARD,
     ClockConstraint,
+    ConstraintAtom,
     Edge,
     Pta,
     SearchStats,
+    _grid_move,
     constraint_feasible,
     constraint_sat,
     enumerate_accepted,
@@ -17,6 +23,7 @@ from ptamtl.pta import (
     membership,
     membership_trace,
 )
+from ptamtl.reduction import build_automaton
 from ptamtl.timedwords import TimedWord
 
 from conftest import two_phase_automaton
@@ -66,6 +73,33 @@ class TestConstraintSat:
     def test_undeclared_clock(self):
         with pytest.raises(KeyError):
             constraint_sat({}, {}, ClockConstraint.of(("x", "=", 1)))
+
+
+class TestGridMove:
+    """Guards compiled to tick ranges against the rational rule, at every age."""
+
+    PARAMETERS = (F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2))
+    GRIDS = (F(1), F(1, 2), F(1, 3), F(1, 4))
+
+    def test_matches_constraint_sat(self):
+        atoms = [ConstraintAtom("x", r, b) for r in ("<", "<=", "=", ">=", ">") for b in (0, 1, 2, 3, 4, "p")]
+        guards = [(a,) for a in atoms] + list(itertools.combinations(atoms, 2))
+        never = 0
+        for p in self.PARAMETERS:
+            for grid in self.GRIDS:
+                cap = ceil(4 / grid) + 1  # above every bound in ticks
+                for guard in guards:
+                    edge = Edge("0", "a", ClockConstraint(guard), frozenset(), "1")
+                    move = _grid_move(edge, ("x",), {"p": p}, grid)
+                    for age in range(3 * cap + 1):
+                        holds = constraint_sat({"x": age * grid}, {"p": p}, edge.guard)
+                        if move is None:
+                            assert not holds, (guard, p, grid, age)
+                        else:
+                            fits = all(lo <= age and (hi is None or age <= hi) for _, lo, hi in move[2])
+                            assert fits == holds, (guard, p, grid, age)
+                    never += move is None
+        assert never > 0  # an equality to p = 1/3 on grid 1/2, for one
 
 
 class TestStep:
@@ -322,6 +356,32 @@ class TestGridSearch:
                 expanded.add(tuple(path[:-1]))
             assert (("a", 0), ("a", 3)) in expanded and (("a", 1), ("a", 3)) in expanded
             assert (("a", 0), ("a", 4)) in expanded and (("a", 1), ("a", 4)) not in expanded
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_delays_far_past_the_age_cap(self, strict):
+        # every bound is at most 2, so on grid 1 ages from 3 on pass the same
+        # guards, and a 12-tick horizon has delays up to 4x that age cap
+        grid, horizon = F(1), F(12)
+        for automaton, rho, case_grid, _ in self.cases():
+            if case_grid != self.GRIDS[0]:
+                continue  # one run per automaton and parameter
+            expected, _ = brute_accepted(automaton, rho, grid, horizon, 3, strict)
+            assert list(iter_accepted(automaton, rho, grid, horizon, 3, strict)) == expected
+            assert memo_search(automaton, rho, grid, horizon, 3, strict).words == len(expected)
+
+    @pytest.mark.parametrize(
+        "text, counts",
+        [
+            ("F *", [(0, 30, 84), (0, 44, 200)]),
+            ("G (s2 -> F *)", [(3, 31, 94), (426, 49, 222)]),
+            ("G !s2", [(1, 13, 33), (1, 6, 0)]),
+        ],
+    )
+    def test_whole_space_counts_on_a_reduction_automaton(self, c1, text, counts):
+        # (words checked, prefixes expanded, memo hits) for p = 1 and p = 1/2
+        automaton, candidates = build_automaton(c1, "s2"), [{"p": F(1)}, {"p": F(1, 2)}]
+        verdict = bounded_modelcheck(automaton, parse_formula(text), candidates, F(1, 2), F(5, 2), 6, True)
+        assert [(c.words_checked, c.nodes_expanded, c.memo_hits) for c in verdict.candidates] == counts
 
     def test_equality_with_an_off_grid_parameter_never_fires(self):
         automaton = Pta(
