@@ -115,48 +115,50 @@ def decompose(word: TimedWord, machine: ChannelMachine) -> list[ConfigBlock]:
         symbol, time = events[index]
         raise DecodeStructureError(f"event {index + 1} ({symbol}@{time}): {reason}")
 
+    # times are compared as ticks, one unit being ``scale`` ticks
+    scale, ticks = word.ticks
     blocks: list[ConfigBlock] = []
     i = 0
     while True:
         symbol, start = events[i]
         if symbol not in states:
             fail(i, "expected a control-state symbol")
-        close = start + 1
+        begin = ticks[i]
+        close = begin + scale
         i += 1
-        symbols: list[tuple[str, Fraction]] = []
-        previous = Fraction(0)
-        while i < len(events) and events[i][1] < close:
-            s, t = events[i]
-            offset = t - start
+        shown: list[tuple[str, int]] = []  # (symbol, ticks) of the display
+        previous = begin
+        while i < len(events) and ticks[i] < close:
+            s = events[i][0]
+            t = ticks[i]
             if s not in display:
                 fail(i, "only message or hash symbols may appear inside a block")
-            if offset <= 0:
+            if t <= begin:
                 fail(i, "display symbols must come strictly after the state symbol")
-            if offset <= previous:
+            if t <= previous:
                 fail(i, "display offsets must be strictly increasing")
-            previous = offset
-            symbols.append((s, offset))
+            previous = t
+            shown.append((s, t))
             i += 1
         if i == len(events):
             fail(i - 1, "block is not closed by a label or the end marker")
-        trailer, t = events[i]
-        if t != close:
+        trailer = events[i][0]
+        if ticks[i] != close:
             fail(i, "expected the label or end marker exactly one unit after the state")
-        if trailer == STAR:
-            if i + 1 != len(events):
-                fail(i + 1, "no event may follow the end marker")
-            blocks.append(ConfigBlock(symbol, start, tuple(symbols), STAR))
-            return blocks
-        if trailer not in labels:
+        if trailer == STAR and i + 1 != len(events):
+            fail(i + 1, "no event may follow the end marker")
+        if trailer != STAR and trailer not in labels:
             fail(i, "expected a transition label or the end marker")
-        blocks.append(ConfigBlock(symbol, start, tuple(symbols), trailer))
+        symbols = tuple((s, Fraction(t - begin, scale)) for s, t in shown)
+        blocks.append(ConfigBlock(symbol, start, symbols, trailer))
+        if trailer == STAR:
+            return blocks
         i += 1
         if i == len(events):
             fail(i - 1, "a label must be followed by the next state symbol")
-        nxt_symbol, nxt_time = events[i]
-        if nxt_time != close + 1:
+        if ticks[i] != close + scale:
             fail(i, "expected the next state symbol exactly two units after the previous")
-        if nxt_symbol not in states:
+        if events[i][0] not in states:
             fail(i, "expected a control-state symbol two units after the previous")
 
 

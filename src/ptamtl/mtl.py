@@ -20,10 +20,14 @@ it, and :func:`compile_formula` reads it from there.
 
 :func:`eval_at` decides a closed word at a position, and :func:`satisfies`
 is its answer at the first one.  One evaluator computes a row of truth
-values per op over a word whose timestamps are scaled to integers by their
-common denominator, each until reading its windows by binary search and
-prefix counts; a negation is a flag on a row, never a computed row, and the
-conjunctions at the top of the formula are evaluated at the position alone.
+values per op over the word's exact integer view (:attr:`TimedWord.ticks`).
+An until reads its windows from endpoint lists shared by the intervals:
+each distinct endpoint, a constant and a side (the first position at or
+past a time plus the constant, or strictly past it), is found once per word
+by one pointer moving forward over the sorted ticks, and the witnesses in a
+window are counted by prefix counts; a negation is a flag on a row, never a
+computed row, and the conjunctions at the top of the formula are evaluated
+at the position alone.
 Results are checked against a naive evaluator of the ASTs in the tests.
 
 A search that extends prefixes one event at a time uses formula
@@ -52,11 +56,9 @@ words, on random formulas and words.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
-from math import lcm
 from operator import and_, gt, lt, or_
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -312,26 +314,36 @@ def _evaluator(word: TimedWord, program: Program):
     events = word.events
     n = len(events)
     symbols = [symbol for symbol, _ in events]
-    # exact integer times: scale by the common denominator of the timestamps
-    scale = lcm(*[time.denominator for _, time in events])
-    times = [time.numerator * (scale // time.denominator) for _, time in events]
+    scale, times = word.ticks  # exact integer times
     rows: list = [None] * len(ops)  # rows[k]: op k's (values, flip)
     windows: list = [None] * len(program.intervals)
+    ends: dict = {}  # (constant, right) -> its endpoint list, shared by the intervals
     every = list(range(n + 1))
+
+    def end(constant: int, right: bool) -> list[int]:
+        """The first position j with t_j >= t_i + constant (> if ``right``)
+        for every i: bisect_left (bisect_right) of each time plus the
+        constant, found by one pointer moving forward over the sorted ticks."""
+        key = (constant, right)
+        if key not in ends:
+            shift = constant * scale + right  # on integers, > b is >= b + 1
+            padded = times + (times[-1] + shift,)  # a sentinel at or past every bound
+            found = []
+            j = 0
+            for t in times:
+                bound = t + shift
+                while padded[j] < bound:
+                    j += 1
+                found.append(j)
+            ends[key] = found
+        return ends[key]
 
     def window(iv: int) -> tuple[list[int], list[int]]:
         """lo[i]:hi[i] are the positions j > i with t_j - t_i in the interval."""
         if windows[iv] is None:
             interval = program.intervals[iv]
-            low = interval.lower * scale
-            start = bisect_left if interval.lower_closed else bisect_right
-            lo = [max(i + 1, start(times, t + low)) for i, t in enumerate(times)]
-            if interval.upper is None:
-                hi = [n] * n
-            else:
-                high = interval.upper * scale
-                end = bisect_right if interval.upper_closed else bisect_left
-                hi = [end(times, t + high) for t in times]
+            lo = list(map(max, every[1:], end(interval.lower, not interval.lower_closed)))
+            hi = [n] * n if interval.upper is None else end(interval.upper, interval.upper_closed)
             windows[iv] = (lo, hi)
         return windows[iv]
 

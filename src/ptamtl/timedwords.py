@@ -3,12 +3,16 @@
 All time values in this package are ``fractions.Fraction`` instances, never
 floats: the constructions downstream hinge on exact timestamp equalities
 (copies exactly two time units apart, guards of the form x = p), which
-floating point would silently break.
+floating point would silently break.  ``Fraction``s remain the API; a word
+also offers :attr:`TimedWord.ticks`, the same times as integers on one scale,
+computed once per word, for readers that compare and subtract times in bulk.
+The view is exact, so it decides every equality as the ``Fraction``s do.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Union
 
 from .errors import ConcatOrderError
@@ -32,10 +36,11 @@ class TimedWord:
     """A non-empty finite sequence of (symbol, timestamp) events.
 
     Timestamps are non-negative rationals and non-decreasing along the word.
-    Instances are immutable and hashable.
+    Instances are immutable and hashable; equality, hash and repr read the
+    events only, never the cached :attr:`ticks` view.
     """
 
-    __slots__ = ("events",)
+    __slots__ = ("events", "_ticks")
 
     def __init__(self, events: Iterable[tuple[str, RationalLike]]):
         normalized = tuple((str(symbol), rat(time)) for symbol, time in events)
@@ -71,6 +76,19 @@ class TimedWord:
     def __repr__(self) -> str:
         inside = " ".join(f"({s},{t})" for s, t in self.events)
         return f"TimedWord[{inside}]"
+
+    @property
+    def ticks(self) -> tuple[int, tuple[int, ...]]:
+        """``(scale, ticks)``, with ``scale`` the lcm of the timestamps'
+        denominators and ``Fraction(ticks[i], scale)`` the i-th timestamp
+        (0-based): computed on first use and kept on the word."""
+        try:
+            return self._ticks
+        except AttributeError:
+            scale = lcm(*[time.denominator for _, time in self.events])
+            view = (scale, tuple(time.numerator * (scale // time.denominator) for _, time in self.events))
+            object.__setattr__(self, "_ticks", view)
+            return view
 
     @property
     def symbols(self) -> tuple[str, ...]:

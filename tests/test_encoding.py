@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ptamtl import encoding, reduction
 from ptamtl.channel import (
     ChannelMachine,
     Computation,
@@ -29,7 +30,10 @@ from ptamtl.errors import (
     EncodingPreconditionError,
     InjectionError,
 )
+from ptamtl.reduction import insertion_mutants
 from ptamtl.timedwords import TimedWord
+
+from util import build_corpus, fraction_decompose
 
 F = Fraction
 
@@ -109,6 +113,124 @@ class TestDecompose:
         blocks = decompose(word, machine)
         assert [b.width for b in blocks] == [3, 3, 3, 3]
         assert blocks[2].messages() == ("m1", "m2")
+
+
+# c1's encoding timed in thirds and halves: base offset 1/3, one slot at 1/2
+THIRDS = [
+    ("s0", "1/3"), ("#", "5/6"), ("m!", "4/3"),
+    ("s1", "7/3"), ("m", "17/6"), ("m?", "10/3"),
+    ("s2", "13/3"), ("#", "29/6"), ("*", "16/3"),
+]  # fmt: skip
+
+# one broken word per structure reason, with the message decompose raises
+STRUCTURE_ERRORS = [
+    ([("m", "1/3")] + THIRDS[1:], "event 1 (m@1/3): expected a control-state symbol"),
+    (
+        THIRDS[:4] + [("m?", "17/6")],
+        "event 5 (m?@17/6): only message or hash symbols may appear inside a block",
+    ),
+    (
+        THIRDS[:6] + [("s2", "13/3"), ("#", "13/3")],
+        "event 8 (#@13/3): display symbols must come strictly after the state symbol",
+    ),
+    (
+        THIRDS[:4] + [("m", "8/3"), ("#", "8/3")],
+        "event 6 (#@8/3): display offsets must be strictly increasing",
+    ),
+    (THIRDS[:8], "event 8 (#@29/6): block is not closed by a label or the end marker"),
+    (
+        THIRDS[:5] + [("m?", "7/2")],
+        "event 6 (m?@7/2): expected the label or end marker exactly one unit after the state",
+    ),
+    (THIRDS + [("#", "16/3")], "event 10 (#@16/3): no event may follow the end marker"),
+    (
+        THIRDS[:5] + [("s0", "10/3")],
+        "event 6 (s0@10/3): expected a transition label or the end marker",
+    ),
+    (THIRDS[:6], "event 6 (m?@10/3): a label must be followed by the next state symbol"),
+    (
+        THIRDS[:6] + [("s2", "9/2")],
+        "event 7 (s2@9/2): expected the next state symbol exactly two units after the previous",
+    ),
+    (
+        THIRDS[:3] + [("#", "7/3")],
+        "event 4 (#@7/3): expected a control-state symbol two units after the previous",
+    ),
+]
+
+
+def outcomes(word, machine, target):
+    """What decode, explain_membership and insertion_mutants make of a word."""
+
+    def attempt(call):
+        try:
+            return call()
+        except Exception as error:
+            return type(error).__name__, str(error)
+
+    return (
+        attempt(lambda: decode(word, machine, target)),
+        explain_membership(word, machine, target, n_prefix(word)),
+        attempt(lambda: insertion_mutants(word, machine, 2)),
+    )
+
+
+class TestDecomposeOnTicks:
+    def test_thirds_word_is_a_member(self, c1):
+        word = TimedWord(THIRDS)
+        assert word.ticks[0] == 6
+        assert check_membership(word, c1, "s2", 1)
+        assert [b.offsets for b in decompose(word, c1)] == [(F(1, 2),)] * 3
+
+    @pytest.mark.parametrize("events, message", STRUCTURE_ERRORS)
+    def test_structure_message(self, c1, events, message):
+        word = TimedWord(events)
+        assert word.ticks[0] == 6
+        with pytest.raises(DecodeStructureError) as caught:
+            decompose(word, c1)
+        assert str(caught.value) == message
+        assert explain_membership(word, c1, "s2", 1) == f"structure: {message}"
+        with pytest.raises(DecodeStructureError) as caught:
+            fraction_decompose(word, c1)
+        assert str(caught.value) == message
+
+    def test_every_reason_is_covered(self):
+        reasons = {message.split(": ", 1)[1] for _, message in STRUCTURE_ERRORS}
+        assert len(reasons) == len(STRUCTURE_ERRORS) == 11
+
+    @pytest.mark.parametrize("machine, target", [("c1", "s2"), ("m2", "q3")])
+    def test_offsets_are_fractions_from_the_block_start(self, request, machine, target):
+        machine = request.getfixturevalue(machine)
+        corpus, _ = build_corpus(machine, target, step_bound=8, channel_bound=3)
+        for word in corpus:
+            try:
+                blocks = decompose(word, machine)
+            except DecodeStructureError:
+                continue
+            events = iter(word.events)
+            for block in blocks:
+                assert next(events) == (block.state, block.start)
+                for symbol, offset in block.symbols:
+                    s, t = next(events)
+                    assert type(offset) is Fraction
+                    assert (symbol, offset) == (s, t - block.start)
+                assert next(events) == (block.trailer, block.start + 1)
+
+    @pytest.mark.parametrize("machine, target", [("c1", "s2"), ("m2", "q3")])
+    def test_results_match_the_fraction_reference(self, request, monkeypatch, machine, target):
+        # the corpus holds encodings under layouts with denominators 2w + 3
+        # and 3w + 4, their insertion mutants and single-event mutations
+        machine = request.getfixturevalue(machine)
+        corpus, mutants = build_corpus(machine, target, step_bound=8, channel_bound=3)
+        assert mutants > 0
+        assert any(word.ticks[0] > 1 for word in corpus)
+        by_ticks = [outcomes(word, machine, target) for word in corpus]
+        monkeypatch.setattr(encoding, "decompose", fraction_decompose)
+        monkeypatch.setattr(reduction, "decompose", fraction_decompose)
+        by_fractions = [outcomes(word, machine, target) for word in corpus]
+        assert by_ticks == by_fractions
+        assert any(result[1] is None for result in by_ticks)
+        assert any((result[1] or "").startswith("structure: ") for result in by_ticks)
 
 
 class TestCheckMembership:

@@ -348,6 +348,67 @@ class TestClosedRows:
             assert satisfies(word, program) == (kleene_value(program, oracle) == 2), (program, word)
 
 
+def as_formula(program, r):
+    """The AST of reference r of a program, in the core grammar."""
+    kind, a, b, iv = program.ops[r >> 1]
+    if kind == _ATOM:
+        node = Atom(a)
+    elif kind == _TRUE:
+        node = TrueConst()
+    elif kind == _AND:
+        node = And(as_formula(program, a), as_formula(program, b))
+    else:
+        node = Until(program.intervals[iv], as_formula(program, a), as_formula(program, b))
+    return Not(node) if r & 1 else node
+
+
+# intervals sharing each bound on different sides: the lower 1 of [1,1] and
+# [1,2) is found by bisect_left, that of (1,2) by bisect_right, which is also
+# how the upper 1 of [1,1] is found and the upper 1 of (0,1) is not
+SHARED = [
+    Interval.point(1),
+    Interval(0, 1, False, False),
+    Interval(1, 2, True, False),
+    Interval(1, 2, False, False),
+    Interval.point(2),
+    FULL,
+    Interval(0, None, False, False),
+]
+
+
+class TestSharedEndpoints:
+    def shared_program(self):
+        a, b, c = Atom("a"), Atom("b"), Atom("c")
+        parts = []
+        for k, interval in enumerate(SHARED):
+            inner = SHARED[(k + 3) % len(SHARED)]
+            parts += [
+                Until(interval, a, b),
+                Eventually(interval, Or(c, Globally(inner, a))),
+                Globally(interval, Until(inner, Not(b), c)),
+            ]
+        return compile_formula(and_all(parts))
+
+    def test_program_shares_its_endpoints(self):
+        program = self.shared_program()
+        assert set(program.intervals) == set(SHARED)
+        assert sum(op[0] == _UNTIL for op in program.ops) >= 3 * len(SHARED)
+
+    def test_every_row_matches_the_naive_reference(self):
+        program = self.shared_program()
+        formulas = [as_formula(program, 2 * k) for k in range(len(program.ops))]
+        rng = random.Random(51)
+        for trial in range(120):
+            make = random_word if trial % 2 else mixed_word
+            word = make(rng, ["a", "b", "c"], 9)
+            row = _evaluator(word, program)
+            for k, formula in enumerate(formulas):
+                values, flip = row(2 * k)
+                expected = [naive_eval(word, i, formula) for i in range(1, len(word) + 1)]
+                assert [v != flip for v in values] == expected, (formula, word)
+            assert satisfies(word, program) == naive_eval(word, 1, as_formula(program, program.root))
+
+
 class TestIncrementalMonitor:
     """Formula progression against the Kleene oracle's open-ended evaluation."""
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,62 @@ class TestStrictMonotonicity:
 
     def test_singleton(self):
         assert is_strictly_monotonic(W(("a", 1)))
+
+
+def tick_words(count=40, seed=7):
+    """Random words timed in halves, thirds, fifths and sevenths, each with
+    at least one repeated timestamp."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        dens = rng.sample([2, 3, 5, 7], rng.randint(1, 4))
+        times = sorted(Fraction(rng.randint(0, 12 * d), d) for d in dens for _ in range(rng.randint(1, 3)))
+        repeat = rng.randrange(len(times))
+        times.insert(repeat, times[repeat])
+        out.append(TimedWord((rng.choice("ab#"), t) for t in times))
+    return out
+
+
+class TestTickView:
+    @pytest.mark.parametrize("word", tick_words())
+    def test_ticks_are_exact(self, word):
+        scale, ticks = word.ticks
+        assert len(ticks) == len(word)
+        for i, tick in enumerate(ticks):
+            assert type(tick) is int
+            assert Fraction(tick, scale) == word.time_at(i + 1)
+        # the lcm of the denominators: the least scale making every time whole
+        assert scale == next(s for s in range(1, 211) if all((t * s).denominator == 1 for t in word.times))
+
+    def test_view_is_computed_once(self):
+        word = W(("a", "1/2"), ("b", "1/2"), ("c", "5/3"))
+        assert word.ticks is word.ticks
+        assert word.ticks == (6, (3, 3, 10))
+
+    def test_whole_times_have_scale_one(self):
+        assert W(("a", 0), ("b", 0), ("c", 4)).ticks == (1, (0, 0, 4))
+
+    def test_view_is_invisible_to_equality_hash_and_repr(self):
+        for word in tick_words(count=10, seed=11):
+            twin = TimedWord(word.events)
+            text, digest = repr(word), hash(word)
+            word.ticks
+            assert word == twin and twin == word
+            assert hash(word) == hash(twin) == digest
+            assert repr(word) == repr(twin) == text
+            assert len({word, twin}) == 1
+
+    @pytest.mark.parametrize("name", ["events", "ticks", "_ticks", "other"])
+    def test_still_immutable(self, name):
+        word = W(("a", "2/7"), ("b", "1/3"), ("c", "1/3"))
+        with pytest.raises(AttributeError):
+            setattr(word, name, None)
+        view = word.ticks
+        with pytest.raises(AttributeError):
+            setattr(word, name, (1, (0, 0, 0)))
+        assert word.ticks is view
+        assert word.ticks == (21, (6, 7, 7))
+        assert word.times == (Fraction(2, 7), Fraction(1, 3), Fraction(1, 3))
 
 
 words = st.builds(

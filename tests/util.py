@@ -482,6 +482,69 @@ def random_word(rng: random.Random, alphabet, max_len: int) -> TimedWord:
     return TimedWord(events)
 
 
+# -- Fraction reference for the encoding checker's block decomposition -------
+
+
+def fraction_decompose(word: TimedWord, machine: ChannelMachine):
+    """The blocks of ``encoding.decompose``, or the DecodeStructureError it
+    raises, found by comparing and subtracting the word's ``Fraction``
+    timestamps directly, as the checker did before it read the tick view."""
+    from ptamtl.encoding import HASH, STAR, ConfigBlock
+    from ptamtl.errors import DecodeStructureError
+
+    states = set(machine.states)
+    display = set(machine.messages) | {HASH}
+    labels = set(machine.labels())
+    events = word.events
+
+    def fail(index: int, reason: str):
+        symbol, time = events[index]
+        raise DecodeStructureError(f"event {index + 1} ({symbol}@{time}): {reason}")
+
+    blocks = []
+    i = 0
+    while True:
+        symbol, start = events[i]
+        if symbol not in states:
+            fail(i, "expected a control-state symbol")
+        close = start + 1
+        i += 1
+        symbols = []
+        previous = Fraction(0)
+        while i < len(events) and events[i][1] < close:
+            s, t = events[i]
+            offset = t - start
+            if s not in display:
+                fail(i, "only message or hash symbols may appear inside a block")
+            if offset <= 0:
+                fail(i, "display symbols must come strictly after the state symbol")
+            if offset <= previous:
+                fail(i, "display offsets must be strictly increasing")
+            previous = offset
+            symbols.append((s, offset))
+            i += 1
+        if i == len(events):
+            fail(i - 1, "block is not closed by a label or the end marker")
+        trailer, t = events[i]
+        if t != close:
+            fail(i, "expected the label or end marker exactly one unit after the state")
+        if trailer == STAR:
+            if i + 1 != len(events):
+                fail(i + 1, "no event may follow the end marker")
+            blocks.append(ConfigBlock(symbol, start, tuple(symbols), STAR))
+            return blocks
+        if trailer not in labels:
+            fail(i, "expected a transition label or the end marker")
+        blocks.append(ConfigBlock(symbol, start, tuple(symbols), trailer))
+        i += 1
+        if i == len(events):
+            fail(i - 1, "a label must be followed by the next state symbol")
+        if events[i][1] != close + 1:
+            fail(i, "expected the next state symbol exactly two units after the previous")
+        if events[i][0] not in states:
+            fail(i, "expected a control-state symbol two units after the previous")
+
+
 # -- differential corpus: encodings, insertion mutants, broken mutations -------
 
 
