@@ -21,7 +21,7 @@ why a separate automaton is needed to rule them out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -77,12 +77,19 @@ def default_layout(width: int, delta: Fraction = Fraction(0)) -> EncodingLayout:
 
 @dataclass(frozen=True)
 class ConfigBlock:
-    """One decoded block: state symbol, display symbols with offsets, trailer."""
+    """One decoded block: state symbol, display symbols with offsets, trailer.
+    ``ticks`` are the offsets on the word's integer scale, by which the checker
+    compares them (the offsets themselves if not given); ``==`` ignores them."""
 
     state: str
     start: Fraction
     symbols: tuple[tuple[str, Fraction], ...]  # (symbol, offset in (0,1))
     trailer: str  # a label, or the end marker for the final block
+    ticks: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.ticks is None:
+            object.__setattr__(self, "ticks", self.offsets)
 
     @property
     def width(self) -> int:
@@ -150,7 +157,7 @@ def decompose(word: TimedWord, machine: ChannelMachine) -> list[ConfigBlock]:
         if trailer != STAR and trailer not in labels:
             fail(i, "expected a transition label or the end marker")
         symbols = tuple((s, Fraction(t - begin, scale)) for s, t in shown)
-        blocks.append(ConfigBlock(symbol, start, symbols, trailer))
+        blocks.append(ConfigBlock(symbol, start, symbols, trailer, tuple(t - begin for _, t in shown)))
         if trailer == STAR:
             return blocks
         i += 1
@@ -233,34 +240,36 @@ def _violation(
 def _check_step(block: ConfigBlock, nxt: ConfigBlock, number: int) -> Optional[str]:
     """Copy/replace/append discipline between two adjacent blocks."""
     kind, message = label_kind(block.trailer)
-    landing = {offset: symbol for symbol, offset in nxt.symbols}
+    # offsets are compared by their ticks, and reported as rationals
+    landing = {t: symbol for (symbol, _), t in zip(nxt.symbols, nxt.ticks)}
     symbols = block.symbols
-    replaced = None  # the offset of the hash a send replaces
+    ticks = block.ticks
+    replaced = None  # the index of the hash a send replaces
     if kind == "empty":
         if any(s != HASH for s, _ in symbols):
             return f"block {number}: empty test over a non-empty display"
     elif kind == "send":
-        replaced = next((o for s, o in symbols if s == HASH), None)
-        if replaced is not None and landing.get(replaced) != message:
+        replaced = next((j for j, (s, _) in enumerate(symbols) if s == HASH), None)
+        if replaced is not None and landing.get(ticks[replaced]) != message:
             return (
-                f"block {number}: first hash (offset {replaced}) must become "
+                f"block {number}: first hash (offset {symbols[replaced][1]}) must become "
                 f"{message!r} two units later"
             )
     elif symbols and symbols[0][0] == message:
         # receive, head matches: shift left one slot, append a hash in the last slot
         offsets = block.offsets
         for j in range(1, block.width):
-            if landing.get(offsets[j - 1]) != symbols[j][0]:
+            if landing.get(ticks[j - 1]) != symbols[j][0]:
                 return (
                     f"block {number}: symbol at offset {offsets[j]} must shift to "
                     f"offset {offsets[j - 1]} two units later"
                 )
-        if landing.get(offsets[-1]) != HASH:
+        if landing.get(ticks[-1]) != HASH:
             return f"block {number}: a hash must appear in the freed last slot"
         return None
 
-    for symbol, offset in symbols:
-        if offset != replaced and landing.get(offset) != symbol:
+    for j, (symbol, offset) in enumerate(symbols):
+        if j != replaced and landing.get(ticks[j]) != symbol:
             noun = "hash" if kind == "empty" else "symbol"
             return f"block {number}: {noun} at offset {offset} is not copied forward"
     if kind == "empty" or replaced is not None:
@@ -269,9 +278,9 @@ def _check_step(block: ConfigBlock, nxt: ConfigBlock, number: int) -> Optional[s
     # display; a receive whose head does not match (or an empty display) is an
     # insertion error and appends a hash there
     expected = message if kind == "send" else HASH
-    anchor = symbols[-1][1] if symbols else Fraction(0)
-    tail = [(s, o) for s, o in nxt.symbols if o > anchor]
-    if len(tail) != 1 or tail[0][0] != expected:
+    anchor = ticks[-1] if ticks else 0
+    tail = [s for (s, _), t in zip(nxt.symbols, nxt.ticks) if t > anchor]
+    if len(tail) != 1 or tail[0] != expected:
         return (
             f"block {number}: the appended {expected!r} must be the only display "
             "symbol after the copied ones"

@@ -19,15 +19,16 @@ compiles once: its program is cached on the formula object and freed with
 it, and :func:`compile_formula` reads it from there.
 
 :func:`eval_at` decides a closed word at a position, and :func:`satisfies`
-is its answer at the first one.  One evaluator computes a row of truth
-values per op over the word's exact integer view (:attr:`TimedWord.ticks`).
-An until reads its windows from endpoint lists shared by the intervals:
-each distinct endpoint, a constant and a side (the first position at or
-past a time plus the constant, or strictly past it), is found once per word
-by one pointer moving forward over the sorted ticks, and the witnesses in a
-window are counted by prefix counts; a negation is a flag on a row, never a
-computed row, and the conjunctions at the top of the formula are evaluated
-at the position alone.
+is its answer at the first one.  One evaluator computes a row per op over
+the word's exact integer view (:attr:`TimedWord.ticks`): an int whose bit i
+is the truth at the position with index i, so a conjunction is one ``&``, a
+negation one xor with the row of every position, and a next one shift and
+mask.  An until reads its windows from endpoint lists shared by the
+intervals: each distinct endpoint, a constant and a side (the first
+position at or past a time plus the constant, or strictly past it), is
+found once per word by one pointer moving forward over the sorted ticks,
+and the witnesses in a window are counted by prefix counts.  The
+conjunctions at the top of the formula are evaluated at the position alone.
 Results are checked against a naive evaluator of the ASTs in the tests.
 
 A search that extends prefixes one event at a time uses formula
@@ -56,10 +57,10 @@ words, on random formulas and words.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
-from operator import and_, gt, lt, or_
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .timedwords import RationalLike, TimedWord, rat
@@ -301,24 +302,31 @@ def compile_formula(formula: Union[Formula, Program]) -> Program:
     return formula if isinstance(formula, Program) else formula.program
 
 
-# (p, q) -> (operator, flip): the row of a & b from the rows of a and b, each
-# negated if its flip is 1; !a & !b is stored as the flipped row of a | b
-_CONJUNCTIONS = {(0, 0): (and_, 0), (1, 0): (lt, 0), (0, 1): (gt, 0), (1, 1): (or_, 1)}
+_DIGITS = bytes.maketrans(b"01", b"\0\1")  # a binary numeral's text to bytes 0 and 1
 
 
 def _evaluator(word: TimedWord, program: Program):
     """Return ``row(r)``, the truth of reference r at every position of the
-    word as ``(values, flip)``: r holds at position i iff ``values[i] != flip``.
-    Negations are read from the flips and never computed."""
+    word as an int whose bit i is set iff r holds at the position with index
+    i.  A conjunction's row is one ``&`` of its operands' rows, a negation's
+    is its operand's row xor ``full`` (every bit set), and the row of a U b
+    where a holds nowhere (a next) is b's row shifted down one bit and masked
+    by the positions whose successor lies in the window."""
     ops = program.ops
     events = word.events
     n = len(events)
-    symbols = [symbol for symbol, _ in events]
+    full = (1 << n) - 1
+    flips = (0, full)  # xor a row with flips[r & 1] to read reference r
     scale, times = word.ticks  # exact integer times
-    rows: list = [None] * len(ops)  # rows[k]: op k's (values, flip)
+    powers = [1 << i for i in range(n)]
+    masks: dict[str, int] = {}  # symbol -> the row of its atom
+    for (symbol, _), bit in zip(events, powers):
+        masks[symbol] = masks.get(symbol, 0) | bit
+    rows: list = [full] + [None] * (len(ops) - 1)  # rows[k]: op k's row; op 0 is true
     windows: list = [None] * len(program.intervals)
     ends: dict = {}  # (constant, right) -> its endpoint list, shared by the intervals
-    every = list(range(n + 1))
+    nexts: dict[int, int] = {}  # interval -> the positions whose successor is in their window
+    after = range(1, n + 1)
 
     def end(constant: int, right: bool) -> list[int]:
         """The first position j with t_j >= t_i + constant (> if ``right``)
@@ -340,88 +348,89 @@ def _evaluator(word: TimedWord, program: Program):
 
     def window(iv: int) -> tuple[list[int], list[int]]:
         """lo[i]:hi[i] are the positions j > i with t_j - t_i in the interval."""
-        if windows[iv] is None:
-            interval = program.intervals[iv]
-            lo = list(map(max, every[1:], end(interval.lower, not interval.lower_closed)))
-            hi = [n] * n if interval.upper is None else end(interval.upper, interval.upper_closed)
-            windows[iv] = (lo, hi)
+        interval = program.intervals[iv]
+        lo = list(map(max, after, end(interval.lower, not interval.lower_closed)))
+        hi = [n] * n if interval.upper is None else end(interval.upper, interval.upper_closed)
+        windows[iv] = (lo, hi)
         return windows[iv]
 
-    def compute(k: int) -> tuple[list[bool], int]:
-        kind, a, b, iv = ops[k]
-        if kind == _ATOM:
-            return [symbol == a for symbol in symbols], 0
-        if kind == _TRUE:
-            return [True] * n, 0
-        y, q = rows[b >> 1]  # children are filled first
-        q ^= b & 1
-        if kind == _AND:
-            x, p = rows[a >> 1]
-            operator, flip = _CONJUNCTIONS[p ^ (a & 1), q]
-            return list(map(operator, x, y)), flip
-        # a U b: some j in i's window has b true and a true strictly between
-        # i and j.  fail[k] is the first position >= k where a is false (n if
-        # none), so j lies in [lo[i], min(hi[i], fail[i + 1] + 1)).
-        lo, hi = window(iv)
-        count = list(accumulate((not v for v in y) if q else y, initial=0))  # count[k]: b true before k
-        if a == 0:  # true U b: every witness in the window counts
-            return [count[h] > count[l] for l, h in zip(lo, hi)], 0
-        if a == 1:  # false U b: only the next position
-            fail = every
-        else:
-            x, p = rows[a >> 1]
-            p ^= a & 1
+    def until(x: int, y: int, iv: int) -> int:
+        """The row of a U b from the rows x of a and y of b: some j in i's
+        window has b true and a true strictly between i and j."""
+        if y == 0:
+            return 0
+        lo, hi = windows[iv] or window(iv)
+        if x == 0:  # only the next position can be the witness
+            if iv not in nexts:  # bit i: position i + 1 lies in i's window
+                nexts[iv] = sum([p for p, j, l, h in zip(powers, after, lo, hi) if l == j < h])
+            return y >> 1 & nexts[iv]
+        if x == full and hi[0] == n:
+            # every window reaches the end, so i holds iff its window starts
+            # at or before b's last position; the window starts never decrease
+            return (1 << bisect_right(lo, y.bit_length() - 1)) - 1
+        # count[k]: b true before k, read off the binary numeral of y
+        count = list(accumulate(bin(y)[2:].zfill(n)[::-1].encode().translate(_DIGITS), initial=0))
+        if x != full:
+            # fail[k] is the first position >= k where a is false (n if
+            # none), so j lies in [lo[i], min(hi[i], fail[i + 1] + 1))
             fail = [n] * (n + 1)
             for j in range(n - 1, -1, -1):
-                fail[j] = j if x[j] == p else fail[j + 1]
-        return [count[h if h <= f else f + 1] > count[l] for l, h, f in zip(lo, hi, fail[1:])], 0
+                fail[j] = fail[j + 1] if x >> j & 1 else j
+            hi = [h if h <= f else f + 1 for h, f in zip(hi, fail[1:])]
+        return sum([p for p, l, h in zip(powers, lo, hi) if count[h] > count[l]])
 
-    def row(r: int) -> tuple[list[bool], int]:
+    def row(r: int) -> int:
         k = r >> 1
         if rows[k] is None:
             # post-order: an op is computed once its children's rows are filled
             stack = [k]
             while stack:
                 j = stack[-1]
-                kind, a, b, _ = ops[j]
-                if kind >= _AND:
-                    if rows[a >> 1] is None:
+                kind, a, b, iv = ops[j]
+                if kind == _ATOM:
+                    rows[j] = masks.get(a, 0)
+                else:
+                    x = rows[a >> 1]
+                    if x is None:
                         stack.append(a >> 1)
                         continue
-                    if rows[b >> 1] is None:
+                    y = rows[b >> 1]
+                    if y is None:
                         stack.append(b >> 1)
                         continue
-                rows[j] = compute(j)
+                    x ^= flips[a & 1]
+                    y ^= flips[b & 1]
+                    rows[j] = x & y if kind == _AND else until(x, y, iv)
                 stack.pop()
-        values, flip = rows[k]
-        return values, flip ^ (r & 1)
+        return rows[k] ^ flips[r & 1]
 
     return row
 
 
 def _value(program: Program, row, i: int) -> bool:
-    """Truth at the position with index i (0-based), reading the rows of the
-    untils and atoms from ``row(r)``.  The conjunctions above them are
-    evaluated at that position alone, left operand first, skipping the right
-    operand once the left decides the result."""
+    """Truth at the position with index i (0-based), reading bit i of the
+    rows of the untils and atoms from ``row(r)``.  The conjunctions above
+    them are evaluated at that position alone, left operand first, skipping
+    the right operand once the left decides the result."""
     ops = program.ops
-    stack = [(program.root, 0)]  # (reference, operands done)
-    value = False
-    while stack:
-        r, done = stack.pop()
+    stack = []  # conjunctions r whose left operand, or ~r whose right one, is pending
+    r = program.root
+    while True:
         kind, a, b, _ = ops[r >> 1]
-        if kind != _AND:
-            values, flip = row(r)
-            value = values[i] != flip
-        elif done == 0:
-            stack.append((r, 1))
-            stack.append((a, 0))
-        elif done == 1 and value:  # the left operand does not decide: b is the result
-            stack.append((r, 2))
-            stack.append((b, 0))
+        if kind == _AND:
+            stack.append(r)
+            r = a
+            continue
+        value = row(r) >> i & 1 == 1
+        while stack:
+            r = stack.pop()
+            if r >= 0 and value:  # the left operand does not decide: b is the result
+                stack.append(~r)
+                r = ops[r >> 1][2]
+                break
+            value = value != (r & 1 if r >= 0 else ~r & 1)
         else:
-            value = value != (r & 1)
-    return value
+            return value
 
 
 # -- formula progression ---------------------------------------------------------

@@ -12,6 +12,7 @@ from ptamtl.channel import (
     search_error_free,
 )
 from ptamtl.encoding import (
+    ConfigBlock,
     EncodingLayout,
     check_membership,
     decode,
@@ -113,6 +114,18 @@ class TestDecompose:
         blocks = decompose(word, machine)
         assert [b.width for b in blocks] == [3, 3, 3, 3]
         assert blocks[2].messages() == ("m1", "m2")
+
+    def test_blocks_carry_their_offsets_as_ticks(self, c1):
+        # the checker compares offsets by these integers; equality, hashing
+        # and repr read the rational offsets only
+        word = TimedWord(THIRDS)
+        scale, _ = word.ticks
+        for block in decompose(word, c1):
+            assert block.ticks == tuple(int(offset * scale) for offset in block.offsets)
+            assert all(type(t) is int for t in block.ticks)
+            by_hand = ConfigBlock(block.state, block.start, block.symbols, block.trailer)
+            assert by_hand.ticks == block.offsets
+            assert by_hand == block and hash(by_hand) == hash(block) and repr(by_hand) == repr(block)
 
 
 # c1's encoding timed in thirds and halves: base offset 1/3, one slot at 1/2

@@ -38,6 +38,11 @@ def W(*pairs):
     return TimedWord(pairs)
 
 
+def positions(bits, n):
+    """The truth values of an evaluator row, one per position."""
+    return [bits >> i & 1 == 1 for i in range(n)]
+
+
 class TestInterval:
     def test_contains(self):
         assert interval_contains(Interval(1, 2, False, False), Fraction(3, 2))
@@ -215,10 +220,11 @@ class TestEvalAt:
         verdicts = set()
         for _ in range(40):
             word = random_word(rng, ["a", "b"], 6)
-            values, flip = _evaluator(word, program)(program.root)
-            for i, value in enumerate(values):
-                verdicts.add(value != flip)
-                assert (value != flip) == naive_eval(word, i + 1, formula), (word, i)
+            bits = _evaluator(word, program)(program.root)
+            assert 0 <= bits < 1 << len(word)
+            for i, value in enumerate(positions(bits, len(word))):
+                verdicts.add(value)
+                assert value == naive_eval(word, i + 1, formula), (word, i)
         assert verdicts == {False, True}
 
 
@@ -339,12 +345,13 @@ class TestClosedRows:
             program = compile_formula(random_formula(rng, alphabet, 5))
             word = mixed_word(rng, alphabet, 7)
             row, oracle = _evaluator(word, program), kleene_evaluator(word, program, True)
+            n = len(word)
             for k in range(len(program.ops)):
                 assert 1 not in oracle(k), (program, word, k)
-                values, flip = row(2 * k)
-                assert all(type(v) is bool for v in values), (program, word, k)
-                assert [v != flip for v in values] == [v == 2 for v in oracle(k)], (program, word, k)
-                assert row(2 * k + 1) == (values, 1 - flip)
+                bits = row(2 * k)
+                assert 0 <= bits < 1 << n, (program, word, k)
+                assert positions(bits, n) == [v == 2 for v in oracle(k)], (program, word, k)
+                assert row(2 * k + 1) == bits ^ (1 << n) - 1
             assert satisfies(word, program) == (kleene_value(program, oracle) == 2), (program, word)
 
 
@@ -403,10 +410,57 @@ class TestSharedEndpoints:
             word = make(rng, ["a", "b", "c"], 9)
             row = _evaluator(word, program)
             for k, formula in enumerate(formulas):
-                values, flip = row(2 * k)
+                bits = row(2 * k)
                 expected = [naive_eval(word, i, formula) for i in range(1, len(word) + 1)]
-                assert [v != flip for v in values] == expected, (formula, word)
+                assert positions(bits, len(word)) == expected, (formula, word)
             assert satisfies(word, program) == naive_eval(word, 1, as_formula(program, program.root))
+
+
+# unbounded intervals with a closed, an open and a positive lower bound, and
+# bounded ones of each shape
+UNBOUNDED = [FULL, Interval(0, None, False, False), Interval(1, None, True, False), Interval(1, None, False, False)]
+BOUNDED = [Interval(1, 2, True, False), Interval(0, 1, False, True), Interval.point(1)]
+
+
+class TestRowsAcrossTheWordBoundary:
+    """A row holds one bit per position, so words of 63, 64, 65 and 130
+    events put rows on both sides of a 64-bit machine word."""
+
+    def formulas(self):
+        a, b, c = Atom("a"), Atom("b"), Atom("c")  # c occurs nowhere
+        parts = []
+        for interval in UNBOUNDED:  # the next mask and the unbounded F
+            parts += [Next(interval, b), Next(interval, Not(a))]
+            parts += [Eventually(interval, b), Eventually(interval, Not(a))]
+        for interval in BOUNDED + UNBOUNDED[:2]:  # bounded F and the general until
+            parts += [Eventually(interval, b), Until(interval, a, b), Globally(interval, a)]
+        # rows of 0, and a left operand that holds nowhere, which makes a next
+        parts += [Eventually(FULL, c), Next(FULL, c), Globally(FULL, c), Until(BOUNDED[0], c, b)]
+        return parts + [Until(FULL, Not(b), a)]
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_every_row_and_its_negation_match_the_naive_reference(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        found = set()
+        for _ in range(2):
+            time, events = Fraction(0), []
+            for _ in range(n):
+                time += Fraction(rng.randint(0, 2), 2)  # repeated times, and windows of 0 to many events
+                events.append((rng.choice("aab"), time))
+            word = TimedWord(events)
+            for formula in self.formulas():
+                program = compile_formula(formula)
+                row = _evaluator(word, program)
+                for k in range(len(program.ops)):
+                    bits = row(2 * k)
+                    assert 0 <= bits <= full
+                    assert row(2 * k + 1) == bits ^ full
+                    expected = [naive_eval(word, i, as_formula(program, 2 * k)) for i in range(1, n + 1)]
+                    assert positions(bits, n) == expected, (as_formula(program, 2 * k), word)
+                    assert positions(row(2 * k + 1), n) == [not v for v in expected]
+                    found.add("zero" if bits == 0 else "top" if bits >> n - 1 else "other")
+        assert {"zero", "top"} <= found
 
 
 class TestIncrementalMonitor:
