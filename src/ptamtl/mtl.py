@@ -23,26 +23,26 @@ is its answer at the first one.  One evaluator computes a row per op over
 the word's exact integer view (:attr:`TimedWord.ticks`): an int whose bit i
 is the truth at the position with index i, so a conjunction is one ``&``, a
 negation one xor with the row of every position, and a next one shift and
-mask.  An until reads its windows from endpoint lists shared by the
-intervals: each distinct endpoint, a constant and a side (the first
-position at or past a time plus the constant, or strictly past it), is
-found once per word by one pointer moving forward over the sorted ticks,
-and the witnesses in a window are counted by prefix counts.  The
-conjunctions at the top of the formula are evaluated at the position alone.
-Results are checked against a naive evaluator of the ASTs in the tests.
+mask.  An until's window is the tick range of :meth:`Interval.ticks` on the
+word's scale.  Its ends come from endpoint lists shared by the intervals:
+the first position at or past each time plus a shift, found once per word
+and shift by one pointer moving forward over the sorted ticks.  Witnesses
+in a window are counted by prefix counts.  The conjunctions at the top of
+the formula are evaluated at the position alone.  Results are checked
+against a naive evaluator of the ASTs in the tests.
 
 A search that extends prefixes one event at a time uses formula
 progression instead (Bacchus & Kabanza, AIJ 2000; Thati & Rosu, RV 2004).
-A :class:`Progression` reads a word of integer grid ticks, holding every
-time on one integer scale fixed for the whole search, and rewrites the
-formula after each event into its residual: negated and plain conjunctions
-of pending until obligations, each with its interval shifted to the last
-event.  A residual is a signed reference to a hash-consed node, as a
-program child is one, so a negation costs no node and each step is memoized
-once for a residual and its negation.  A step looks up each operand of a
-conjunction once, resuming its scan after stepping a missing operand, and
-builds an obligation's shifted window only when the result depends on it,
-so a node costs work linear in its width.  The engine is a lazily built
+A :class:`Progression` reads a word of the search's grid ticks, counts its
+windows in those ticks, and rewrites the formula after each event into its
+residual: negated and plain conjunctions of pending until obligations, each
+with its tick range shifted to the last event.  A residual is a signed
+reference to a hash-consed node, as a program child is one, so a negation
+costs no node and each step is memoized once for a residual and its
+negation.  A step looks up each operand of a conjunction once, resuming its
+scan after stepping a missing operand, and builds an obligation's shifted
+window only when the result depends on it, so a node costs work linear in
+its width.  The engine is a lazily built
 automaton whose states can key a memo of search subtrees.  A residual is
 constant exactly when the three-valued (Kleene) evaluation of the prefix,
 with every pending obligation unknown, is decided.  Pruning on a false
@@ -59,6 +59,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Union
@@ -98,6 +99,17 @@ class Interval:
     @property
     def is_full(self) -> bool:
         return self.lower == 0 and self.lower_closed and self.upper is None
+
+    def ticks(self, rate: Union[int, Fraction]) -> tuple[int, Optional[int]]:
+        """The inclusive range lo..hi of the whole tick counts d with d / rate
+        in the interval, ``rate`` ticks to a time unit: > b is >= b + 1 and
+        < b is <= b - 1.  hi is None if unbounded; lo > hi if no tick fits."""
+        q, r = divmod(self.lower * rate.numerator, rate.denominator)
+        lo = q + (r > 0 or not self.lower_closed)
+        if self.upper is None:
+            return lo, None
+        q, r = divmod(self.upper * rate.numerator, rate.denominator)
+        return lo, q - (r == 0 and not self.upper_closed)
 
 
 FULL = Interval(0, None, True, False)
@@ -324,17 +336,15 @@ def _evaluator(word: TimedWord, program: Program):
         masks[symbol] = masks.get(symbol, 0) | bit
     rows: list = [full] + [None] * (len(ops) - 1)  # rows[k]: op k's row; op 0 is true
     windows: list = [None] * len(program.intervals)
-    ends: dict = {}  # (constant, right) -> its endpoint list, shared by the intervals
+    ends: dict[int, list[int]] = {}  # shift -> its endpoint list, shared by the intervals
     nexts: dict[int, int] = {}  # interval -> the positions whose successor is in their window
     after = range(1, n + 1)
 
-    def end(constant: int, right: bool) -> list[int]:
-        """The first position j with t_j >= t_i + constant (> if ``right``)
-        for every i: bisect_left (bisect_right) of each time plus the
-        constant, found by one pointer moving forward over the sorted ticks."""
-        key = (constant, right)
-        if key not in ends:
-            shift = constant * scale + right  # on integers, > b is >= b + 1
+    def end(shift: int) -> list[int]:
+        """The first position j with t_j >= t_i + shift for every i: bisect_left
+        of each time plus the shift, found by one pointer moving forward over
+        the sorted ticks."""
+        if shift not in ends:
             padded = times + (times[-1] + shift,)  # a sentinel at or past every bound
             found = []
             j = 0
@@ -343,15 +353,15 @@ def _evaluator(word: TimedWord, program: Program):
                 while padded[j] < bound:
                     j += 1
                 found.append(j)
-            ends[key] = found
-        return ends[key]
+            ends[shift] = found
+        return ends[shift]
 
     def window(iv: int) -> tuple[list[int], list[int]]:
-        """lo[i]:hi[i] are the positions j > i with t_j - t_i in the interval."""
-        interval = program.intervals[iv]
-        lo = list(map(max, after, end(interval.lower, not interval.lower_closed)))
-        hi = [n] * n if interval.upper is None else end(interval.upper, interval.upper_closed)
-        windows[iv] = (lo, hi)
+        """first[i]:stop[i] are the positions j > i with t_j - t_i in lo..hi."""
+        lo, hi = program.intervals[iv].ticks(scale)
+        first = list(map(max, after, end(lo)))
+        stop = [n] * n if hi is None else end(hi + 1)
+        windows[iv] = (first, stop)
         return windows[iv]
 
     def until(x: int, y: int, iv: int) -> int:
@@ -439,9 +449,9 @@ def _value(program: Program, row, i: int) -> bool:
 # is one: 2k is node k and 2k + 1 its negation.  Node 0 is false, so 0 is false
 # and 1 true, and node 1 is the formula before the first event, so 2 is the
 # start.  Every other node is a conjunction (_AND, references), flattened,
-# deduplicated and sorted, or an obligation (_UNTIL, k, lower, lower closed,
-# upper or None, upper closed): the until of op k from the last event, its
-# interval shifted to that event.  A disjunction is the negated conjunction of
+# deduplicated and sorted, or an obligation (_UNTIL, k, lo, hi): the until of
+# op k from the last event, whose witness lies lo to hi grid ticks (hi None if
+# unbounded) after that event.  A disjunction is the negated conjunction of
 # the negated operands.  Only constants are absorbed, which keeps a residual
 # constant exactly when the Kleene value of the prefix is decided.
 
@@ -450,10 +460,11 @@ _START = 2
 
 class Progression:
     """Formula progression over words of integer ticks, an event's time
-    being ``tick * unit``.  The residual of a prefix is what the events after
-    it must satisfy for the whole word to satisfy the formula at its first
-    position.  ``step(residual, symbol, ticks)`` is the residual after one
-    more event, ``ticks`` ticks after the previous one; ``start`` is the
+    being ``tick * unit``, with windows counted in those ticks by
+    :meth:`Interval.ticks`.  The residual of a prefix is what the events
+    after it must satisfy for the whole word to satisfy the formula at its
+    first position.  ``step(residual, symbol, ticks)`` is the residual after
+    one more event, ``ticks`` ticks after the previous one; ``start`` is the
     residual of the empty word.  ``accepts(residual)`` is whether a word
     that ends there satisfies the formula, as :func:`satisfies` would say.
 
@@ -483,12 +494,7 @@ class Progression:
         if unit <= 0:
             raise ValueError("the time unit must be positive")
         self.program = program = compile_formula(formula)
-        self._factor = unit.numerator
-        scale = unit.denominator  # a time t is t * scale on the integer scale
-        self._windows = [
-            (iv.lower * scale, iv.lower_closed, None if iv.upper is None else iv.upper * scale, iv.upper_closed)
-            for iv in program.intervals
-        ]
+        self._windows = [iv.ticks(1 / unit) for iv in program.intervals]  # in grid ticks
         self._nodes: list = [None, None]  # false and the start have no operands
         self._accepts: list[bool] = [False, False]  # the empty word has no first position
         self._ids: dict[tuple, int] = {}
@@ -594,28 +600,28 @@ class Progression:
                         continue
                     result = self._and(values) if value else 0
                 else:
-                    result = self._advance(nodes[k], symbol, ticks * self._factor)
+                    result = self._advance(nodes[k], symbol, ticks)
                 memo[k] = result
                 stack.pop()
         return result ^ (residual & 1)
 
     def _advance(self, node: tuple, symbol: str, delay: int) -> int:
-        """An obligation after an event ``delay`` later on the integer scale:
-        ``a U b`` is (the event is in the window and b holds there) or (a holds
-        there and ``a U b``, its window shifted, holds from there)."""
-        _, k, lo, lo_closed, hi, hi_closed = node
-        if hi is not None and (delay > hi or (delay == hi and not hi_closed)):
+        """An obligation after an event ``delay`` ticks later: ``a U b`` is
+        (the delay is in lo..hi and b holds there) or (a holds there and
+        ``a U b``, its window shifted by the delay, holds from there)."""
+        _, k, lo, hi = node
+        if hi is not None and delay > hi:
             return 0  # the window has passed
         _, a, b, _ = self.program.ops[k]
-        witness = self.now(b, symbol) if delay > lo or (delay == lo and lo_closed) else 0
+        witness = self.now(b, symbol) if delay >= lo else 0
         if witness == 1:
             return 1
         left = self.now(a, symbol)
         if left == 0:
             return witness
-        # a lower bound below 0 is [0, as later events come no earlier
-        shifted = (max(lo - delay, 0), lo_closed or delay > lo, None if hi is None else hi - delay, hi_closed)
-        between = self._and((left, self._intern((_UNTIL, k, *shifted))))
+        # a lower bound below 0 is 0, as later events come no earlier
+        shifted = (_UNTIL, k, max(lo - delay, 0), None if hi is None else hi - delay)
+        between = self._and((left, self._intern(shifted)))
         return between if witness == 0 else self._and((witness ^ 1, between ^ 1)) ^ 1  # witness | between
 
 

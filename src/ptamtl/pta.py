@@ -102,6 +102,8 @@ class Pta:
         alphabet = set(self.alphabet)
         clocks = set(self.clocks)
         parameters = set(self.parameters)
+        if clocks & parameters:  # constraint_feasible unifies variables by name
+            raise ValueError(f"declared both as clock and parameter: {', '.join(sorted(clocks & parameters))}")
         if not self.initial <= locations:
             raise ValueError("initial locations must be declared locations")
         if not self.final <= locations:
@@ -234,29 +236,17 @@ def constraint_feasible(constraint: ClockConstraint) -> bool:
     # variables are unified by name: the same identifier on the clock side
     # and the bound side denotes one variable
     for atom in constraint.atoms:
-        x = atom.clock
+        x, rel = atom.clock, atom.relation
         nodes.add(x)
-        if isinstance(atom.bound, str):
-            p = atom.bound
-            nodes.add(p)
-            rel = atom.relation
-            if rel in ("<", "<="):
-                add(p, x, 0, rel == "<")  # x - p <= 0
-            elif rel in (">", ">="):
-                add(x, p, 0, rel == ">")  # p - x <= 0
-            else:
-                add(p, x, 0, False)
-                add(x, p, 0, False)
-        else:
-            c = atom.bound
-            rel = atom.relation
-            if rel in ("<", "<="):
-                add(ZERO, x, c, rel == "<")  # x - 0 <= c
-            elif rel in (">", ">="):
-                add(x, ZERO, -c, rel == ">")  # 0 - x <= -c
-            else:
-                add(ZERO, x, c, False)
-                add(x, ZERO, -c, False)
+        if isinstance(atom.bound, str):  # x ~ p is x - p ~ 0
+            y, c = atom.bound, 0
+            nodes.add(y)
+        else:  # x ~ c is x - 0 ~ c
+            y, c = ZERO, atom.bound
+        if rel in ("<", "<=", "="):
+            add(y, x, c, rel == "<")  # x - y <= c
+        if rel in (">", ">=", "="):
+            add(x, y, -c, rel == ">")  # y - x <= -c
     for node in nodes:
         if node is not ZERO:
             add(node, ZERO, 0, False)  # non-negativity: 0 - v <= 0

@@ -176,6 +176,7 @@ def build_formula(machine: ChannelMachine, target: str) -> Formula:
     validate_symbols(machine, target)
     states = list(machine.states)
     messages = list(machine.messages)
+    transitions = sorted(set(machine.transitions))
     hash_ = Atom(HASH)
     star = Atom(STAR)
     any_state = or_all(Atom(s) for s in states)
@@ -196,7 +197,7 @@ def build_formula(machine: ChannelMachine, target: str) -> Formula:
 
     # the word opens with the initial state and an all-hash display
     openings: list[Formula] = []
-    for source, label, nxt in sorted(set(machine.transitions)):
+    for source, label, nxt in transitions:
         if source == machine.initial:
             openings.append(Until(FULL, hash_, And(Atom(label), Next(FULL, Atom(nxt)))))
     if machine.initial == target:
@@ -213,7 +214,7 @@ def build_formula(machine: ChannelMachine, target: str) -> Formula:
             continue
         options = [
             And(_exactly(1, Atom(label)), _exactly(2, Atom(nxt)))
-            for source, label, nxt in sorted(set(machine.transitions))
+            for source, label, nxt in transitions
             if source == state
         ]
         succession.append(Implies(Atom(state), or_all(options)))
@@ -252,7 +253,6 @@ def build_formula(machine: ChannelMachine, target: str) -> Formula:
 
     conjuncts.append(Or(Atom(target), Eventually(FULL, Atom(target))))
 
-    transitions = sorted(set(machine.transitions))
     empty_sources = sorted({s for s, l, _ in transitions if l == EPS and s != target})
     send_pairs = sorted(
         {(s, label_kind(l)[1]) for s, l, _ in transitions if l.endswith("!") and s != target}

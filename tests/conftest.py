@@ -73,6 +73,20 @@ def two_phase_automaton(guarded_loops: bool = False) -> Pta:
     )
 
 
+# p names both a clock and a parameter; guards unify their variables by
+# name, so "p < p" would read the clock against the parameter and the two
+# edges would both fire at p = 1, though det-check would call them exclusive
+SHARED_NAME_PTA = """alphabet: a
+clocks: p
+params: p
+locations: l0 l1 l2
+init: l0
+final: l1 l2
+edge: l0 a "p < p" {} l1
+edge: l0 a "p < 5" {} l2
+"""
+
+
 @pytest.fixture
 def c1():
     return send_receive_machine()

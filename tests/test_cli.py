@@ -13,7 +13,7 @@ from ptamtl.modelcheck import bounded_modelcheck
 from ptamtl.mtl import Not
 from ptamtl.reduction import build_automaton, build_formula
 
-from conftest import send_receive_machine, two_phase_automaton
+from conftest import SHARED_NAME_PTA, send_receive_machine, two_phase_automaton
 
 F = Fraction
 
@@ -99,6 +99,14 @@ class TestBasicCommands:
     def test_det_check(self, capsys, cadence_file):
         assert main(["det-check", str(cadence_file)]) == 0
         assert capsys.readouterr().out.strip() == "nondeterministic"
+
+    def test_det_check_refuses_a_name_that_is_clock_and_parameter(self, capsys, tmp_path):
+        path = tmp_path / "shared.pta"
+        path.write_text(SHARED_NAME_PTA)
+        assert main(["det-check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "declared both as clock and parameter: p" in captured.err
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["eval", "a U U b", "a@0"]) == 1

@@ -11,7 +11,7 @@ from ptamtl.pta import ClockConstraint, Edge, Pta
 from ptamtl.reduction import build_formula
 from ptamtl.timedwords import TimedWord
 
-from conftest import send_receive_machine, two_message_machine, two_phase_automaton
+from conftest import SHARED_NAME_PTA, send_receive_machine, two_message_machine, two_phase_automaton
 from util import random_formula, random_word
 
 F = Fraction
@@ -337,6 +337,10 @@ class TestPtaFormat:
         automaton = two_phase_automaton()
         text = formats.serialize_pta(automaton)
         assert formats.parse_pta(text) == automaton
+
+    def test_a_name_cannot_be_clock_and_parameter(self):
+        with pytest.raises(ParseError, match="declared both as clock and parameter: p"):
+            formats.parse_pta(SHARED_NAME_PTA)
 
     def test_guard_spellings(self):
         guard = formats.parse_guard("x=p & y<1")

@@ -31,7 +31,7 @@ from ptamtl.mtl import (
 )
 from ptamtl.timedwords import TimedWord
 
-from util import interval_contains, kleene_evaluator, kleene_value, naive_eval, prefix_may_satisfy, random_formula, random_word
+from util import _INTERVALS, interval_contains, kleene_evaluator, kleene_value, naive_eval, prefix_may_satisfy, random_formula, random_word
 
 
 def W(*pairs):
@@ -57,6 +57,25 @@ class TestInterval:
             Interval(1, 1, True, False)
         with pytest.raises(ValueError):
             Interval(0, None, True, True)
+
+    RATES = (1, 2, 6, Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(4, 3))
+
+    def test_ticks_are_the_tick_counts_in_the_interval(self):
+        # d ticks at ``rate`` ticks a unit are d / rate units: lo..hi must hold
+        # exactly the d whose time the endpoint reading puts in the interval
+        intervals = list(dict.fromkeys(SHARED + UNBOUNDED + BOUNDED + _INTERVALS))
+        for interval in intervals:
+            for rate in self.RATES:
+                lo, hi = interval.ticks(rate)
+                assert type(lo) is int and (hi is None) == (interval.upper is None), (interval, rate)
+                for d in range(31):
+                    inside = lo <= d and (hi is None or d <= hi)
+                    assert inside == interval_contains(interval, Fraction(d) / rate), (interval, rate, d)
+
+    def test_a_window_can_hold_no_tick(self):
+        # at 3/2 ticks a unit, 1 falls between ticks 1 (2/3) and 2 (4/3)
+        assert Interval.point(1).ticks(Fraction(3, 2)) == (2, 1)
+        assert Interval(1, 2, False, False).ticks(1) == (2, 1)
 
 
 class TestCompiler:
@@ -544,6 +563,40 @@ class TestIncrementalMonitor:
             word = TimedWord([(symbol, tick * unit) for symbol, tick in path])
             assert_matches_open_value(residual(Progression(program, unit), path), word, program)
 
+    def test_grid_windows_round_toward_the_interval(self):
+        # units that put an endpoint of each interval between grid points, so
+        # the window's first or last tick rounds inward: the obligation after
+        # the first event carries the window, and every path of up to three
+        # events is held to the batch verdict and the Kleene value
+        a, b = Atom("a"), Atom("b")
+        cases = [
+            (Eventually(Interval(1, 2, False, True), a), Fraction(2, 3), (2, 3)),  # 4/3 and 2
+            (Eventually(Interval(1, 2, False, True), a), Fraction(3, 2), (1, 1)),  # 3/2
+            (Until(Interval.point(1), a, b), Fraction(2, 3), (2, 1)),  # no grid point on 1
+            (Until(Interval.point(1), a, b), Fraction(3, 2), (1, 0)),
+            (Globally(Interval(0, 1, True, False), a), Fraction(2, 3), (0, 1)),  # 0 and 2/3
+            (Globally(Interval(0, 1, True, False), a), Fraction(3, 2), (0, 0)),
+        ]
+        for formula, unit, window in cases:
+            program = compile_formula(formula)
+            engine = Progression(program, unit)
+            first = engine.step(engine.start, "c", 0)
+            assert engine._nodes[first >> 1][2:] == window, (formula, unit)
+            stack = [((), engine.start)]
+            while stack:
+                path, r = stack.pop()
+                if path:
+                    word = TimedWord([(symbol, tick * unit) for symbol, tick in path])
+                    assert_matches_open_value(r, word, program)
+                    assert engine.accepts(r) == satisfies(word, program), (formula, unit, path)
+                    if window[0] > window[1]:
+                        assert not satisfies(word, program)
+                if len(path) < 3:
+                    last = path[-1][1] if path else 0
+                    for symbol in "ab":
+                        for delay in range(4):
+                            stack.append((path + ((symbol, last + delay),), engine.step(r, symbol, delay)))
+
     def test_step_rejects_a_negative_delay(self):
         engine = Progression(Eventually(FULL, Atom("a")), 1)
         r = engine.step(engine.start, "b", 0)
@@ -626,10 +679,11 @@ class TestIncrementalMonitor:
         # a holds and no witness: the obligation with its window shifted
         shifted = engine.step(pending, "a", 1)
         assert len(engine._nodes) == nodes + 1
-        assert engine._nodes[shifted >> 1][2:] == (0, True, 4, True)
+        assert engine._nodes[shifted >> 1][2:] == (0, 4)
 
     def test_decided_entries_never_change_on_extension(self):
-        # the invariant the incremental monitor and the pruning rely on
+        # the invariant that progression's constant residuals and the search's
+        # pruning rely on: a decided Kleene value stays decided
         rng = random.Random(34)
         alphabet = ["a", "b"]
         for _ in range(300):

@@ -75,6 +75,14 @@ class TestConstraintSat:
             constraint_sat({}, {}, ClockConstraint.of(("x", "=", 1)))
 
 
+class TestDeclarations:
+    def test_a_name_cannot_be_clock_and_parameter(self):
+        with pytest.raises(ValueError, match="declared both as clock and parameter: p, q"):
+            Pta(("a",), ("1",), frozenset({"1"}), ("q", "x", "p"), ("p", "q"), (), frozenset())
+        # apart, the same names make a valid automaton
+        Pta(("a",), ("1",), frozenset({"1"}), ("x",), ("p", "q"), (), frozenset())
+
+
 class TestGridMove:
     """Guards compiled to tick ranges against the rational rule, at every age."""
 
