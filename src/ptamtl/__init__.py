@@ -26,6 +26,7 @@ from .encoding import (
     explain_membership,
     frac_alignment,
     inject_insertion,
+    insertion_mutants,
     max_width,
     n_prefix,
 )
@@ -66,7 +67,6 @@ from .reduction import (
     build_bundle,
     build_formula,
     check_theorem,
-    insertion_mutants,
     machine_alphabet,
     verify_backward,
     verify_forward,

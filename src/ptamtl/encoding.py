@@ -36,6 +36,7 @@ from .channel import (
 )
 from .errors import (
     AlignmentViolationError,
+    ComputationValidationError,
     DecodeInsertionError,
     DecodeStructureError,
     EncodingPreconditionError,
@@ -316,7 +317,7 @@ def encode(
     """
     try:
         error_free = is_error_free(machine, computation)
-    except Exception as error:
+    except (ComputationValidationError, ValueError) as error:  # not a computation, or a malformed label
         raise EncodingPreconditionError(str(error)) from error
     if not error_free:
         raise EncodingPreconditionError("computation contains insertion errors")
@@ -420,6 +421,26 @@ def inject_insertion(
     """
     offset = rat(offset)
     return _inject(word, machine, decompose(word, machine), block_index, offset)
+
+
+def insertion_mutants(
+    word: TimedWord, machine: ChannelMachine, count: int
+) -> list[TimedWord]:
+    """Deterministic injected-insertion variants of an encoded word.
+
+    Injections rotate over the blocks; fresh offsets sit above every existing
+    slot so each injection stays valid in all blocks it propagates through.
+    """
+    blocks = decompose(word, machine)
+    if len(blocks) < 2:
+        return []
+    top = max((max(b.offsets) for b in blocks if b.symbols), default=Fraction(0))
+    mutants = []
+    for rank in range(1, count + 1):
+        block_index = 2 + (rank - 1) % (len(blocks) - 1)
+        offset = top + (1 - top) * Fraction(rank, count + 1)
+        mutants.append(_inject(word, machine, blocks, block_index, offset))
+    return mutants
 
 
 def _inject(

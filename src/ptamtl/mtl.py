@@ -64,7 +64,7 @@ from functools import cached_property, reduce
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .timedwords import RationalLike, TimedWord, rat
+from .timedwords import RationalLike, TimedWord, rat, tick_range
 
 
 @dataclass(frozen=True)
@@ -101,15 +101,8 @@ class Interval:
         return self.lower == 0 and self.lower_closed and self.upper is None
 
     def ticks(self, rate: Union[int, Fraction]) -> tuple[int, Optional[int]]:
-        """The inclusive range lo..hi of the whole tick counts d with d / rate
-        in the interval, ``rate`` ticks to a time unit: > b is >= b + 1 and
-        < b is <= b - 1.  hi is None if unbounded; lo > hi if no tick fits."""
-        q, r = divmod(self.lower * rate.numerator, rate.denominator)
-        lo = q + (r > 0 or not self.lower_closed)
-        if self.upper is None:
-            return lo, None
-        q, r = divmod(self.upper * rate.numerator, rate.denominator)
-        return lo, q - (r == 0 and not self.upper_closed)
+        """The interval's inclusive tick range, by :func:`timedwords.tick_range`."""
+        return tick_range(self.lower, self.lower_closed, self.upper, self.upper_closed, rate)
 
 
 FULL = Interval(0, None, True, False)

@@ -11,7 +11,8 @@ exact rationals and is the reference.
 The grid-word search :func:`iter_accepted` counts time in integer ticks of
 the grid instead: on a grid every clock value is a whole number of ticks,
 so each guard reduces to an integer range check on elapsed ticks
-(Henzinger, Manna & Pnueli, "What good are digital clocks?", ICALP 1992).
+(Henzinger, Manna & Pnueli, "What good are digital clocks?", ICALP 1992)
+by the tick rule that MTL windows use, :func:`timedwords.tick_range`.
 Its frontier states hold each clock's age (ticks since its reset) capped
 above the largest guard bound, the classic max-constant extrapolation: every
 age from the cap on passes the same guards, so a delay past the cap moves a
@@ -34,7 +35,7 @@ from operator import eq, ge, gt, le, lt
 from typing import Iterator, Mapping, Optional, Union
 
 from .mtl import TRUE, Progression
-from .timedwords import TimedWord, rat
+from .timedwords import TimedWord, rat, tick_range
 
 Bound = Union[int, str]  # a natural constant or a parameter name
 
@@ -309,20 +310,13 @@ def _grid_move(
     edge: Edge,
     clocks: tuple[str, ...],
     parameters: Mapping[str, Fraction],
-    grid: Fraction,
+    rate: Fraction,
 ) -> Optional[_Move]:
-    """The edge with its guard compiled to tick ranges on the grid, or None
-    when an equality pins a clock between two grid points.
-
-    A clock that has run d ticks holds the value d * grid, so with
-    q = bound / grid the atom ``clock ~ bound`` holds iff ``d ~ q``, which
-    for an integer d is: ``<`` d <= ceil(q) - 1, ``<=`` d <= floor(q),
-    ``>=`` d >= ceil(q), ``>`` d >= floor(q) + 1, and ``=`` d == q when q is
-    an integer, never otherwise.  Floor and remainder come from one integer
-    division of q's numerator by its denominator, and ceil is the floor plus
-    one unless the division is exact.  Elapsed ticks are never negative, so
-    lo starts at 0.
-    """
+    """The edge with its guard compiled to tick ranges at ``rate`` ticks to
+    a time unit, or None when a clock's range holds no tick (an equality that
+    pins it between two grid points, say).  An atom ``clock ~ bound`` allows
+    the ages from 0 (``<``, ``<=``) or the bound up to the bound or, for
+    ``>=`` and ``>``, unbounded; only a strict relation opens its end."""
     ranges: dict[int, tuple[int, Optional[int]]] = {}
     for atom in edge.guard.atoms:
         if isinstance(atom.bound, str):
@@ -331,26 +325,19 @@ def _grid_move(
             bound = rat(parameters[atom.bound])
         else:
             bound = atom.bound
-        q, rest = divmod(bound.numerator * grid.denominator, bound.denominator * grid.numerator)
-        lo, hi = 0, None
-        if atom.relation == "<":
-            hi = q - (not rest)
-        elif atom.relation == "<=":
-            hi = q
-        elif atom.relation == ">=":
-            lo = q + (rest != 0)
-        elif atom.relation == ">":
-            lo = q + 1
-        elif not rest:
-            lo = hi = q
-        else:
-            return None
+        relation = atom.relation
+        lo, hi = tick_range(
+            0 if "<" in relation else bound, relation != ">",  # from 0, or from the bound
+            None if ">" in relation else bound, relation != "<",  # up to the bound, or unbounded
+            rate,
+        )
         index = clocks.index(atom.clock)
-        if index in ranges:
-            old_lo, old_hi = ranges[index]
-            lo = max(lo, old_lo)
-            if old_hi is not None:
-                hi = old_hi if hi is None else min(hi, old_hi)
+        old_lo, old_hi = ranges.get(index, (0, None))
+        lo = max(lo, old_lo)
+        if old_hi is not None:
+            hi = old_hi if hi is None else min(hi, old_hi)
+        if hi is not None and lo > hi:
+            return None
         ranges[index] = (lo, hi)
     checks = tuple(
         (index, lo, hi)
@@ -429,9 +416,10 @@ def iter_accepted(
     finals = automaton.final
     clocks = automaton.clocks
     last_tick = horizon // grid
+    rate = 1 / grid  # ticks to a time unit
     moves: dict[str, list[_Move]] = {}
     for edge in automaton.edges:
-        move = _grid_move(edge, clocks, parameters, grid)
+        move = _grid_move(edge, clocks, parameters, rate)
         if move is not None:
             moves.setdefault(edge.source, []).append(move)
     bounds = [b for group in moves.values() for _, _, checks, _ in group for _, lo, hi in checks for b in (lo, hi)]

@@ -36,15 +36,15 @@ from .channel import (
 from .encoding import (
     HASH,
     STAR,
-    _inject,
     check_membership,
     decode,
-    decompose,
     default_layout,
     encode,
     explain_membership,
+    insertion_mutants,
     max_width,
 )
+from .errors import DecodeInsertionError, DecodeStructureError
 from .formats import IDENTIFIER, KEYWORDS
 from .mtl import (
     FULL,
@@ -433,29 +433,9 @@ def verify_backward(
         computation = decode(word, machine, target)
         checks.append(Assertion("decodes-error-free", computation.final.state == target))
         checks.append(Assertion("channel-bounded", max_channel(computation) <= width))
-    except Exception as error:  # decoding refused
+    except (DecodeStructureError, DecodeInsertionError) as error:  # decoding refused
         checks.append(Assertion("decodes-error-free", False, str(error)))
     return BackwardReport(True, "", tuple(checks), computation)
-
-
-def insertion_mutants(
-    word: TimedWord, machine: ChannelMachine, count: int
-) -> list[TimedWord]:
-    """Deterministic injected-insertion variants of an encoded word.
-
-    Injections rotate over the blocks; fresh offsets sit above every existing
-    slot so each injection stays valid in all blocks it propagates through.
-    """
-    blocks = decompose(word, machine)
-    if len(blocks) < 2:
-        return []
-    top = max((max(b.offsets) for b in blocks if b.symbols), default=Fraction(0))
-    mutants = []
-    for rank in range(1, count + 1):
-        block_index = 2 + (rank - 1) % (len(blocks) - 1)
-        offset = top + (1 - top) * Fraction(rank, count + 1)
-        mutants.append(_inject(word, machine, blocks, block_index, offset))
-    return mutants
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,15 @@ floating point would silently break.  ``Fraction``s remain the API; a word
 also offers :attr:`TimedWord.ticks`, the same times as integers on one scale,
 computed once per word, for readers that compare and subtract times in bulk.
 The view is exact, so it decides every equality as the ``Fraction``s do.
+One tick rule, :func:`tick_range`, serves MTL windows and the search's guards.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Union
+from numbers import Rational
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import ConcatOrderError
 
@@ -30,6 +32,21 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
+
+
+def tick_range(
+    lower: Rational, lower_closed: bool, upper: Optional[Rational], upper_closed: bool, rate: Rational
+) -> tuple[int, Optional[int]]:
+    """The inclusive range lo..hi (hi None if unbounded, lo > hi if empty) of
+    the whole tick counts d with d / rate between ``lower`` and ``upper``
+    (None: unbounded), ``rate`` ticks to a time unit: > b is >= b + 1 and
+    < b is <= b - 1, by exact ``divmod`` on numerators and denominators."""
+    q, r = divmod(lower.numerator * rate.numerator, lower.denominator * rate.denominator)
+    lo = q + (r > 0 or not lower_closed)
+    if upper is None:
+        return lo, None
+    q, r = divmod(upper.numerator * rate.numerator, upper.denominator * rate.denominator)
+    return lo, q - (r == 0 and not upper_closed)
 
 
 class TimedWord:

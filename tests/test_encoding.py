@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ptamtl import encoding, reduction
+from ptamtl import encoding
 from ptamtl.channel import (
     ChannelMachine,
     Computation,
@@ -22,6 +22,7 @@ from ptamtl.encoding import (
     explain_membership,
     frac_alignment,
     inject_insertion,
+    insertion_mutants,
     max_width,
     n_prefix,
 )
@@ -31,7 +32,6 @@ from ptamtl.errors import (
     EncodingPreconditionError,
     InjectionError,
 )
-from ptamtl.reduction import insertion_mutants
 from ptamtl.timedwords import TimedWord
 
 from util import build_corpus, fraction_decompose
@@ -239,7 +239,6 @@ class TestDecomposeOnTicks:
         assert any(word.ticks[0] > 1 for word in corpus)
         by_ticks = [outcomes(word, machine, target) for word in corpus]
         monkeypatch.setattr(encoding, "decompose", fraction_decompose)
-        monkeypatch.setattr(reduction, "decompose", fraction_decompose)
         by_fractions = [outcomes(word, machine, target) for word in corpus]
         assert by_ticks == by_fractions
         assert any(result[1] is None for result in by_ticks)
@@ -433,6 +432,19 @@ class TestEncode:
         )
         with pytest.raises(EncodingPreconditionError):
             encode(c1, "s2", faulty, default_layout(2))
+
+    def test_malformed_label_is_a_precondition(self, c1):
+        gamma = Computation(Configuration("s0"), (("zz", Configuration("s1")),))
+        with pytest.raises(EncodingPreconditionError, match="^malformed label 'zz'$"):
+            encode(c1, "s1", gamma, default_layout(0))
+
+    def test_a_checker_defect_propagates(self, monkeypatch, c1, gamma_c1):
+        def broken(machine, computation):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(encoding, "is_error_free", broken)
+        with pytest.raises(RuntimeError, match="^bug$"):
+            encode(c1, "s2", gamma_c1, default_layout(1))
 
     def test_base_offset_shifts_everything(self, c1, gamma_c1):
         layout = EncodingLayout(F(1, 3), (F(1, 2),))

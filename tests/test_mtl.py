@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -29,7 +30,7 @@ from ptamtl.mtl import (
     eval_at,
     satisfies,
 )
-from ptamtl.timedwords import TimedWord
+from ptamtl.timedwords import TimedWord, tick_range
 
 from util import _INTERVALS, interval_contains, kleene_evaluator, kleene_value, naive_eval, prefix_may_satisfy, random_formula, random_word
 
@@ -71,6 +72,18 @@ class TestInterval:
                 for d in range(31):
                     inside = lo <= d and (hi is None or d <= hi)
                     assert inside == interval_contains(interval, Fraction(d) / rate), (interval, rate, d)
+        # the same rule on rational bounds, as a guard atom on the grid has them
+        bounds = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 2))
+        for lower, upper in itertools.product((0,) + bounds, bounds + (None,)):
+            for lower_closed, upper_closed in itertools.product((True, False), repeat=2):
+                for rate in self.RATES:
+                    lo, hi = tick_range(lower, lower_closed, upper, upper_closed, rate)
+                    for d in range(31):
+                        time = Fraction(d) / rate
+                        above = time >= lower if lower_closed else time > lower
+                        below = upper is None or (time <= upper if upper_closed else time < upper)
+                        inside = lo <= d and (hi is None or d <= hi)
+                        assert inside == (above and below), (lower, lower_closed, upper, upper_closed, rate, d)
 
     def test_a_window_can_hold_no_tick(self):
         # at 3/2 ticks a unit, 1 falls between ticks 1 (2/3) and 2 (4/3)

@@ -87,7 +87,23 @@ class TestGridMove:
     """Guards compiled to tick ranges against the rational rule, at every age."""
 
     PARAMETERS = (F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2))
-    GRIDS = (F(1), F(1, 2), F(1, 3), F(1, 4))
+    GRIDS = (F(1), F(1, 2), F(1, 3), F(1, 4), F(2, 3), F(3, 2))
+
+    @staticmethod
+    def compiled(guard, p, grid):
+        # the edge's move, checked against constraint_sat at every age: a
+        # move of None must stand for a guard that no age satisfies
+        edge = Edge("0", "a", ClockConstraint(guard), frozenset(), "1")
+        move = _grid_move(edge, ("x",), {"p": p}, 1 / grid)
+        cap = ceil(4 / grid) + 1  # above every bound in ticks
+        for age in range(3 * cap + 1):
+            holds = constraint_sat({"x": age * grid}, {"p": p}, edge.guard)
+            if move is None:
+                assert not holds, (guard, p, grid, age)
+            else:
+                fits = all(lo <= age and (hi is None or age <= hi) for _, lo, hi in move[2])
+                assert fits == holds, (guard, p, grid, age)
+        return move
 
     def test_matches_constraint_sat(self):
         atoms = [ConstraintAtom("x", r, b) for r in ("<", "<=", "=", ">=", ">") for b in (0, 1, 2, 3, 4, "p")]
@@ -95,19 +111,12 @@ class TestGridMove:
         never = 0
         for p in self.PARAMETERS:
             for grid in self.GRIDS:
-                cap = ceil(4 / grid) + 1  # above every bound in ticks
                 for guard in guards:
-                    edge = Edge("0", "a", ClockConstraint(guard), frozenset(), "1")
-                    move = _grid_move(edge, ("x",), {"p": p}, grid)
-                    for age in range(3 * cap + 1):
-                        holds = constraint_sat({"x": age * grid}, {"p": p}, edge.guard)
-                        if move is None:
-                            assert not holds, (guard, p, grid, age)
-                        else:
-                            fits = all(lo <= age and (hi is None or age <= hi) for _, lo, hi in move[2])
-                            assert fits == holds, (guard, p, grid, age)
-                    never += move is None
-        assert never > 0  # an equality to p = 1/3 on grid 1/2, for one
+                    never += self.compiled(guard, p, grid) is None
+        assert never > 0
+        # an equality between two grid points, and two atoms whose ranges on x do not meet
+        assert self.compiled((ConstraintAtom("x", "=", "p"),), F(1, 3), F(1, 2)) is None
+        assert self.compiled((ConstraintAtom("x", ">", 2), ConstraintAtom("x", "<", 1)), F(0), F(1)) is None
 
 
 class TestStep:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ptamtl import reduction
 from ptamtl.channel import (
     ChannelMachine,
     Computation,
@@ -11,10 +12,12 @@ from ptamtl.channel import (
     search_error_free,
 )
 from ptamtl.encoding import check_membership, decode, default_layout, encode, n_prefix
+from ptamtl.errors import DecodeInsertionError
 from ptamtl.formats import parse_program, serialize_formula
 from ptamtl.mtl import compile_formula, satisfies
 from ptamtl.pta import is_deterministic, membership
 from ptamtl.reduction import (
+    Assertion,
     build_automaton,
     build_bundle,
     build_formula,
@@ -240,6 +243,23 @@ class TestVerifyBackward:
         report = verify_backward(build_bundle(c1, "s2"), w_c1, 1, {"p": F(1, 3)})
         assert not report.applicable
 
+    def test_refused_decoding_is_a_false_assertion(self, monkeypatch, c1, w_c1):
+        def refuse(word, machine, target):
+            raise DecodeInsertionError("refused")
+
+        monkeypatch.setattr(reduction, "decode", refuse)
+        report = verify_backward(build_bundle(c1, "s2"), w_c1, 1, {"p": F(1, 2)})
+        assert report.applicable and not report.ok
+        assert Assertion("decodes-error-free", False, "refused") in report.assertions
+
+    def test_a_decoder_defect_propagates(self, monkeypatch, c1, w_c1):
+        def broken(word, machine, target):
+            raise RuntimeError("bug in decode")
+
+        monkeypatch.setattr(reduction, "decode", broken)
+        with pytest.raises(RuntimeError, match="^bug in decode$"):
+            verify_backward(build_bundle(c1, "s2"), w_c1, 1, {"p": F(1, 2)})
+
 
 class TestInsertionExclusion:
     """Insertion mutants satisfy the formula but no candidate valuation makes
@@ -263,7 +283,7 @@ class TestInsertionExclusion:
         assert total >= 20
 
     def test_the_source_word_is_decomposed_once(self, m2, monkeypatch):
-        from ptamtl import encoding, reduction
+        from ptamtl import encoding
         from ptamtl.encoding import decompose, inject_insertion
 
         gamma = max(enumerate_error_free(m2, "q3", 8, 3), key=lambda g: len(g.steps))
@@ -283,7 +303,6 @@ class TestInsertionExclusion:
             return decompose(w, machine)
 
         monkeypatch.setattr(encoding, "decompose", counting)
-        monkeypatch.setattr(reduction, "decompose", counting)
         assert insertion_mutants(word, m2, count=5) == expected
         # the source word once, then each mutant once, by its membership check
         assert calls == [word, *expected]
@@ -301,7 +320,7 @@ class TestCheckTheorem:
     def test_builds_and_compiles_once(self, c1, monkeypatch):
         # the witness and every mutant are checked against one bundle and
         # one compiled formula: one program builder for the whole check
-        from ptamtl import mtl, reduction
+        from ptamtl import mtl
 
         calls = {"build_automaton": 0, "build_formula": 0, "ProgramBuilder": 0}
 

@@ -18,3 +18,16 @@ def test_library_imports_only_the_standard_library(path):
             imported.add(node.module)
     outside = sorted(name for name in imported if name.split(".")[0] not in sys.stdlib_module_names)
     assert not outside, f"{path.name} imports {outside} from outside the standard library"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_a_private_name_of_a_sibling(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = sorted(
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert not private, f"{path.name} imports private names {private}"
