@@ -66,9 +66,9 @@ def parse_rational(text: str) -> Fraction:
 def parse_timed_word(text: str) -> TimedWord:
     events = []
     for token in text.split():
-        if "@" not in token:
+        if token.count("@") != 1:
             raise ParseError(f"bad event token {token!r}: expected symbol@time")
-        symbol, _, time = token.rpartition("@")
+        symbol, _, time = token.partition("@")
         if not symbol:
             raise ParseError(f"bad event token {token!r}: empty symbol")
         events.append((symbol, parse_rational(time)))

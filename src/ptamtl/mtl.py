@@ -39,15 +39,18 @@ residual: negated and plain conjunctions of pending until obligations, each
 with its tick range shifted to the last event.  A residual is a signed
 reference to a hash-consed node, as a program child is one, so a negation
 costs no node and each step is memoized once for a residual and its
-negation.  A step looks up each operand of a conjunction once, resuming its
-scan after stepping a missing operand, and builds an obligation's shifted
-window only when the result depends on it, so a node costs work linear in
-its width.  The engine is a lazily built
-automaton whose states can key a memo of search subtrees.  A residual is
-constant exactly when the three-valued (Kleene) evaluation of the prefix,
-with every pending obligation unknown, is decided.  Pruning on a false
-residual is sound because a decided value keeps it on every extension by
-events at or after the last timestamp.
+negation.  A step settles before it builds.  It scans a conjunction's
+operands in order, looking each up once: an obligation is settled by the
+event alone (its window has passed, its witness holds, or its left operand
+is false) or marked pending, and the scan stops at the first false operand
+having built nothing.  Only a step that no operand falsifies builds the
+shifted windows of its pending obligations and its conjunction, so a pruned
+child costs no node and a node costs work linear in its width.  The engine
+is a lazily built automaton whose states can key a memo of search
+subtrees.  A residual is constant exactly when the three-valued (Kleene)
+evaluation of the prefix, with every pending obligation unknown, is
+decided.  Pruning on a false residual is sound because a decided value
+keeps it on every extension by events at or after the last timestamp.
 With its pending obligations closed, a residual is the verdict of a word
 that ends there, so the batch evaluator stays off the search path as the
 independent checker.  The tests hold progression to a Kleene evaluation
@@ -447,8 +450,18 @@ def _value(program: Program, row, i: int) -> bool:
 # unbounded) after that event.  A disjunction is the negated conjunction of
 # the negated operands.  Only constants are absorbed, which keeps a residual
 # constant exactly when the Kleene value of the prefix is decided.
+#
+# A step settles before it builds.  An obligation is settled when the event
+# alone gives its residual: its window has passed (false), its witness holds
+# (true), or its left operand is false (the witness).  Otherwise it is
+# pending: the until goes on, so its residual is no constant, and only its
+# shifted window and a conjunction are left to build.  A conjunction is
+# pending when no operand is false and some operand is undecided.  A step
+# table holds _PENDING for a pending node until a step that needs its
+# residual builds it; a step never returns the mark.
 
 _START = 2
+_PENDING = -1
 
 
 class Progression:
@@ -468,16 +481,19 @@ class Progression:
     program reference: :meth:`now`, :meth:`step` and :meth:`accepts` flip
     with it.  :meth:`now` is memoized per op and :meth:`step` per node, so
     the engine builds the automaton of the formula's residuals lazily, as a
-    search visits it.  A step looks up each operand of a node once, and
-    builds the shifted until obligation only when the result depends on it:
-    when the left operand holds at the event and no witness decides.
+    search visits it.
 
     The memos are split by what a call holds fixed: ``_now`` maps a symbol
     to a table ``{op: residual}`` and ``_steps`` maps ``(symbol, ticks)`` to
     a table ``{node: residual}``, so a call fetches its table once and keys
     every lookup in it, its operands' included, by an int.  Their size is
     the number of inner entries, one per (op, symbol) and per (node, symbol,
-    ticks) reached.
+    ticks) reached.  A step table entry may also be the pending mark
+    ``_PENDING``: :meth:`_decide` settles a node's operands in order without
+    building and marks each undecided one, and :meth:`_build` turns the
+    marks that a result needs into residuals.  A mark is a cache entry like
+    any other: later steps in the table read it instead of settling again,
+    and a cap on the tables may drop it, to be settled again when needed.
     """
 
     start = _START
@@ -492,7 +508,7 @@ class Progression:
         self._accepts: list[bool] = [False, False]  # the empty word has no first position
         self._ids: dict[tuple, int] = {}
         self._now: dict[str, dict[int, int]] = {}  # symbol -> {op: residual}
-        self._steps: dict[tuple, dict[int, int]] = {}  # (symbol, ticks) -> {node: residual}
+        self._steps: dict[tuple, dict[int, int]] = {}  # (symbol, ticks) -> {node: residual or mark}
 
     def _intern(self, node: tuple) -> int:
         k = self._ids.get(node)
@@ -566,37 +582,90 @@ class Progression:
             if ticks < 0:
                 raise ValueError("timestamps must be non-decreasing")
             memo = self._steps[symbol, ticks] = {}
-        result = memo.get(residual >> 1)
-        if result is None:
-            nodes = self._nodes
-            # a frame is a node and the steps of its operands so far, so a
-            # conjunction's scan resumes at operand len(values)
-            stack = [(residual >> 1, [])]
-            while stack:
-                k, values = stack[-1]
-                if k == 0:
-                    result = 0
-                elif k == 1:
-                    result = self.now(self.program.root, symbol)
-                elif nodes[k][0] == _AND:  # operands in order, up to a false one
-                    parts = nodes[k][1]
-                    for i in range(len(values), len(parts)):
-                        value = memo.get(parts[i] >> 1)
-                        if value is None:
-                            break
-                        value ^= parts[i] & 1
-                        values.append(value)
-                        if not value:
-                            break
-                    if value is None:
-                        stack.append((parts[i] >> 1, []))
-                        continue
-                    result = self._and(values) if value else 0
-                else:
-                    result = self._advance(nodes[k], symbol, ticks)
-                memo[k] = result
-                stack.pop()
+        k = residual >> 1
+        result = memo.get(k)
+        if result is None or result == _PENDING:
+            if k < 2:  # false, or the start
+                result = memo[k] = self.now(self.program.root, symbol) if k else 0
+            elif self._nodes[k][0] == _UNTIL:  # settled and built at once
+                result = memo[k] = self._advance(self._nodes[k], symbol, ticks)
+            else:
+                if result is None:
+                    result = self._decide(k, memo, symbol, ticks)
+                if result == _PENDING:
+                    result = self._build(k, memo, symbol, ticks)
         return result ^ (residual & 1)
+
+    def _decide(self, k: int, memo: dict, symbol: str, ticks: int) -> int:
+        """Conjunction k's step if the event decides it, else ``_PENDING``,
+        settling operands in order up to a false one and building nothing;
+        every node it visits gets its value or mark in ``memo``."""
+        nodes = self._nodes
+        # a frame is a node, its next operand and whether an earlier operand
+        # is undecided, so a conjunction's scan resumes where it stopped
+        stack = [(k, 0, False)]
+        while stack:
+            k, i, undecided = stack.pop()
+            parts = nodes[k][1]
+            result = _PENDING if undecided else 1
+            for i in range(i, len(parts)):
+                j = parts[i] >> 1
+                value = memo.get(j)
+                if value is None:
+                    if nodes[j][0] == _AND:
+                        break
+                    value = memo[j] = self._settle(nodes[j], symbol, ticks)
+                if value != _PENDING:
+                    value ^= parts[i] & 1
+                    if value == 0:
+                        result = 0
+                        break
+                    if value == 1:
+                        continue
+                result = _PENDING  # an undecided operand
+            if value is None:
+                stack += ((k, i, result == _PENDING), (j, 0, False))
+                continue
+            memo[k] = result
+        return result
+
+    def _build(self, k: int, memo: dict, symbol: str, ticks: int) -> int:
+        """Conjunction k's step once :meth:`_decide` has marked it pending:
+        its pending operands are built in order, operands first."""
+        nodes = self._nodes
+        stack = [(k, [])]  # a node and the steps of its operands so far
+        while stack:
+            k, values = stack[-1]
+            parts = nodes[k][1]
+            for i in range(len(values), len(parts)):
+                j = parts[i] >> 1
+                value = memo[j]
+                if value == _PENDING:
+                    if nodes[j][0] == _AND:
+                        break
+                    value = memo[j] = self._advance(nodes[j], symbol, ticks)
+                values.append(value ^ (parts[i] & 1))
+            if len(values) < len(parts):
+                stack.append((j, []))
+                continue
+            result = memo[k] = self._and(values)
+            stack.pop()
+        return result
+
+    def _settle(self, node: tuple, symbol: str, delay: int) -> int:
+        """An obligation's residual after an event ``delay`` ticks later if
+        the event decides it without building, else ``_PENDING``: the
+        window has passed (false), the witness holds (true), or the left
+        operand is false (the witness).  This is :meth:`_advance` up to
+        where it builds, so a pending obligation's residual is no constant."""
+        _, k, lo, hi = node
+        if hi is not None and delay > hi:
+            return 0
+        _, a, b, _ = self.program.ops[k]
+        witness = self.now(b, symbol) if delay >= lo else 0
+        if witness == 1 or self.now(a, symbol) == 0:
+            return witness
+        return _PENDING
 
     def _advance(self, node: tuple, symbol: str, delay: int) -> int:
         """An obligation after an event ``delay`` ticks later: ``a U b`` is

@@ -113,6 +113,13 @@ class TestBasicCommands:
         assert main(["eval", "F[2,1] a", "a@0"]) == 1
         assert "error: bad interval '[2,1]'" in capsys.readouterr().err
 
+    def test_an_event_token_with_two_ats_is_a_parse_error(self, capsys):
+        # not one event whose symbol is "a@0,b"
+        assert main(["eval", "a", "a@0,b@1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: bad event token 'a@0,b@1': expected symbol@time" in captured.err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["eval"]) == 1
 

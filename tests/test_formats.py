@@ -23,8 +23,10 @@ class TestWordFormat:
         assert word == TimedWord([("s0", 0), ("#", F(1, 2)), ("m!", 1)])
 
     def test_bad_token(self):
-        with pytest.raises(ParseError):
-            formats.parse_timed_word("a0 b@1")
+        # a token holds exactly one @: "a@0,b@1" is no event with symbol "a@0,b"
+        for text in ("a0 b@1", "a@0,b@1"):
+            with pytest.raises(ParseError, match="expected symbol@time"):
+                formats.parse_timed_word(text)
 
     @pytest.mark.parametrize("time", ["\u0663", "1e1", "1_0", "1.5", "+1", "0x1", "1/-2", "\uff11"])
     def test_times_outside_the_rational_syntax(self, time):

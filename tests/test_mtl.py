@@ -24,6 +24,7 @@ from ptamtl.mtl import (
     compile_formula,
     _AND,
     _ATOM,
+    _PENDING,
     _TRUE,
     _UNTIL,
     _evaluator,
@@ -693,6 +694,69 @@ class TestIncrementalMonitor:
         shifted = engine.step(pending, "a", 1)
         assert len(engine._nodes) == nodes + 1
         assert engine._nodes[shifted >> 1][2:] == (0, 4)
+
+    def test_settled_steps_are_the_advanced_ones_and_marks_never_build_to_false(self):
+        rng = random.Random(38)
+        alphabet = ["a", "b", "c"]
+        settled = marked = 0
+        for case in range(500):
+            program = compile_formula(random_formula(rng, alphabet, 5))
+            engine = Progression(program, UNITS[case % len(UNITS)])
+            for _ in range(10):
+                x = engine.start
+                for _ in range(rng.randint(1, 6)):
+                    x = engine.step(x, rng.choice(alphabet), rng.randint(0, 4))
+            for (symbol, delay), table in list(engine._steps.items()):
+                for k, value in list(table.items()):
+                    node = engine._nodes[k]
+                    if value == _PENDING:
+                        # an undecided node builds to a residual that is not a constant
+                        built = engine.step(2 * k, symbol, delay)
+                        assert built > 1 and table[k] == built, (program, node, symbol, delay)
+                        marked += 1
+                    elif k > 1 and node[0] == _UNTIL:
+                        assert value == engine._advance(node, symbol, delay), (program, node, symbol, delay)
+                        settled += 1
+            # every obligation, on every event, settles to what advancing it gives
+            for node in [node for node in engine._nodes[2:] if node[0] == _UNTIL]:
+                for symbol in alphabet:
+                    for delay in range(5):
+                        value = engine._settle(node, symbol, delay)
+                        advanced = engine._advance(node, symbol, delay)
+                        assert value == advanced if value != _PENDING else advanced > 1, (program, node, symbol, delay)
+        assert settled > 3000 and marked > 100, (settled, marked)
+
+    def test_a_false_operand_decides_a_step_before_anything_is_built(self):
+        # 400 obligations that the event leaves undecided, then a newest one
+        # that it falsifies: the step is false and interns no node
+        width = 400
+        obligations = and_all(Eventually(Interval(0, 5 + i, True, True), Atom(f"a{i}")) for i in range(width))
+        engine = Progression(And(obligations, Next(FULL, Atom("d"))), 1)
+        first = engine.step(engine.start, "b", 0)
+        parts = engine._nodes[first >> 1][1]
+        assert len(parts) == width + 1 and engine._nodes[parts[-1] >> 1][2:] == (0, None)
+        nodes = len(engine._nodes)
+        assert engine.step(first, "e", 1) == 0
+        assert len(engine._nodes) == nodes
+        assert list(engine._steps["e", 1].values()).count(_PENDING) == width
+
+    def test_a_residual_marked_by_a_sibling_steps_as_on_a_fresh_engine(self):
+        # a conjunction's false operand leaves its undecided siblings marked
+        # in the table; stepping one of them alone builds it
+        a, b, d = Atom("a"), Atom("b"), Atom("d")
+        window = Interval(0, 5, True, True)
+        for sibling in (Eventually(window, a), Or(Eventually(window, a), Until(window, b, a))):
+            formula = And(sibling, Next(FULL, d))
+            marked, fresh = Progression(formula, 1), Progression(formula, 1)
+            first = marked.step(marked.start, "c", 0)
+            assert fresh.step(fresh.start, "c", 0) == first
+            operand = marked._nodes[first >> 1][1][0]
+            assert marked.step(first, "b", 1) == 0
+            assert marked._steps["b", 1][operand >> 1] == _PENDING
+            stepped = marked.step(operand, "b", 1)
+            assert stepped == fresh.step(operand, "b", 1) > 1
+            assert marked._nodes == fresh._nodes
+            assert marked.step(operand ^ 1, "b", 1) == stepped ^ 1
 
     def test_decided_entries_never_change_on_extension(self):
         # the invariant that progression's constant residuals and the search's
