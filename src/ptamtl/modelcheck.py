@@ -10,9 +10,11 @@ the explored bounds.
 The word search runs formula progression of the negated property, whose
 residual prunes each prefix, decides each accepted word and, with the
 automaton's frontier, the tick and the depth, keys a memo of the subtrees
-without a counterexample; the first word it yields is the counterexample.
-Each candidate reports the words it checked (memo hits included), the
-prefixes it expanded and its memo hits.
+without a counterexample; a subtree that reached no word also covers every
+later, deeper copy of its (frontier, residual), which is skipped.  The
+first word the search yields is the counterexample.  Each candidate reports
+the words it checked (memo hits included), the prefixes it expanded and
+its memo hits, covered copies included.
 """
 
 from __future__ import annotations

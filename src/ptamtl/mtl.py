@@ -45,11 +45,13 @@ event alone (its window has passed, its witness holds, or its left operand
 is false) or marked pending, and the scan stops at the first false operand
 having built nothing.  Only a step that no operand falsifies builds the
 shifted windows of its pending obligations and its conjunction, so a pruned
-child costs no node and a node costs work linear in its width.  The engine
-is a lazily built automaton whose states can key a memo of search
-subtrees.  A residual is constant exactly when the three-valued (Kleene)
-evaluation of the prefix, with every pending obligation unknown, is
-decided.  Pruning on a false residual is sound because a decided value
+child costs no node and a node costs work linear in its width.  A delay
+that passes every bounded window and reaches into every unbounded one steps
+every node alike, so the step tables are keyed by the delay capped at the
+shortest such delay.  The engine is a lazily built automaton whose states
+can key a memo of search subtrees.  A residual is constant exactly when the
+three-valued (Kleene) evaluation of the prefix, with every pending
+obligation unknown, is decided.  Pruning on a false residual is sound because a decided value
 keeps it on every extension by events at or after the last timestamp.
 With its pending obligations closed, a residual is the verdict of a word
 that ends there, so the batch evaluator stays off the search path as the
@@ -486,9 +488,13 @@ class Progression:
     The memos are split by what a call holds fixed: ``_now`` maps a symbol
     to a table ``{op: residual}`` and ``_steps`` maps ``(symbol, ticks)`` to
     a table ``{node: residual}``, so a call fetches its table once and keys
-    every lookup in it, its operands' included, by an int.  Their size is
-    the number of inner entries, one per (op, symbol) and per (node, symbol,
-    ticks) reached.  A step table entry may also be the pending mark
+    every lookup in it, its operands' included, by an int.  A shift never
+    widens a window, so every delay of at least ``_cap`` (the largest, over
+    the windows, of a bounded window's last tick plus one and an unbounded
+    window's first tick) steps every node as ``_cap`` does: ``step`` caps
+    ``ticks`` there before it looks its table up.  The memos' size is the
+    number of inner entries, one per (op, symbol) and per (node, symbol,
+    capped ticks) reached.  A step table entry may also be the pending mark
     ``_PENDING``: :meth:`_decide` settles a node's operands in order without
     building and marks each undecided one, and :meth:`_build` turns the
     marks that a result needs into residuals.  A mark is a cache entry like
@@ -504,6 +510,9 @@ class Progression:
             raise ValueError("the time unit must be positive")
         self.program = program = compile_formula(formula)
         self._windows = [iv.ticks(1 / unit) for iv in program.intervals]  # in grid ticks
+        # a delay of _cap ticks passes every bounded window and reaches into
+        # every unbounded one, as any longer delay does
+        self._cap = max((lo if hi is None else hi + 1 for lo, hi in self._windows), default=0)
         self._nodes: list = [None, None]  # false and the start have no operands
         self._accepts: list[bool] = [False, False]  # the empty word has no first position
         self._ids: dict[tuple, int] = {}
@@ -577,6 +586,7 @@ class Progression:
     def step(self, residual: int, symbol: str, ticks: int) -> int:
         """The residual after one more event, reading ``symbol`` ``ticks``
         ticks after the previous event."""
+        ticks = min(ticks, self._cap)  # every longer delay steps every node alike
         memo = self._steps.get((symbol, ticks))
         if memo is None:
             if ticks < 0:
@@ -663,7 +673,8 @@ class Progression:
             return 0
         _, a, b, _ = self.program.ops[k]
         witness = self.now(b, symbol) if delay >= lo else 0
-        if witness == 1 or self.now(a, symbol) == 0:
+        # a constant left operand, true (F, G) or false (X), needs no lookup
+        if witness == 1 or a == 1 or a > 1 and self.now(a, symbol) == 0:
             return witness
         return _PENDING
 
@@ -678,7 +689,7 @@ class Progression:
         witness = self.now(b, symbol) if delay >= lo else 0
         if witness == 1:
             return 1
-        left = self.now(a, symbol)
+        left = a ^ 1 if a < 2 else self.now(a, symbol)
         if left == 0:
             return witness
         # a lower bound below 0 is 0, as later events come no earlier

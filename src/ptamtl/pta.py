@@ -20,9 +20,12 @@ frontier as the cap does, and each walk works out a frontier's successors
 once per (frontier, capped delay, events left).  A formula residual along
 each prefix prunes it, decides each accepted word (plain enumeration is the
 search for ``true``) and, with that frontier as it is, keys a memo of
-subtrees that yielded nothing.  Open subtrees sit on an explicit stack, so a
-word may be longer than the recursion limit.  The search shares no guard code
-with :func:`membership`, which re-checks the words it finds.
+subtrees that yielded nothing.  A subtree that reached no word also covers
+its later, deeper copies: the same frontier and residual with no more time
+and no more events left reach no word either (the antichains of De Wulf,
+Doyen, Henzinger & Raskin, CAV 2006).  Open subtrees sit on an explicit
+stack, so a word may be longer than the recursion limit.  The search shares
+no guard code with :func:`membership`, which re-checks the words it finds.
 """
 
 from __future__ import annotations
@@ -351,7 +354,8 @@ def _grid_move(
 class SearchStats:
     """What one :func:`iter_accepted` walk did: the accepted words reached,
     yielded or not, memo hits included; the prefixes (the empty one too)
-    whose extensions were generated; and the prefixes a memo hit skipped."""
+    whose extensions were generated; and the prefixes a memo hit skipped,
+    those that a word-free subtree covers included."""
 
     words: int = 0
     nodes_expanded: int = 0
@@ -384,9 +388,14 @@ def iter_accepted(
 
     A subtree that yielded nothing is memoized under the frontier, the tick,
     the depth and the monitor state; when the key comes up again, its words
-    are counted in ``stats.words`` and the child is not entered.  This is
-    sound whatever the caller does: a state must fix the steps and the
-    verdicts of every extension, as a residual does.
+    are counted in ``stats.words`` and the child is not entered.  A subtree
+    that reached no word at all is kept instead as a minimal (tick, depth)
+    pair of its (frontier, state), and covers every child with that
+    frontier and state at a tick and a depth no smaller: such a child has
+    a subset of its delay sequences (strictness only narrows them), so it
+    reaches no word either and is skipped as a memo hit that adds none.
+    This is sound whatever the caller does: a state must fix the steps and
+    the verdicts of every extension, as a residual does.
 
     Time is counted in integer ticks of ``grid``: each guard is compiled
     once per call into integer ranges on a clock's age in ticks (see
@@ -424,7 +433,8 @@ def iter_accepted(
             moves.setdefault(edge.source, []).append(move)
     bounds = [b for group in moves.values() for _, _, checks, _ in group for _, lo, hi in checks for b in (lo, hi)]
     cap = max((b for b in bounds if b is not None), default=0) + 1  # all ages from cap on pass the same guards
-    table: dict = {}
+    table: dict = {}  # (frontier, tick, depth, state) -> the words of a subtree that yielded none
+    covers: dict = {}  # (frontier, state) -> the minimal (tick, depth) pairs of subtrees that reached no word
     steps: dict = {}  # the successor table: (frontier, capped delay, events left) -> successors
 
     def successors(frontier, delay, remaining):
@@ -449,13 +459,14 @@ def iter_accepted(
     def children(prefix: tuple, key: tuple):
         # the subtrees below a prefix, (tick, symbol) ascending, each with its
         # memo key, skipping those whose residual is false and counting those
-        # the memo holds
+        # the memo holds or a word-free subtree covers
         frontier, tick, depth, state = key
         if depth == max_events:
             return
         stats.nodes_expanded += 1
-        remaining = max_events - depth - 1
-        for t in range(tick + 1 if strict and depth else tick, last_tick + 1):
+        depth += 1  # the children's
+        remaining = max_events - depth
+        for t in range(tick + 1 if strict and depth > 1 else tick, last_tick + 1):
             delay = t - tick
             step = (frontier, min(delay, cap), remaining)  # all delays from cap on age every state alike
             found = steps.get(step)
@@ -464,13 +475,18 @@ def iter_accepted(
             for symbol, targets in found:
                 child = monitor.step(state, symbol, delay)
                 if child:
-                    below = (targets, t, depth + 1, child)
+                    below = (targets, t, depth, child)
                     known = table.get(below)
-                    if known is None:
-                        yield prefix + ((symbol, t),), below
-                    else:
+                    if known is not None:
                         stats.memo_hits += 1
                         stats.words += known
+                        continue
+                    for u, d in covers.get((targets, child), ()):
+                        if t >= u and depth >= d:  # a copy no later and no deeper reached no word
+                            stats.memo_hits += 1
+                            break
+                    else:
+                        yield prefix + ((symbol, t),), below
 
     # The open subtrees, root first, each with its memo key, the words
     # reached and yielded before it and its children: an explicit stack, so
@@ -482,8 +498,14 @@ def iter_accepted(
         entering = next(stack[-1][3], None)
         if entering is None:  # the subtree is done; memoize it if it yielded nothing
             key, words_before, yielded_before, _ = stack.pop()
-            if yielded == yielded_before:
-                table[key] = stats.words - words_before
+            if stats.words > words_before:
+                if yielded == yielded_before:
+                    table[key] = stats.words - words_before
+            else:  # it covers every later, deeper copy, and drops the copies it covers
+                frontier, tick, depth, state = key
+                pairs = covers.setdefault((frontier, state), [])
+                pairs[:] = [(u, d) for u, d in pairs if u < tick or d < depth]
+                pairs.append((tick, depth))
             continue
         prefix, key = entering
         stack.append((key, stats.words, yielded, children(prefix, key)))

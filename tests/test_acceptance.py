@@ -287,7 +287,7 @@ def test_criterion_8_counterexample_wiring():
     assert m2_verdict.outcome == "counterexample-found"
     assert m2_verdict.candidates[0].words_checked == 1
     m2_result = m2_verdict.candidates[0]
-    assert (m2_result.nodes_expanded, m2_result.memo_hits) == (122, 52)
+    assert (m2_result.nodes_expanded, m2_result.memo_hits) == (116, 58)
     assert membership(m2_automaton, dict(m2_verdict.valuation), m2_verdict.counterexample)
     assert not satisfies(m2_verdict.counterexample, m2_violation)
 

@@ -526,6 +526,33 @@ class TestIncrementalMonitor:
                         stack.append((path + ((symbol, last + delay),), engine.step(r, symbol, delay)))
         assert prefixes > 3000 and decided > 1000, (prefixes, decided)
 
+    def test_delays_far_past_the_cap_step_as_the_cap_does(self):
+        # the depth-first tree of tick paths again, with delays up to three
+        # times the cap, past which the step tables are keyed by the cap
+        rng = random.Random(39)
+        alphabet = ["a", "b", "c"]
+        prefixes = capped = 0
+        for case in range(120):
+            program = compile_formula(random_formula(rng, alphabet, 5))
+            unit = UNITS[case % len(UNITS)]
+            engine = Progression(program, unit)
+            stack = [((), engine.start)]
+            while stack:
+                path, r = stack.pop()
+                if path:
+                    word = TimedWord([(s, t * unit) for s, t in path])
+                    assert_matches_open_value(r, word, program)
+                    assert engine.accepts(r) == satisfies(word, program), (program, path)
+                    prefixes += 1
+                if len(path) < 5:
+                    last = path[-1][1] if path else 0
+                    for _ in range(rng.randint(1, 2)):
+                        symbol, delay = rng.choice(alphabet), rng.randint(0, 3 * engine._cap)
+                        capped += delay > engine._cap
+                        stack.append((path + ((symbol, last + delay),), engine.step(r, symbol, delay)))
+            assert all(ticks <= engine._cap for _, ticks in engine._steps), program
+        assert prefixes > 2000 and capped > 500, (prefixes, capped)
+
     def test_any_call_order_gives_the_same_verdicts(self):
         # the memo tables fill in call order; residuals must not depend on it
         rng = random.Random(32)
@@ -666,9 +693,10 @@ class TestIncrementalMonitor:
         assert len(engine._nodes[first >> 1][1]) == width
         for symbol, delay in (("a7", 0), ("a7", 3), ("b", 2), ("a399", 500)):
             # a step reads and fills only the table of its (symbol, ticks),
-            # so a counting table put there sees every lookup
-            assert (symbol, delay) not in engine._steps
-            table = engine._steps[symbol, delay] = CountingDict()
+            # ticks capped, so a counting table put there sees every lookup
+            key = (symbol, min(delay, engine._cap))
+            assert key not in engine._steps
+            table = engine._steps[key] = CountingDict()
             CountingDict.gets, before = 0, entries()
             r = engine.step(first, symbol, delay)
             stepped = entries() - before

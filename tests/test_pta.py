@@ -23,10 +23,11 @@ from ptamtl.pta import (
     membership,
     membership_trace,
 )
-from ptamtl.reduction import build_automaton
+from ptamtl.mtl import Progression
+from ptamtl.reduction import build_automaton, build_formula
 from ptamtl.timedwords import TimedWord
 
-from conftest import two_phase_automaton
+from conftest import two_message_machine, two_phase_automaton
 from util import brute_accepted, feasible_on_grid, random_pta
 
 F = Fraction
@@ -389,9 +390,9 @@ class TestGridSearch:
     @pytest.mark.parametrize(
         "text, counts",
         [
-            ("F *", [(0, 30, 84), (0, 44, 200)]),
-            ("G (s2 -> F *)", [(3, 31, 94), (426, 49, 222)]),
-            ("G !s2", [(1, 13, 33), (1, 6, 0)]),
+            ("F *", [(0, 12, 54), (0, 12, 94)]),
+            ("G (s2 -> F *)", [(3, 16, 79), (426, 38, 222)]),
+            ("G !s2", [(1, 12, 34), (1, 6, 0)]),
         ],
     )
     def test_whole_space_counts_on_a_reduction_automaton(self, c1, text, counts):
@@ -399,6 +400,39 @@ class TestGridSearch:
         automaton, candidates = build_automaton(c1, "s2"), [{"p": F(1)}, {"p": F(1, 2)}]
         verdict = bounded_modelcheck(automaton, parse_formula(text), candidates, F(1, 2), F(5, 2), 6, True)
         assert [(c.words_checked, c.nodes_expanded, c.memo_hits) for c in verdict.candidates] == counts
+
+    def test_a_word_free_subtree_covers_its_later_deeper_copies(self):
+        # x is never reset and b needs x < 1, so a at time 1 or later reaches
+        # no word; c (x >= 1) loops on the initial location.  Without
+        # strictness a@1 covers c@1 a@1, one event deeper at the same time,
+        # whose exact key no earlier prefix had; ages cap at 3 ticks, so
+        # a@3/2 covers a@2 and c@3/2 a@2 in both modes
+        automaton = Pta(
+            ("a", "b", "c"), ("0", "1", "2"), frozenset({"0"}), ("x",), (),
+            (
+                Edge("0", "a", TRUE_GUARD, frozenset(), "1"),
+                Edge("0", "c", ClockConstraint.of(("x", ">=", 1)), frozenset(), "0"),
+                Edge("1", "b", ClockConstraint.of(("x", "<", 1)), frozenset(), "2"),
+            ),
+            frozenset({"2"}),
+        )  # fmt: skip
+        for strict, counts in ((False, (3, 10, 7)), (True, (1, 9, 4))):
+            stats = memo_search(automaton, {}, F(1, 2), F(2), 3, strict)
+            expected, _ = brute_accepted(automaton, {}, F(1, 2), F(2), 3, strict)
+            assert stats.words == len(expected)
+            assert (stats.words, stats.nodes_expanded, stats.memo_hits) == counts
+
+    def test_the_m2_walk_at_grid_one_third_counts(self):
+        # m2's encoding formula at p = 1 has no word within 9 time units and
+        # 20 events; word-free subtrees cover their later, deeper copies, and
+        # the step tables are keyed by the capped delay
+        m2 = two_message_machine()
+        grid, stats = F(1, 3), SearchStats()
+        engine = Progression(build_formula(m2, "q3"), grid)
+        search = iter_accepted(build_automaton(m2, "q3"), {"p": F(1)}, grid, F(9), 20, True, engine, stats)
+        assert list(search) == []
+        assert (stats.words, stats.nodes_expanded, stats.memo_hits) == (0, 933, 633)
+        assert sum(map(len, engine._steps.values())) == 44705
 
     def test_equality_with_an_off_grid_parameter_never_fires(self):
         automaton = Pta(
