@@ -98,7 +98,10 @@ def serialize_timed_word(word: TimedWord) -> str:
 # again, in text order, for its first error, which wins over any syntax
 # error.  One precedence loop then reads the tokens for parse_formula, which
 # builds AST nodes, and for parse_program, which hands each node, as it
-# completes, to mtl.ProgramBuilder.
+# completes, to mtl.ProgramBuilder.  A parenthesised group is read once: a
+# "(" whose tokens, up to and with the ")", repeat the last group closed
+# with the same first token takes that group's value and skips past it, so
+# each rule that a reduction formula writes twice (p & G p) is read once.
 
 # an identifier: ASCII letters, digits and underscores, not leading with a digit
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -192,10 +195,16 @@ def _parse(text: str, make):
     # Operator precedence parsing with explicit stacks, so deep nesting does
     # not recurse.  ``pending`` holds the operators still waiting for their
     # last operand, as (precedence, class, interval) tuples, and None for each
-    # open parenthesis.
+    # open parenthesis.  ``opens`` holds the index of each open group's first
+    # token, and ``groups`` the last group closed under its first token,
+    # until a group that starts alike fails to repeat it: a token run parses
+    # to one value wherever it stands, so a group that repeats it up to its
+    # ")" gets that value without being read again.
     tokens, intervals = _scan(text)
     operands: list = []
     pending: list = []
+    opens: list = []
+    groups: dict = {}  # its first token -> (start, end past the ")", value)
     i, operand_due = 0, True
     while True:
         token = tokens[i]
@@ -219,7 +228,18 @@ def _parse(text: str, make):
             operand_due = True
         elif operand_due:
             if token == "(":
+                if groups:  # a group read before: its value, and on past it
+                    group = groups.get(tokens[i])
+                    if group is not None:
+                        start, end, value = group
+                        if tokens[i : i + end - start] == tokens[start:end]:
+                            operands.append(value)
+                            i += end - start
+                            operand_due = False
+                            continue
+                        del groups[tokens[i]]  # so a chain of "(" that start alike compares it once
                 pending.append(None)
+                opens.append(i)
                 continue
             if token is None:
                 raise ParseError("unexpected end of formula")
@@ -244,6 +264,8 @@ def _parse(text: str, make):
             if token != ")":
                 raise ParseError(f"expected ')', found {'end of input' if token is None else token!r}")
             pending.pop()
+            start = opens.pop()
+            groups[tokens[start]] = (start, i, operands[-1])
 
 
 def parse_formula(text: str) -> Formula:

@@ -40,12 +40,17 @@ with its tick range shifted to the last event.  A residual is a signed
 reference to a hash-consed node, as a program child is one, so a negation
 costs no node and each step is memoized once for a residual and its
 negation.  A step settles before it builds.  It scans a conjunction's
-operands in order, looking each up once: an obligation is settled by the
-event alone (its window has passed, its witness holds, or its left operand
-is false) or marked pending, and the scan stops at the first false operand
-having built nothing.  Only a step that no operand falsifies builds the
-shifted windows of its pending obligations and its conjunction, so a pruned
-child costs no node and a node costs work linear in its width.  A delay
+operands, looking each up once: an obligation is settled by the event
+alone (its window has passed, its witness holds, or its left operand is
+false) or marked pending, and the scan stops at the first false operand
+having built nothing.  A conjunction's scan starts at the operand that
+falsified its last falsified step and wraps round, as sibling steps of one
+residual are mostly falsified by one obligation (the last-conflict
+heuristic of Lecoutre, Sais, Tabary & Vidal, ECAI 2006); a step's value,
+and the marks of a scan that finds no false operand, do not depend on
+where it starts.  Only a step that no operand falsifies builds the shifted
+windows of its pending obligations and its conjunction, so a pruned child
+costs no node and a node costs work linear in its width.  A delay
 that passes every bounded window and reaches into every unbounded one steps
 every node alike, so the step tables are keyed by the delay capped at the
 shortest such delay.  The engine is a lazily built automaton whose states
@@ -495,9 +500,11 @@ class Progression:
     ``ticks`` there before it looks its table up.  The memos' size is the
     number of inner entries, one per (op, symbol) and per (node, symbol,
     capped ticks) reached.  A step table entry may also be the pending mark
-    ``_PENDING``: :meth:`_decide` settles a node's operands in order without
-    building and marks each undecided one, and :meth:`_build` turns the
-    marks that a result needs into residuals.  A mark is a cache entry like
+    ``_PENDING``: :meth:`_decide` settles a node's operands without
+    building, from the operand that falsified the node's last falsified
+    step (``_falsifier``) round to the one before it, and marks each
+    undecided one, and :meth:`_build` turns the marks that a result needs,
+    in operand order, into residuals.  A mark is a cache entry like
     any other: later steps in the table read it instead of settling again,
     and a cap on the tables may drop it, to be settled again when needed.
     """
@@ -518,6 +525,7 @@ class Progression:
         self._ids: dict[tuple, int] = {}
         self._now: dict[str, dict[int, int]] = {}  # symbol -> {op: residual}
         self._steps: dict[tuple, dict[int, int]] = {}  # (symbol, ticks) -> {node: residual or mark}
+        self._falsifier: dict[int, int] = {}  # conjunction -> the operand that falsified its last falsified step
 
     def _intern(self, node: tuple) -> int:
         k = self._ids.get(node)
@@ -608,33 +616,40 @@ class Progression:
 
     def _decide(self, k: int, memo: dict, symbol: str, ticks: int) -> int:
         """Conjunction k's step if the event decides it, else ``_PENDING``,
-        settling operands in order up to a false one and building nothing;
-        every node it visits gets its value or mark in ``memo``."""
+        settling operands up to a false one and building nothing; every node
+        it visits gets its value or mark in ``memo``.  A conjunction's scan
+        starts at the operand that falsified its last falsified step and
+        wraps round, as sibling steps are mostly falsified by one operand."""
         nodes = self._nodes
+        falsifier = self._falsifier
         # a frame is a node, its next operand and whether an earlier operand
-        # is undecided, so a conjunction's scan resumes where it stopped
-        stack = [(k, 0, False)]
+        # is undecided, so a conjunction's scan resumes where it stopped;
+        # operand i is parts[i - n], so i runs from the node's falsifier h to h + n
+        stack = [(k, falsifier.get(k, 0), False)]
         while stack:
             k, i, undecided = stack.pop()
             parts = nodes[k][1]
+            n = len(parts)
             result = _PENDING if undecided else 1
-            for i in range(i, len(parts)):
-                j = parts[i] >> 1
+            for i in range(i, falsifier.get(k, 0) + n):
+                r = parts[i - n]
+                j = r >> 1
                 value = memo.get(j)
                 if value is None:
                     if nodes[j][0] == _AND:
                         break
                     value = memo[j] = self._settle(nodes[j], symbol, ticks)
                 if value != _PENDING:
-                    value ^= parts[i] & 1
+                    value ^= r & 1
                     if value == 0:
                         result = 0
+                        falsifier[k] = i % n
                         break
                     if value == 1:
                         continue
                 result = _PENDING  # an undecided operand
             if value is None:
-                stack += ((k, i, result == _PENDING), (j, 0, False))
+                stack += ((k, i, result == _PENDING), (j, falsifier.get(j, 0), False))
                 continue
             memo[k] = result
         return result

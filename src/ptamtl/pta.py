@@ -133,6 +133,28 @@ class Pta:
             index.setdefault((edge.source, edge.symbol), []).append(edge)
         return {key: tuple(group) for key, group in index.items()}
 
+    @cached_property
+    def min_events_to_final(self) -> dict[str, int]:
+        """The fewest events from each location to a final one, ignoring
+        guards, so a lower bound that is safe for pruning; ``len(locations)
+        + 1`` for a location that reaches no final one.  Breadth first from
+        the final locations over the edges reversed."""
+        sources: dict[str, list[str]] = {}
+        for edge in self.edges:
+            sources.setdefault(edge.target, []).append(edge.source)
+        unreachable = len(self.locations) + 1
+        bound = dict.fromkeys(self.locations, unreachable)
+        queue = deque(sorted(self.final))
+        for location in queue:
+            bound[location] = 0
+        while queue:
+            location = queue.popleft()
+            for source in sources.get(location, ()):
+                if bound[source] == unreachable:
+                    bound[source] = bound[location] + 1
+                    queue.append(source)
+        return bound
+
 
 def constraint_sat(
     valuation: Mapping[str, Fraction],
@@ -286,23 +308,6 @@ def is_deterministic(automaton: Pta) -> bool:
     return True
 
 
-def _min_events_to_final(automaton: Pta) -> dict[str, int]:
-    """Lower bound on events needed to reach a final location, ignoring guards.
-
-    Safe for pruning: ignoring guards can only underestimate.
-    """
-    INF = len(automaton.locations) + 1
-    bound = {loc: (0 if loc in automaton.final else INF) for loc in automaton.locations}
-    queue = deque(sorted(automaton.final))
-    while queue:
-        location = queue.popleft()
-        for edge in automaton.edges:
-            if edge.target == location and bound[edge.source] > bound[location] + 1:
-                bound[edge.source] = bound[location] + 1
-                queue.append(edge.source)
-    return bound
-
-
 # A grid move out of a location: (symbol, target, checks, reset flags).  Each
 # check (clock index, lo, hi) bounds a clock's age in ticks, hi None when
 # unbounded; reset flags say which clocks the edge resets.
@@ -421,7 +426,7 @@ def iter_accepted(
         stats = SearchStats()
     if max_events < 1:
         return
-    min_left = _min_events_to_final(automaton)
+    min_left = automaton.min_events_to_final
     finals = automaton.final
     clocks = automaton.clocks
     last_tick = horizon // grid

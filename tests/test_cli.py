@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from ptamtl.modelcheck import bounded_modelcheck
 from ptamtl.mtl import Not
 from ptamtl.reduction import build_automaton, build_formula
 
-from conftest import SHARED_NAME_PTA, send_receive_machine, two_phase_automaton
+from conftest import SHARED_NAME_PTA, random_machine, send_receive_machine, two_message_machine, two_phase_automaton
 
 F = Fraction
 
@@ -62,6 +63,9 @@ def free_file(tmp_path):
     path.write_text(FREE_PTA)
     return path
 
+
+# small bounds for the reductions of random_machine(seed), target r3
+RANDOM_BOUNDS = ["--k", "2", "--grid", "1/2", "--horizon", "6", "--max-events", "9"]
 
 W_C1_TEXT = "s0@0 #@1/2 m!@1 s1@2 m@5/2 m?@3 s2@4 #@9/2 *@5"
 
@@ -521,6 +525,29 @@ class TestDeterminism:
             outputs.add(done.stdout)
         (output,) = outputs
         assert json.loads(output)["counterexample"] == W_C1_TEXT
+
+    @pytest.mark.parametrize(
+        "machine, target, bounds, digest",
+        [
+            (send_receive_machine(), "s2", ["--candidates", "p=1/2", "--grid", "1/2", "--horizon", "5", "--max-events", "9"],
+             "9e3d720eab34a3ff4ebbf95b82bd62d456fb6fcb18c205ced79ce214cea7b4cd"),
+            (two_message_machine(), "q3", ["--candidates", "p=1/3", "--grid", "1/3", "--horizon", "7", "--max-events", "16"],
+             "fcee5ab5e2b2fe8e4797e86443fce1bd3155e58217677415498452b4d80073d9"),
+            (random_machine(3), "r3", RANDOM_BOUNDS, "8240fbbd9d2777ed8d23bf2b6c1b49030d7352182967eff2077486c753150e1e"),
+            (random_machine(5), "r3", RANDOM_BOUNDS, "61b8c08d47b4407328f0035878c6fc9bce31fbcf90e2eff3c3ab90b210ffa3cc"),
+            (random_machine(6), "r3", RANDOM_BOUNDS, "224a7a6dda86d8d0a0987c4cfbf9bf27e57dfec57a862ee6e5f4020b74cba762"),
+        ],
+        ids=["c1", "m2", "random-3", "random-5", "random-6"],
+    )  # fmt: skip
+    def test_the_whole_json_report_on_reduction_formulas_holds(self, capsys, tmp_path, machine, target, bounds, digest):
+        # the search counts included: the benchmark digests cover only
+        # outcomes and counterexamples, so this holds words_checked,
+        # nodes_expanded and memo_hits of the negated reduction formulas
+        pta_file, formula_file = tmp_path / "reduction.pta", tmp_path / "negated.mtl"
+        pta_file.write_text(formats.serialize_pta(build_automaton(machine, target)))
+        formula_file.write_text("!(" + formats.serialize_formula(build_formula(machine, target)) + ")")
+        assert main(["mc-bounded", str(pta_file), f"@{formula_file}", *bounds, "--strict-only", "--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestVerdictShapes:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from ptamtl import formats
 from ptamtl.channel import ChannelMachine
 from ptamtl.errors import ParseError
-from ptamtl.mtl import FULL, And, Atom, Implies, Interval, Not, Until, and_all, compile_formula, or_all
+from ptamtl.mtl import FULL, And, Atom, Globally, Implies, Interval, Next, Not, Or, Until, and_all, compile_formula, or_all
 from ptamtl.pta import ClockConstraint, Edge, Pta
 from ptamtl.reduction import build_formula
 from ptamtl.timedwords import TimedWord
@@ -303,6 +304,46 @@ class TestProgramParity:
                 assert outcome == _outcome(_via_ast, mutant), mutant
                 errors += type(outcome) is tuple
         assert 1000 < errors < len(valid) * 40 - 500  # most mutants are malformed, many are not
+
+
+class TestRepeatedGroups:
+    """A group whose tokens repeat a group already closed is read once: its
+    value is pushed and the parse goes on past it.  The value and the errors
+    are those of reading it again."""
+
+    def test_repeated_and_near_repeated_groups(self):
+        rng = random.Random(27)
+        alphabet = ["a", "b", "m!", "m?", "#", "*"]
+        a, b = Atom("a"), Atom("b")
+        for _ in range(200):
+            f = random_formula(rng, alphabet, 4)
+            t = formats.serialize_formula(f)
+            cases = [
+                (formats.serialize_formula(And(f, Globally(FULL, f))), And(f, Globally(FULL, f))),
+                (f"({t}) | ({t})", Or(f, f)),
+                # groups that share their first tokens and differ later
+                (f"(({t}) & a) & (({t}) & b)", And(And(f, a), And(f, b))),
+                (f"({t}) & (({t}) | b)", And(f, Or(f, b))),
+                (f"X ({t}) U[0,1] (({t}) -> a) & (({t}) -> b)",
+                 Until(Interval(0, 1, True, True), Next(FULL, f), And(Implies(f, a), Implies(f, b)))),
+            ]  # fmt: skip
+            for text, formula in cases:
+                assert formats.parse_formula(text) == formula, text
+                assert formats.parse_program(text) == compile_formula(formula), text
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(a & b) & (a & b", "expected ')', found 'end of input'"),
+            ("(a & b) & (a & b))", "trailing input starting at ')'"),
+            ("(a & b) & (a & b c)", "expected ')', found 'c'"),
+            ("(a & b) & (a & b) c", "trailing input starting at 'c'"),
+        ],
+    )
+    def test_a_repeat_fails_as_reading_it_again_would(self, text, message):
+        for parse in (formats.parse_formula, formats.parse_program):
+            with pytest.raises(ParseError, match=re.escape(message)):
+                parse(text)
 
 
 class TestMachineFormat:

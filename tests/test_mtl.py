@@ -768,6 +768,56 @@ class TestIncrementalMonitor:
         assert len(engine._nodes) == nodes
         assert list(engine._steps["e", 1].values()).count(_PENDING) == width
 
+    def test_siblings_that_falsify_a_residual_in_turn(self):
+        # each conjunction's scan starts at the operand that falsified its last
+        # falsified step; siblings that falsify one residual through different
+        # operands move that hint back and forth, and no step may depend on it
+        rng = random.Random(40)
+        alphabet = ["a", "b", "c"]
+        steps = moves = 0
+        for case in range(150):
+            modalities = [rng.choice((Globally, Eventually)) for _ in range(rng.randint(3, 6))]
+            formula = and_all(m(rng.choice(_INTERVALS), random_formula(rng, alphabet, 2)) for m in modalities)
+            program = compile_formula(Globally(FULL, formula) if case % 2 else formula)
+            unit = UNITS[case % len(UNITS)]
+            engine = Progression(program, unit)
+            path = ((rng.choice(alphabet), 0),)
+            r = residual(engine, path)
+            if r < 2 or engine._nodes[r >> 1][0] != _AND:
+                continue
+            for _ in range(30):
+                symbol, delay = rng.choice(alphabet), rng.randint(0, 4)
+                hints = dict(engine._falsifier)
+                child = engine.step(r, symbol, delay)
+                moves += engine._falsifier != hints
+                word = TimedWord([(s, t * unit) for s, t in path] + [(symbol, delay * unit)])
+                assert_matches_open_value(child, word, program)
+                assert engine.accepts(child) == satisfies(word, program), (program, word)
+                steps += 1
+                if child > 1:  # one more event below the sibling
+                    after, later = rng.choice(alphabet), rng.randint(0, 4)
+                    extended = TimedWord(word.events + ((after, (delay + later) * unit),))
+                    grandchild = engine.step(child, after, later)
+                    assert_matches_open_value(grandchild, extended, program)
+                    assert engine.accepts(grandchild) == satisfies(extended, program), (program, extended)
+        assert steps > 2000 and moves > 120, (steps, moves)
+
+    def test_a_sibling_falsified_by_the_last_falsifier_settles_it_first(self):
+        width = 400
+        formula = and_all(Globally(Interval(0, i, True, True), Not(Atom(f"a{i}"))) for i in range(width))
+        engine = Progression(formula, 1)
+        first = engine.step(engine.start, "b", 0)
+        assert len(engine._nodes[first >> 1][1]) == width
+        # the scan from operand 0 settles operands 0 to 300, 300 being false
+        assert engine.step(first, "a300", 0) == 0
+        assert len(engine._steps["a300", 0]) == 302
+        # a sibling starts at operand 300: one operand and the conjunction
+        assert engine.step(first, "a300", 1) == 0
+        assert len(engine._steps["a300", 1]) <= 2
+        for symbol, delay in (("a300", 1), ("a7", 2), ("b", 3)):
+            word = W(("b", 0), (symbol, delay))
+            assert engine.accepts(engine.step(first, symbol, delay)) == satisfies(word, formula)
+
     def test_a_residual_marked_by_a_sibling_steps_as_on_a_fresh_engine(self):
         # a conjunction's false operand leaves its undecided siblings marked
         # in the table; stepping one of them alone builds it

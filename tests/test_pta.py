@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -28,7 +29,7 @@ from ptamtl.reduction import build_automaton, build_formula
 from ptamtl.timedwords import TimedWord
 
 from conftest import two_message_machine, two_phase_automaton
-from util import brute_accepted, feasible_on_grid, random_pta
+from util import _hops_to_final, brute_accepted, feasible_on_grid, random_pta
 
 F = Fraction
 
@@ -251,6 +252,26 @@ class TestDeterminism:
         assert not is_deterministic(automaton)
 
 
+class TestEventsToFinal:
+    def test_matches_a_fixpoint_over_the_edges(self):
+        rng = random.Random(27)
+        for _ in range(200):
+            automaton = random_pta(rng)
+            # with location 0 final, 1 and 2 may reach no final location
+            for final in (automaton.final, frozenset({"0"})):
+                automaton = dataclasses.replace(automaton, final=final)
+                hops = _hops_to_final(automaton)
+                unreachable = len(automaton.locations) + 1
+                assert automaton.min_events_to_final == {loc: hops.get(loc, unreachable) for loc in automaton.locations}
+
+    def test_a_location_that_reaches_no_final_one(self, cadence_automaton):
+        automaton = dataclasses.replace(cadence_automaton, edges=())
+        bound = automaton.min_events_to_final
+        assert {bound[loc] for loc in automaton.final} == {0}
+        others = set(automaton.locations) - automaton.final
+        assert {bound[loc] for loc in others} == {len(automaton.locations) + 1}
+
+
 class TestEnumeration:
     def test_unique_word(self, cadence_automaton, half):
         words = enumerate_accepted(cadence_automaton, {"p": half}, half, F(2), 4)
@@ -425,14 +446,16 @@ class TestGridSearch:
     def test_the_m2_walk_at_grid_one_third_counts(self):
         # m2's encoding formula at p = 1 has no word within 9 time units and
         # 20 events; word-free subtrees cover their later, deeper copies, and
-        # the step tables are keyed by the capped delay
+        # the step tables are keyed by the capped delay; a falsified step
+        # scans from its conjunction's last falsifier, so it settles, and
+        # fills, fewer entries than a scan from operand 0 would
         m2 = two_message_machine()
         grid, stats = F(1, 3), SearchStats()
         engine = Progression(build_formula(m2, "q3"), grid)
         search = iter_accepted(build_automaton(m2, "q3"), {"p": F(1)}, grid, F(9), 20, True, engine, stats)
         assert list(search) == []
         assert (stats.words, stats.nodes_expanded, stats.memo_hits) == (0, 933, 633)
-        assert sum(map(len, engine._steps.values())) == 44705
+        assert sum(map(len, engine._steps.values())) == 43446
 
     def test_equality_with_an_off_grid_parameter_never_fires(self):
         automaton = Pta(
