@@ -193,10 +193,6 @@ class SearchResult:
     computation: Optional[Computation]
     truncated: bool  # True when some branch was cut by the bounds
 
-    @property
-    def found(self) -> bool:
-        return self.computation is not None
-
 
 def _successors(machine: ChannelMachine, config: Configuration):
     """The exact steps out of a configuration, as (label, successor) pairs:

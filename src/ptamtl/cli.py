@@ -251,9 +251,7 @@ def _cmd_mc_bounded(args) -> int:
                     if c.counterexample
                     else None
                 ),
-                "words_checked": c.words_checked,
-                "nodes_expanded": c.nodes_expanded,
-                "memo_hits": c.memo_hits,
+                **vars(c.stats),
             }
             for c in verdict.candidates
         ],
@@ -373,8 +371,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("mc-bounded", help="bounded counterexample search")
     p.add_argument("pta")
     p.add_argument("formula")
-    p.add_argument("--candidates", default=None, help="semicolon-separated valuations")
-    p.add_argument("--k", type=int, default=None, help="candidates 1/1 .. 1/K")
+    chosen = p.add_mutually_exclusive_group()
+    chosen.add_argument("--candidates", default=None, help="semicolon-separated valuations")
+    chosen.add_argument("--k", type=int, default=None, help="candidates 1/1 .. 1/K")
     p.add_argument("--grid", required=True)
     p.add_argument("--horizon", required=True)
     p.add_argument("--max-events", type=int, required=True)

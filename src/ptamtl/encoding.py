@@ -411,13 +411,11 @@ def inject_insertion(
     block_index: int,
     offset: Fraction,
 ) -> TimedWord:
-    """Insert a fresh hash into the given block (1-based, at least 2) and
-    propagate the mandated copies through all later blocks.
-
-    The offset must be fresh in every affected block, must come after each
-    block's message symbols, and must stay clear of the slot a send step
-    replaces.  The result remains in the encoding language at the original
-    declared width, with the maximal display width increased by one.
+    """Insert a hash at ``offset`` (strictly between 0 and 1) into the given
+    block (1-based, at least 2) and propagate the mandated copies through all
+    later blocks.  The mutant is valid exactly when it stays in the encoding
+    language at the original declared width, with the maximal display width
+    increased by one; otherwise InjectionError names the violated rule.
     """
     offset = rat(offset)
     return _inject(word, machine, decompose(word, machine), block_index, offset)
@@ -457,28 +455,9 @@ def _inject(
         )
     if not 0 < offset < 1:
         raise InjectionError("offset must lie strictly between 0 and 1")
-    for number, block in enumerate(blocks[block_index - 1 :], start=block_index):
-        if offset in block.offsets:
-            raise InjectionError(f"offset {offset} collides with a slot of block {number}")
-        message_offsets = [o for s, o in block.symbols if s != HASH]
-        if message_offsets and offset < message_offsets[-1]:
-            raise InjectionError(
-                f"offset {offset} would place a hash before a message in block {number}"
-            )
-        if block.trailer != STAR:
-            kind, _ = label_kind(block.trailer)
-            if kind == "send":
-                hash_offsets = [o for s, o in block.symbols if s == HASH]
-                if hash_offsets and offset < hash_offsets[0]:
-                    raise InjectionError(
-                        f"offset {offset} would displace the slot replaced by the send "
-                        f"out of block {number}"
-                    )
-    # each new time is fresh in its block, so the sort is unambiguous
     hashes = tuple((HASH, block.start + offset) for block in blocks[block_index - 1 :])
     mutated = TimedWord(sorted(word.events + hashes, key=lambda event: event[1]))
-    declared = n_prefix(word)
-    reason = explain_membership(mutated, machine, blocks[-1].state, declared)
+    reason = explain_membership(mutated, machine, blocks[-1].state, n_prefix(word))
     if reason is not None:
         raise InjectionError(f"injection would leave the encoding language: {reason}")
     return mutated

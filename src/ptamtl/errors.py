@@ -32,7 +32,7 @@ class AlignmentViolationError(ToolkitError):
 
 
 class InjectionError(ToolkitError):
-    """inject_insertion() was given a colliding or structurally unusable offset."""
+    """inject_insertion() got an unusable block or offset, or left the language."""
 
 
 class ParseError(ToolkitError):

@@ -377,6 +377,8 @@ def parse_machine(text: str) -> tuple[ChannelMachine, Optional[str]]:
         elif key == "init":
             if len(fields) != 1:
                 raise ParseError("init needs exactly one state", line=number)
+            if initial is not None:
+                raise ParseError("init set twice", line=number)
             initial = fields[0]
         elif key == "messages":
             messages.extend(fields)
@@ -387,6 +389,8 @@ def parse_machine(text: str) -> tuple[ChannelMachine, Optional[str]]:
         elif key == "final":
             if len(fields) != 1:
                 raise ParseError("final needs exactly one state", line=number)
+            if final is not None:
+                raise ParseError("final set twice", line=number)
             final = fields[0]
         else:
             raise ParseError(f"unknown key {key!r}", line=number)

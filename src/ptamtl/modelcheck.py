@@ -12,9 +12,8 @@ residual prunes each prefix, decides each accepted word and, with the
 automaton's frontier, the tick and the depth, keys a memo of the subtrees
 without a counterexample; a subtree that reached no word also covers every
 later, deeper copy of its (frontier, residual), which is skipped.  The
-first word the search yields is the counterexample.  Each candidate reports
-the words it checked (memo hits included), the prefixes it expanded and
-its memo hits, covered copies included.
+first word the search yields is the counterexample.  Each candidate carries
+the :class:`SearchStats` of its walk.
 """
 
 from __future__ import annotations
@@ -33,11 +32,11 @@ NO_COUNTEREXAMPLE = "no-counterexample-within-bounds"
 
 @dataclass(frozen=True)
 class CandidateResult:
+    """A valuation, its first counterexample if any, and its walk's :class:`SearchStats`."""
+
     valuation: tuple[tuple[str, Fraction], ...]
     counterexample: Optional[TimedWord]
-    words_checked: int
-    nodes_expanded: int
-    memo_hits: int
+    stats: SearchStats
 
     @property
     def refuted(self) -> bool:
@@ -112,6 +111,5 @@ def bounded_modelcheck(
         if counterexample is not None:
             if not membership(automaton, valuation, counterexample) or not satisfies(counterexample, negated):
                 raise AssertionError("counterexample failed exact re-verification")
-        rho = tuple(sorted(valuation.items()))
-        results.append(CandidateResult(rho, counterexample, stats.words, stats.nodes_expanded, stats.memo_hits))
+        results.append(CandidateResult(tuple(sorted(valuation.items())), counterexample, stats))
     return McVerdict(tuple(results))

@@ -77,9 +77,6 @@ class ClockConstraint:
         return frozenset(a.bound for a in self.atoms if isinstance(a.bound, str))
 
 
-TRUE_GUARD = ClockConstraint()
-
-
 @dataclass(frozen=True)
 class Edge:
     source: str
@@ -106,6 +103,15 @@ class Pta:
         alphabet = set(self.alphabet)
         clocks = set(self.clocks)
         parameters = set(self.parameters)
+        for field, names, distinct in (
+            ("alphabet", self.alphabet, alphabet),
+            ("locations", self.locations, locations),
+            ("clocks", self.clocks, clocks),
+            ("parameters", self.parameters, parameters),
+        ):
+            if len(distinct) != len(names):
+                twice = sorted({name for name in names if names.count(name) > 1})
+                raise ValueError(f"declared twice in {field}: {', '.join(twice)}")
         if clocks & parameters:  # constraint_feasible unifies variables by name
             raise ValueError(f"declared both as clock and parameter: {', '.join(sorted(clocks & parameters))}")
         if not self.initial <= locations:
@@ -357,12 +363,12 @@ def _grid_move(
 
 @dataclass
 class SearchStats:
-    """What one :func:`iter_accepted` walk did: the accepted words reached,
-    yielded or not, memo hits included; the prefixes (the empty one too)
-    whose extensions were generated; and the prefixes a memo hit skipped,
-    those that a word-free subtree covers included."""
+    """What one :func:`iter_accepted` walk did, as ``mc-bounded --json``
+    reports it: the accepted words reached, yielded or not, memo hits
+    included; the prefixes (the empty one too) whose extensions were
+    generated; and the prefixes a memo hit skipped, covered ones included."""
 
-    words: int = 0
+    words_checked: int = 0
     nodes_expanded: int = 0
     memo_hits: int = 0
 
@@ -393,9 +399,9 @@ def iter_accepted(
 
     A subtree that yielded nothing is memoized under the frontier, the tick,
     the depth and the monitor state; when the key comes up again, its words
-    are counted in ``stats.words`` and the child is not entered.  A subtree
-    that reached no word at all is kept instead as a minimal (tick, depth)
-    pair of its (frontier, state), and covers every child with that
+    are counted in ``stats.words_checked`` and the child is not entered.  A
+    subtree that reached no word at all is kept instead as a minimal (tick,
+    depth) pair of its (frontier, state), and covers every child with that
     frontier and state at a tick and a depth no smaller: such a child has
     a subset of its delay sequences (strictness only narrows them), so it
     reaches no word either and is skipped as a memo hit that adds none.
@@ -484,7 +490,7 @@ def iter_accepted(
                     known = table.get(below)
                     if known is not None:
                         stats.memo_hits += 1
-                        stats.words += known
+                        stats.words_checked += known
                         continue
                     for u, d in covers.get((targets, child), ()):
                         if t >= u and depth >= d:  # a copy no later and no deeper reached no word
@@ -497,15 +503,15 @@ def iter_accepted(
     # reached and yielded before it and its children: an explicit stack, so
     # that a word's length costs no Python recursion.
     root = (frozenset((loc, (0,) * len(clocks)) for loc in automaton.initial), 0, 0, monitor.start)
-    stack: list[tuple] = [(root, stats.words, 0, children((), root))]
+    stack: list[tuple] = [(root, stats.words_checked, 0, children((), root))]
     yielded = 0
     while stack:
         entering = next(stack[-1][3], None)
         if entering is None:  # the subtree is done; memoize it if it yielded nothing
             key, words_before, yielded_before, _ = stack.pop()
-            if stats.words > words_before:
+            if stats.words_checked > words_before:
                 if yielded == yielded_before:
-                    table[key] = stats.words - words_before
+                    table[key] = stats.words_checked - words_before
             else:  # it covers every later, deeper copy, and drops the copies it covers
                 frontier, tick, depth, state = key
                 pairs = covers.setdefault((frontier, state), [])
@@ -513,9 +519,9 @@ def iter_accepted(
                 pairs.append((tick, depth))
             continue
         prefix, key = entering
-        stack.append((key, stats.words, yielded, children(prefix, key)))
+        stack.append((key, stats.words_checked, yielded, children(prefix, key)))
         if any(loc in finals for loc, _ in key[0]):
-            stats.words += 1
+            stats.words_checked += 1
             if monitor.accepts(key[3]):
                 yielded += 1
                 yield TimedWord([(symbol, t * grid) for symbol, t in prefix])

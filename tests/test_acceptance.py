@@ -268,7 +268,7 @@ def test_criterion_8_counterexample_wiring():
     assert verdict.outcome == "counterexample-found"
     # the search counts repeat only while residual classes stay as they are
     c1_result = verdict.candidates[0]
-    assert (c1_result.words_checked, c1_result.nodes_expanded, c1_result.memo_hits) == (1, 18, 4)
+    assert (c1_result.stats.words_checked, c1_result.stats.nodes_expanded, c1_result.stats.memo_hits) == (1, 18, 4)
     witness = verdict.counterexample
     assert membership(automaton, dict(verdict.valuation), witness)
     assert not satisfies(witness, Not(formula))
@@ -285,9 +285,9 @@ def test_criterion_8_counterexample_wiring():
         grid=F(1, 3), horizon=F(7), max_events=16, strict_only=True,
     )  # fmt: skip
     assert m2_verdict.outcome == "counterexample-found"
-    assert m2_verdict.candidates[0].words_checked == 1
+    assert m2_verdict.candidates[0].stats.words_checked == 1
     m2_result = m2_verdict.candidates[0]
-    assert (m2_result.nodes_expanded, m2_result.memo_hits) == (116, 58)
+    assert (m2_result.stats.nodes_expanded, m2_result.stats.memo_hits) == (116, 58)
     assert membership(m2_automaton, dict(m2_verdict.valuation), m2_verdict.counterexample)
     assert not satisfies(m2_verdict.counterexample, m2_violation)
 

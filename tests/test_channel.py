@@ -137,20 +137,20 @@ class TestComputations:
 class TestSearch:
     def test_shortest_witness(self, c1):
         result = search_error_free(c1, "s2", 4, 2)
-        assert result.found and not result.truncated
+        assert result.computation is not None and not result.truncated
         assert result.computation.labels == ("m!", "m?")
         assert is_error_free(c1, result.computation)
         assert result.computation.final.state == "s2"
 
     def test_initial_state_trivial(self, c1):
         result = search_error_free(c1, "s0", 3, 3)
-        assert result.found
+        assert result.computation is not None
         assert result.computation.steps == ()
 
     def test_no_transitions(self):
         machine = ChannelMachine(("a0", "a1"), "a0", ("m",), ())
         result = search_error_free(machine, "a1", 5, 5)
-        assert not result.found
+        assert result.computation is None
         assert not result.truncated  # space fully explored, genuinely unreachable
 
     def test_bound_exhaustion_is_flagged(self):
@@ -162,7 +162,7 @@ class TestSearch:
             (("b0", "m!", "b0"),),
         )
         result = search_error_free(machine, "b1", 10, 2)
-        assert not result.found
+        assert result.computation is None
         assert result.truncated
 
     @pytest.mark.parametrize(
@@ -180,7 +180,7 @@ class TestSearch:
     ):
         machine = ChannelMachine(("a0", "a1", "a2"), "a0", ("m",), transitions)
         result = search_error_free(machine, "a2", max_steps, 2)
-        assert result.found == found
+        assert (result.computation is not None) == found
         assert result.truncated == truncated
 
     def test_enumeration_matches_expectations(self, m2):

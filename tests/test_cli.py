@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ from ptamtl import cli, formats
 from ptamtl.cli import main
 from ptamtl.modelcheck import bounded_modelcheck
 from ptamtl.mtl import Not
+from ptamtl.pta import SearchStats
 from ptamtl.reduction import build_automaton, build_formula
 
 from conftest import SHARED_NAME_PTA, random_machine, send_receive_machine, two_message_machine, two_phase_automaton
@@ -111,6 +113,36 @@ class TestBasicCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "declared both as clock and parameter: p" in captured.err
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("alphabet: a a", "declared twice in alphabet: a"),
+            ("locations: l0 l1 l1", "declared twice in locations: l1"),
+            ("clocks: x x", "declared twice in clocks: x"),
+            ("params: p p", "declared twice in parameters: p"),
+        ],
+    )
+    def test_a_name_declared_twice_in_an_automaton_is_a_parse_error(self, capsys, tmp_path, header, message):
+        lines = ["alphabet: a", "clocks: x", "params: p", "locations: l0 l1", "init: l0", "final: l1", 'edge: l0 a "x = p" {x} l1']
+        key = header.split(":")[0]
+        path = tmp_path / "twice.pta"
+        path.write_text("\n".join(header if line.startswith(key + ":") else line for line in lines) + "\n")
+        assert main(["det-check", str(path)]) == 1
+        bounds = ["--grid", "1", "--horizon", "2", "--max-events", "2"]
+        assert main(["mc-bounded", str(path), "F a", "--k", "2", *bounds]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"] * 2
+
+    @pytest.mark.parametrize("key, state", [("init", "s1"), ("final", "s1")])
+    def test_a_machine_line_given_twice_is_a_parse_error(self, capsys, tmp_path, c1, key, state):
+        path = tmp_path / "twice.cm"
+        path.write_text(formats.serialize_machine(c1, final="s2") + f"{key}: {state}\n")
+        assert main(["search", str(path), "--steps", "6", "--chan", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {key} set twice (line 7)\n"
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["eval", "a U U b", "a@0"]) == 1
@@ -314,6 +346,11 @@ class TestPipelineCommands:
             (["verify-reduction", "BARE", "--steps", "6", "--chan", "3"], "no target state"),
             # a parameter ranges over the non-negative rationals
             (["member", "CADENCE", "p=-1", "a@1/2"], "parameter 'p' must not be negative"),
+            # one way of naming the candidates at a time
+            (
+                ["mc-bounded", "CADENCE", "F a", "--candidates", "p=1", "--k", "3", "--grid", "1", "--horizon", "1", "--max-events", "1"],
+                "argument --k: not allowed with argument --candidates",
+            ),
         ],
     )
     def test_bad_input_is_a_usage_error(self, capsys, machine_file, cadence_file, tmp_path, c1, argv, message):
@@ -402,9 +439,16 @@ class TestMcBounded:
         )  # fmt: skip
         assert [c["words_checked"] for c in candidates] == [3, 426]
         for entry, result in zip(candidates, verdict.candidates):
-            assert entry["words_checked"] == result.words_checked
-            assert entry["nodes_expanded"] == result.nodes_expanded > 0
-            assert entry["memo_hits"] == result.memo_hits > 0
+            assert entry["words_checked"] == result.stats.words_checked
+            assert entry["nodes_expanded"] == result.stats.nodes_expanded > 0
+            assert entry["memo_hits"] == result.stats.memo_hits > 0
+
+    def test_a_candidate_reports_the_fields_of_search_stats(self, capsys, reduction_file):
+        # a counter added to SearchStats reaches the JSON with no other edit
+        assert main(["mc-bounded", str(reduction_file), *PROPERTY_ARGS]) == 0
+        candidates = json.loads(capsys.readouterr().out)["candidates"]
+        expected = ["valuation", "counterexample"] + [f.name for f in dataclasses.fields(SearchStats)]
+        assert candidates and all(list(entry) == expected for entry in candidates)
 
     def test_parameter_free_automaton_runs_the_empty_valuation(self, capsys, free_file):
         bounds = ["--grid", "1/2", "--horizon", "3", "--max-events", "2", "--json"]
@@ -581,11 +625,11 @@ class TestVerdictReverification:
     @staticmethod
     def one_a_automaton():
         """Accepts exactly the one-event words reading a, at any time."""
-        from ptamtl.pta import TRUE_GUARD, Edge, Pta
+        from ptamtl.pta import ClockConstraint, Edge, Pta
 
         return Pta(
             ("a", "b"), ("1", "2"), frozenset({"1"}), (), (),
-            (Edge("1", "a", TRUE_GUARD, frozenset(), "2"),), frozenset({"2"}),
+            (Edge("1", "a", ClockConstraint(), frozenset(), "2"),), frozenset({"2"}),
         )  # fmt: skip
 
     def test_deep_formula_counterexample_reverifies(self):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from ptamtl.channel import (
     search_error_free,
 )
 from ptamtl.encoding import (
+    HASH,
     ConfigBlock,
     EncodingLayout,
     check_membership,
@@ -34,6 +36,7 @@ from ptamtl.errors import (
 )
 from ptamtl.timedwords import TimedWord
 
+from conftest import random_machine
 from util import build_corpus, fraction_decompose
 
 F = Fraction
@@ -553,6 +556,55 @@ class TestInjectInsertion:
         twice = inject_insertion(once, c1, 3, F(19, 20))
         assert check_membership(twice, c1, "s2", 1)
         assert max_width(twice, c1) == 3
+
+    @pytest.mark.parametrize(
+        "machine_name, block_index, offset, rule",
+        [
+            # on block 2's slot at 1/2
+            ("c1", 2, F(1, 2), "display offsets must be strictly increasing"),
+            # below block 2's message at 1/2
+            ("c1", 2, F(1, 4), "block 2: hash symbols may only follow message symbols"),
+            # below the hash at 2/3 that the send out of block 2 replaces by
+            # m2, so the copy lands before m2 in block 3
+            ("m2", 2, F(1, 2), "block 3: hash symbols may only follow message symbols"),
+        ],
+    )
+    def test_refusal_names_the_violated_rule(self, c1, m2, machine_name, block_index, offset, rule):
+        machine, target = {"c1": (c1, "s2"), "m2": (m2, "q3")}[machine_name]
+        gamma = search_error_free(machine, target, 8, 3).computation
+        word = encode(machine, target, gamma, default_layout(max_channel(gamma)))
+        with pytest.raises(InjectionError, match=rule):
+            inject_insertion(word, machine, block_index, offset)
+
+    def test_valid_exactly_when_the_checker_accepts_the_mutant(self, c1, m2):
+        """Every block from 2 on, at offsets k/24 and at every slot offset:
+        an injection succeeds exactly when the plain mutant is a member at
+        the word's declared width, and then it is that mutant."""
+        cases = [(c1, "s2"), (m2, "q3")]
+        cases += [(random_machine(seed), target) for seed, target in ((2, "r1"), (4, "r2"), (5, "r3"), (11, "r1"))]
+        tally = Counter()
+        for machine, target in cases:
+            for gamma in enumerate_error_free(machine, target, 6, 2):
+                word = encode(machine, target, gamma, default_layout(max_channel(gamma)))
+                blocks = decompose(word, machine)
+                offsets = {F(k, 24) for k in range(1, 24)} | {o for block in blocks for o in block.offsets}
+                for block_index in range(2, len(blocks) + 1):
+                    for offset in sorted(offsets):
+                        hashes = tuple((HASH, block.start + offset) for block in blocks[block_index - 1 :])
+                        mutant = TimedWord(sorted(word.events + hashes, key=lambda event: event[1]))
+                        member = check_membership(mutant, machine, target, n_prefix(word))
+                        try:
+                            injected = inject_insertion(word, machine, block_index, offset)
+                        except InjectionError as error:
+                            assert not member, (word, block_index, offset)
+                            tally[str(error).rsplit(": ", 1)[-1]] += 1
+                        else:
+                            assert member and injected == mutant, (word, block_index, offset)
+                            tally["accepted"] += 1
+        # slot collisions and hashes before a message both occur
+        assert tally["accepted"] > 0, tally
+        assert tally["display offsets must be strictly increasing"] > 0, tally
+        assert tally["hash symbols may only follow message symbols"] > 0, tally
 
 
 class TestWidthMonotonicity:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from ptamtl.modelcheck import bounded_modelcheck
 from ptamtl.mtl import FULL, Atom, Globally, Interval, Not, compile_formula, satisfies
-from ptamtl.pta import TRUE_GUARD, Edge, Pta
+from ptamtl.pta import ClockConstraint, Edge, Pta
 
 from util import brute_accepted, prefix_may_satisfy, random_formula, random_pta
 
@@ -29,11 +29,11 @@ def check_against_brute_force(automaton, formula, rho, grid, horizon, events, st
     context = (automaton, formula, rho, grid, horizon, events, strict)
     if failing:
         assert result.counterexample == words[failing[0]], context
-        assert result.words_checked == failing[0] + 1, context
+        assert result.stats.words_checked == failing[0] + 1, context
         assert verdict.outcome == "counterexample-found"
     else:
         assert result.counterexample is None, context
-        assert result.words_checked == len(words), context
+        assert result.stats.words_checked == len(words), context
         assert verdict.outcome == "no-counterexample-within-bounds"
     return result, failing[0] if failing else None, len(words)
 
@@ -79,9 +79,9 @@ class TestAgainstBruteForce:
             rho = {"p": rng.choice((F(1, 2), F(1)))}
             strict = rng.random() < 0.5
             result, first, words = check_against_brute_force(automaton, formula, rho, F(1, 2), F(5, 2), 6, strict)
-            hits += result.memo_hits
-            refuted_after_hits += first is not None and result.memo_hits > 0
-            unrefuted_with_hits += first is None and words > 0 and result.memo_hits > 0
+            hits += result.stats.memo_hits
+            refuted_after_hits += first is not None and result.stats.memo_hits > 0
+            unrefuted_with_hits += first is None and words > 0 and result.stats.memo_hits > 0
         assert hits >= 100 and refuted_after_hits >= 3 and unrefuted_with_hits >= 8, (
             hits, refuted_after_hits, unrefuted_with_hits,
         )  # fmt: skip
@@ -90,10 +90,10 @@ class TestAgainstBruteForce:
 def test_words_longer_than_the_recursion_limit():
     # one location reading a forever, so there is one accepted word per
     # length, all at time 0, and the search runs 1,200 events deep
-    loop = Edge("l0", "a", TRUE_GUARD, frozenset(), "l0")
+    loop = Edge("l0", "a", ClockConstraint(), frozenset(), "l0")
     automaton = Pta(("a",), ("l0",), frozenset({"l0"}), (), (), (loop,), frozenset({"l0"}))
     assert sys.getrecursionlimit() < 1200
     verdict = bounded_modelcheck(automaton, Globally(FULL, Atom("a")), [{}], F(1), F(0), 1200)
     (result,) = verdict.candidates
     assert result.counterexample is None
-    assert result.words_checked == 1200
+    assert result.stats.words_checked == 1200

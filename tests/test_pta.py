@@ -9,7 +9,6 @@ import pytest
 from ptamtl.formats import parse_formula
 from ptamtl.modelcheck import bounded_modelcheck
 from ptamtl.pta import (
-    TRUE_GUARD,
     ClockConstraint,
     ConstraintAtom,
     Edge,
@@ -352,7 +351,7 @@ class TestGridSearch:
             for strict in (False, True):
                 stats = memo_search(automaton, rho, grid, horizon, 4, strict)
                 expected, _ = brute_accepted(automaton, rho, grid, horizon, 4, strict)
-                assert stats.words == len(expected), (automaton, rho, grid, horizon, strict)
+                assert stats.words_checked == len(expected), (automaton, rho, grid, horizon, strict)
                 hits += stats.memo_hits
         assert hits > 1000
 
@@ -364,8 +363,8 @@ class TestGridSearch:
         automaton = Pta(
             ("a", "b"), ("0", "1", "2"), frozenset({"0"}), ("x",), (),
             (
-                Edge("0", "a", TRUE_GUARD, frozenset({"x"}), "1"),
-                Edge("1", "a", TRUE_GUARD, frozenset(), "1"),
+                Edge("0", "a", ClockConstraint(), frozenset({"x"}), "1"),
+                Edge("1", "a", ClockConstraint(), frozenset(), "1"),
                 Edge("1", "b", ClockConstraint.of(("x", "<=", 2)), frozenset(), "2"),
             ),
             frozenset({"2"}),
@@ -373,7 +372,7 @@ class TestGridSearch:
         for strict in (False, True):
             stats = memo_search(automaton, {}, F(1), F(5), 4, strict)
             expected, _ = brute_accepted(automaton, {}, F(1), F(5), 4, strict)
-            assert stats.words == len(expected)
+            assert stats.words_checked == len(expected)
             assert stats.memo_hits > 0
 
             events = []
@@ -406,7 +405,7 @@ class TestGridSearch:
                 continue  # one run per automaton and parameter
             expected, _ = brute_accepted(automaton, rho, grid, horizon, 3, strict)
             assert list(iter_accepted(automaton, rho, grid, horizon, 3, strict)) == expected
-            assert memo_search(automaton, rho, grid, horizon, 3, strict).words == len(expected)
+            assert memo_search(automaton, rho, grid, horizon, 3, strict).words_checked == len(expected)
 
     @pytest.mark.parametrize(
         "text, counts",
@@ -420,7 +419,7 @@ class TestGridSearch:
         # (words checked, prefixes expanded, memo hits) for p = 1 and p = 1/2
         automaton, candidates = build_automaton(c1, "s2"), [{"p": F(1)}, {"p": F(1, 2)}]
         verdict = bounded_modelcheck(automaton, parse_formula(text), candidates, F(1, 2), F(5, 2), 6, True)
-        assert [(c.words_checked, c.nodes_expanded, c.memo_hits) for c in verdict.candidates] == counts
+        assert [(c.stats.words_checked, c.stats.nodes_expanded, c.stats.memo_hits) for c in verdict.candidates] == counts
 
     def test_a_word_free_subtree_covers_its_later_deeper_copies(self):
         # x is never reset and b needs x < 1, so a at time 1 or later reaches
@@ -431,7 +430,7 @@ class TestGridSearch:
         automaton = Pta(
             ("a", "b", "c"), ("0", "1", "2"), frozenset({"0"}), ("x",), (),
             (
-                Edge("0", "a", TRUE_GUARD, frozenset(), "1"),
+                Edge("0", "a", ClockConstraint(), frozenset(), "1"),
                 Edge("0", "c", ClockConstraint.of(("x", ">=", 1)), frozenset(), "0"),
                 Edge("1", "b", ClockConstraint.of(("x", "<", 1)), frozenset(), "2"),
             ),
@@ -440,8 +439,8 @@ class TestGridSearch:
         for strict, counts in ((False, (3, 10, 7)), (True, (1, 9, 4))):
             stats = memo_search(automaton, {}, F(1, 2), F(2), 3, strict)
             expected, _ = brute_accepted(automaton, {}, F(1, 2), F(2), 3, strict)
-            assert stats.words == len(expected)
-            assert (stats.words, stats.nodes_expanded, stats.memo_hits) == counts
+            assert stats.words_checked == len(expected)
+            assert (stats.words_checked, stats.nodes_expanded, stats.memo_hits) == counts
 
     def test_the_m2_walk_at_grid_one_third_counts(self):
         # m2's encoding formula at p = 1 has no word within 9 time units and
@@ -454,7 +453,7 @@ class TestGridSearch:
         engine = Progression(build_formula(m2, "q3"), grid)
         search = iter_accepted(build_automaton(m2, "q3"), {"p": F(1)}, grid, F(9), 20, True, engine, stats)
         assert list(search) == []
-        assert (stats.words, stats.nodes_expanded, stats.memo_hits) == (0, 933, 633)
+        assert (stats.words_checked, stats.nodes_expanded, stats.memo_hits) == (0, 933, 633)
         assert sum(map(len, engine._steps.values())) == 43446
 
     def test_equality_with_an_off_grid_parameter_never_fires(self):
