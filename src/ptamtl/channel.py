@@ -163,24 +163,16 @@ def step_insertion(
 
 def is_valid_computation(machine: ChannelMachine, computation: Computation) -> bool:
     """Every step lies in the faulty step relation."""
-    current = computation.initial
-    for label, nxt in computation.steps:
-        if not step_insertion(machine, current, label, nxt):
-            return False
-        current = nxt
-    return True
+    steps = zip(computation.configurations, computation.steps)
+    return all(step_insertion(machine, current, label, nxt) for current, (label, nxt) in steps)
 
 
 def is_error_free(machine: ChannelMachine, computation: Computation) -> bool:
     """Whether every step is exact.  Raises on invalid computations."""
     if not is_valid_computation(machine, computation):
         raise ComputationValidationError("not a computation of the machine")
-    current = computation.initial
-    for label, nxt in computation.steps:
-        if nxt not in step_exact(machine, current, label):
-            return False
-        current = nxt
-    return True
+    steps = zip(computation.configurations, computation.steps)
+    return all(nxt in step_exact(machine, current, label) for current, (label, nxt) in steps)
 
 
 def max_channel(computation: Computation) -> int:
@@ -194,12 +186,27 @@ class SearchResult:
     truncated: bool  # True when some branch was cut by the bounds
 
 
-def _successors(machine: ChannelMachine, config: Configuration):
+def _moves(machine: ChannelMachine) -> dict:
+    """Each state's distinct transitions as (label, kind, message, target),
+    labels in machine order, then targets in sorted order."""
+    order = machine.labels().index
+    moves: dict = {}
+    for source, label, target in sorted(set(machine.transitions), key=lambda t: (order(t[1]), t[2])):
+        moves.setdefault(source, []).append((label, *label_kind(label), target))
+    return moves
+
+
+def _successors(moves: dict, config: Configuration):
     """The exact steps out of a configuration, as (label, successor) pairs:
-    labels in machine order, then successors by (state, channel)."""
-    for label in machine.labels():
-        for nxt in sorted(step_exact(machine, config, label), key=lambda c: (c.state, c.channel)):
-            yield label, nxt
+    labels in machine order, then successors by (state, channel).  ``moves``
+    is the machine's :func:`_moves`; the steps are those of
+    :func:`step_exact`, label by label."""
+    channel = config.channel
+    for label, kind, message, target in moves.get(config.state, ()):
+        if kind == "send":
+            yield label, Configuration(target, channel + (message,))
+        elif channel[:1] == ((message,) if kind == "recv" else ()):  # the head read, or an empty channel
+            yield label, Configuration(target, channel[1:])
 
 
 def search_error_free(
@@ -219,6 +226,7 @@ def search_error_free(
     start = Configuration(machine.initial, ())
     if start.state == target:
         return SearchResult(Computation(start), truncated=False)
+    moves = _moves(machine)
     parents: dict[Configuration, tuple[Configuration, str]] = {}
     seen = {start}
     queue = deque([(start, 0)])
@@ -227,10 +235,10 @@ def search_error_free(
         config, depth = queue.popleft()
         if depth == max_steps:
             # only a genuine cut if an unexplored successor exists
-            if any(nxt not in seen for _, nxt in _successors(machine, config)):
+            if any(nxt not in seen for _, nxt in _successors(moves, config)):
                 truncated = True
             continue
-        for label, nxt in _successors(machine, config):
+        for label, nxt in _successors(moves, config):
             if nxt in seen:
                 continue
             if len(nxt.channel) > max_channel_len:
@@ -272,7 +280,8 @@ def enumerate_error_free(
     steps: list[tuple[str, Configuration]] = []
     # depth first with an explicit stack: pending[d] yields the steps out of
     # the configuration after d steps, so steps[:d] leads to it
-    pending = [_successors(machine, start)] if max_steps > 0 else []
+    moves = _moves(machine)
+    pending = [_successors(moves, start)] if max_steps > 0 else []
     while pending:
         step = next(pending[-1], None)
         if step is None:
@@ -287,7 +296,7 @@ def enumerate_error_free(
         if nxt.state == target:
             results.append(Computation(start, tuple(steps)))
         elif len(steps) < max_steps:
-            pending.append(_successors(machine, nxt))
+            pending.append(_successors(moves, nxt))
             continue
         steps.pop()
     return results

@@ -223,6 +223,9 @@ def _cmd_mc_bounded(args) -> int:
     program = formats.parse_program(_maybe_file(args.formula))
     if args.candidates is not None:
         candidates = [_valuation(automaton, part) for part in args.candidates.split(";")]
+        for k, valuation in enumerate(candidates):
+            if valuation in candidates[:k]:
+                raise UsageError(f"valuation {formats.serialize_valuation(valuation)!r} is repeated in --candidates")
     elif args.k is None and not automaton.parameters:
         candidates = [{}]
     else:

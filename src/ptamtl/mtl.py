@@ -26,9 +26,12 @@ negation one xor with the row of every position, and a next one shift and
 mask.  An until's window is the tick range of :meth:`Interval.ticks` on the
 word's scale.  Its ends come from endpoint lists shared by the intervals:
 the first position at or past each time plus a shift, found once per word
-and shift by one pointer moving forward over the sorted ticks.  Witnesses
-in a window are counted by prefix counts.  The conjunctions at the top of
-the formula are evaluated at the position alone.  Results are checked
+and shift by one pointer moving forward over the sorted ticks.  An until
+walks the set bits of its right operand (Maler & Nickovic, FORMATS/FTRTFT
+2004): each witness marks the earlier positions whose window holds it and
+from which the left operand holds up to it.  Rows fill in op index order,
+and the conjunctions at the top of the formula are evaluated at the
+position alone.  Results are checked
 against a naive evaluator of the ASTs in the tests.
 
 A search that extends prefixes one event at a time uses formula
@@ -67,11 +70,9 @@ words, on random formulas and words.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .timedwords import RationalLike, TimedWord, rat, tick_range
@@ -262,7 +263,8 @@ class Program(NamedTuple):
     """A formula compiled by a :class:`ProgramBuilder`, from an AST by
     :func:`compile_formula` or from text by :func:`formats.parse_program`.
     ``root`` is the reference of the whole formula: op ``root >> 1``,
-    negated if ``root`` is odd."""
+    negated if ``root`` is odd.  Every op's operands have lower indices than
+    the op, so filling rows in index order meets each operand first."""
 
     ops: tuple
     intervals: tuple[Interval, ...]
@@ -279,7 +281,8 @@ class ProgramBuilder:
     0 and 1, and an atom or any other operator is interned by the rule in
     ``_CORE``, so equal subformulas, also when spelled with different
     operators, get one reference.  Ops and intervals are numbered in the
-    order they are first built."""
+    order they are first built, so an op's operands, built before it, have
+    lower indices."""
 
     __slots__ = ("_ops", "_intervals")
 
@@ -317,31 +320,29 @@ def compile_formula(formula: Union[Formula, Program]) -> Program:
     return formula if isinstance(formula, Program) else formula.program
 
 
-_DIGITS = bytes.maketrans(b"01", b"\0\1")  # a binary numeral's text to bytes 0 and 1
-
-
 def _evaluator(word: TimedWord, program: Program):
     """Return ``row(r)``, the truth of reference r at every position of the
     word as an int whose bit i is set iff r holds at the position with index
-    i.  A conjunction's row is one ``&`` of its operands' rows, a negation's
-    is its operand's row xor ``full`` (every bit set), and the row of a U b
-    where a holds nowhere (a next) is b's row shifted down one bit and masked
-    by the positions whose successor lies in the window."""
+    i.  Rows fill in op index order up to the op asked for, so every
+    operand's row is there before its op's.  A conjunction's row is one
+    ``&`` of its operands' rows, a negation's is its operand's row xor
+    ``full`` (every bit set), the row of a U b where a holds nowhere (a
+    next) is b's row shifted down one bit and masked by the positions whose
+    successor lies in the window, and any other until's is the union of the
+    positions that each of b's positions marks."""
     ops = program.ops
     events = word.events
     n = len(events)
     full = (1 << n) - 1
     flips = (0, full)  # xor a row with flips[r & 1] to read reference r
     scale, times = word.ticks  # exact integer times
-    powers = [1 << i for i in range(n)]
     masks: dict[str, int] = {}  # symbol -> the row of its atom
-    for (symbol, _), bit in zip(events, powers):
-        masks[symbol] = masks.get(symbol, 0) | bit
-    rows: list = [full] + [None] * (len(ops) - 1)  # rows[k]: op k's row; op 0 is true
+    for i, (symbol, _) in enumerate(events):
+        masks[symbol] = masks.get(symbol, 0) | 1 << i
+    rows = [full]  # rows[k]: op k's row, filled in index order; op 0 is true
     windows: list = [None] * len(program.intervals)
     ends: dict[int, list[int]] = {}  # shift -> its endpoint list, shared by the intervals
     nexts: dict[int, int] = {}  # interval -> the positions whose successor is in their window
-    after = range(1, n + 1)
 
     def end(shift: int) -> list[int]:
         """The first position j with t_j >= t_i + shift for every i: bisect_left
@@ -360,61 +361,48 @@ def _evaluator(word: TimedWord, program: Program):
         return ends[shift]
 
     def window(iv: int) -> tuple[list[int], list[int]]:
-        """first[i]:stop[i] are the positions j > i with t_j - t_i in lo..hi."""
+        """first[j]:stop[j] are the positions i < j with t_j - t_i in lo..hi:
+        those whose window holds j.  Both never decrease with j."""
         lo, hi = program.intervals[iv].ticks(scale)
-        first = list(map(max, after, end(lo)))
-        stop = [n] * n if hi is None else end(hi + 1)
+        first = [0] * n if hi is None else end(-hi)
+        stop = end(1 - lo) if lo > 0 else range(n)
         windows[iv] = (first, stop)
         return windows[iv]
 
     def until(x: int, y: int, iv: int) -> int:
-        """The row of a U b from the rows x of a and y of b: some j in i's
-        window has b true and a true strictly between i and j."""
+        """The row of a U b from the rows x of a and y of b: the union, over
+        b's positions j, of the positions i whose window holds j and from
+        which a holds strictly between i and j."""
         if y == 0:
             return 0
-        lo, hi = windows[iv] or window(iv)
+        first, stop = windows[iv] or window(iv)
         if x == 0:  # only the next position can be the witness
-            if iv not in nexts:  # bit i: position i + 1 lies in i's window
-                nexts[iv] = sum([p for p, j, l, h in zip(powers, after, lo, hi) if l == j < h])
+            if iv not in nexts:  # bit j - 1: position j - 1's window holds j
+                nexts[iv] = sum([1 << j - 1 for j in range(1, n) if first[j] < j <= stop[j]])
             return y >> 1 & nexts[iv]
-        if x == full and hi[0] == n:
-            # every window reaches the end, so i holds iff its window starts
-            # at or before b's last position; the window starts never decrease
-            return (1 << bisect_right(lo, y.bit_length() - 1)) - 1
-        # count[k]: b true before k, read off the binary numeral of y
-        count = list(accumulate(bin(y)[2:].zfill(n)[::-1].encode().translate(_DIGITS), initial=0))
-        if x != full:
-            # fail[k] is the first position >= k where a is false (n if
-            # none), so j lies in [lo[i], min(hi[i], fail[i + 1] + 1))
-            fail = [n] * (n + 1)
-            for j in range(n - 1, -1, -1):
-                fail[j] = fail[j + 1] if x >> j & 1 else j
-            hi = [h if h <= f else f + 1 for h, f in zip(hi, fail[1:])]
-        return sum([p for p, l, h in zip(powers, lo, hi) if count[h] > count[l]])
+        if x == full and first[-1] == 0:  # every window reaches back to the start
+            return (1 << stop[y.bit_length() - 1]) - 1
+        gaps = x ^ full  # the positions where a is false
+        marked = 0
+        while y:
+            low = y & -y
+            y ^= low
+            j = low.bit_length() - 1
+            # i must not lie below the last gap before j
+            i = max(first[j], (gaps & (low - 1)).bit_length() - 1) if gaps else first[j]
+            if i < stop[j]:
+                marked |= (1 << stop[j]) - (1 << i)
+        return marked
 
     def row(r: int) -> int:
         k = r >> 1
-        if rows[k] is None:
-            # post-order: an op is computed once its children's rows are filled
-            stack = [k]
-            while stack:
-                j = stack[-1]
-                kind, a, b, iv = ops[j]
-                if kind == _ATOM:
-                    rows[j] = masks.get(a, 0)
-                else:
-                    x = rows[a >> 1]
-                    if x is None:
-                        stack.append(a >> 1)
-                        continue
-                    y = rows[b >> 1]
-                    if y is None:
-                        stack.append(b >> 1)
-                        continue
-                    x ^= flips[a & 1]
-                    y ^= flips[b & 1]
-                    rows[j] = x & y if kind == _AND else until(x, y, iv)
-                stack.pop()
+        for kind, a, b, iv in ops[len(rows) : k + 1]:
+            if kind == _ATOM:
+                rows.append(masks.get(a, 0))
+            else:
+                x = rows[a >> 1] ^ flips[a & 1]
+                y = rows[b >> 1] ^ flips[b & 1]
+                rows.append(x & y if kind == _AND else until(x, y, iv))
         return rows[k] ^ flips[r & 1]
 
     return row

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from ptamtl import channel
 from ptamtl.channel import (
     ChannelMachine,
     Computation,
@@ -16,7 +18,7 @@ from ptamtl.channel import (
 )
 from ptamtl.errors import ComputationValidationError
 
-from util import insertion_step_oracle
+from util import insertion_step_oracle, random_machine
 
 
 def C(state, *channel):
@@ -208,3 +210,40 @@ class TestSearch:
         chain = ChannelMachine(states, "s0", ("m",), tuple((a, "eps", b) for a, b in zip(states, states[1:])))
         assert [gamma.labels for gamma in enumerate_error_free(chain, "s1200", 1200, 1)] == [("eps",) * 1200]
         assert enumerate_error_free(chain, "s1200", 1199, 1) == []
+
+
+def exact_steps(machine, config):
+    """The exact steps out of a configuration, label by label through
+    step_exact: labels in machine order, then successors by (state, channel)."""
+    for label in machine.labels():
+        for nxt in sorted(step_exact(machine, config, label), key=lambda c: (c.state, c.channel)):
+            yield label, nxt
+
+
+class TestSuccessorIndex:
+    """The searches read each state's transitions from an index; the steps
+    they see must be step_exact's, in its label-by-label order."""
+
+    def machines(self, c1, m2):
+        rng = random.Random(29)
+        return [c1, m2] + [random_machine(rng) for _ in range(60)]
+
+    def test_indexed_successors_are_the_exact_steps(self, c1, m2):
+        repeats = 0
+        for machine in self.machines(c1, m2):
+            repeats += len(set(machine.transitions)) < len(machine.transitions)
+            moves = channel._moves(machine)
+            channels = [c for k in range(3) for c in itertools.product(machine.messages, repeat=k)]
+            for state in machine.states:
+                for content in channels:
+                    config = Configuration(state, content)
+                    assert list(channel._successors(moves, config)) == list(exact_steps(machine, config)), (machine, config)
+        assert repeats  # a repeated transition is one step
+
+    def test_searches_are_those_of_the_label_by_label_steps(self, c1, m2, monkeypatch):
+        cases = [(c1, "s2"), (m2, "q3")] + [(m, m.states[-1]) for m in self.machines(c1, m2)[2:]]
+        indexed = [(enumerate_error_free(m, t, 6, 2), search_error_free(m, t, 6, 2)) for m, t in cases]
+        monkeypatch.setattr(channel, "_moves", lambda machine: machine)
+        monkeypatch.setattr(channel, "_successors", exact_steps)
+        assert indexed == [(enumerate_error_free(m, t, 6, 2), search_error_free(m, t, 6, 2)) for m, t in cases]
+        assert sum(bool(found) for found, _ in indexed) > 10

@@ -351,6 +351,11 @@ class TestPipelineCommands:
                 ["mc-bounded", "CADENCE", "F a", "--candidates", "p=1", "--k", "3", "--grid", "1", "--horizon", "1", "--max-events", "1"],
                 "argument --k: not allowed with argument --candidates",
             ),
+            # a valuation is searched once: a repeat, however spelled, is refused
+            (
+                ["mc-bounded", "CADENCE", "F a", "--candidates", "p=1;p=1/1", "--grid", "1", "--horizon", "1", "--max-events", "1"],
+                "valuation 'p=1' is repeated in --candidates",
+            ),
         ],
     )
     def test_bad_input_is_a_usage_error(self, capsys, machine_file, cadence_file, tmp_path, c1, argv, message):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ptamtl import formats
 from ptamtl.mtl import (
     FULL,
     And,
@@ -494,6 +495,108 @@ class TestRowsAcrossTheWordBoundary:
                     assert positions(row(2 * k + 1), n) == [not v for v in expected]
                     found.add("zero" if bits == 0 else "top" if bits >> n - 1 else "other")
         assert {"zero", "top"} <= found
+
+
+# operands of every density on the words below: none, one position, every
+# other position, all but one, and all
+DENSITIES = [Atom("z"), Atom("o"), Atom("e"), Not(Atom("o")), TrueConst()]
+# punctual windows that meet repeated times, a window that holds no whole
+# tick, and bounded and unbounded windows
+WITNESS_WINDOWS = [
+    Interval.point(0),
+    Interval.point(1),
+    Interval(0, 1, False, False),
+    Interval(1, 2, True, False),
+    Interval(0, 2, False, True),
+    FULL,
+    Interval(1, None, False, False),
+]
+
+
+def density_word(n, rng, step):
+    """n events: o at one odd position (0 if n is 1), e at the other even
+    positions and d at the rest, so e is every other position; times step by
+    0 to 2 units of ``step``, so times repeat."""
+    pivot = min(n // 2 | 1, n - 1)
+    time, events = Fraction(0), []
+    for i in range(n):
+        events.append(("o" if i == pivot else "e" if i % 2 == 0 else "d", time))
+        time += step * rng.randint(0, 2)
+    return TimedWord(events)
+
+
+class TestWitnessDrivenUntil:
+    """An until's row is the union, over its right operand's positions, of
+    the positions that see each one; it must match the naive reference for
+    operands of every density and every window shape."""
+
+    def program(self):
+        return compile_formula(
+            and_all(Until(iv, x, y) for iv in WITNESS_WINDOWS for x in DENSITIES for y in DENSITIES)
+        )
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 130])
+    def test_every_row_and_its_negation_match_the_naive_reference(self, n):
+        program = self.program()
+        rng = random.Random(29 + n)
+        full = (1 << n) - 1
+        densities = set()
+        for step in (Fraction(1), Fraction(1, 2)):  # whole units: (0,1) holds no tick
+            word = density_word(n, rng, step)
+            row = _evaluator(word, program)
+            for k, (kind, a, b, iv) in enumerate(program.ops):
+                if kind == _AND:  # the conjunction chain is checked at its root below
+                    continue
+                bits = row(2 * k)
+                formula = as_formula(program, 2 * k)
+                expected = [naive_eval(word, i, formula) for i in range(1, n + 1)]
+                assert positions(bits, n) == expected, (formula, word)
+                assert row(2 * k + 1) == bits ^ full
+                if kind == _UNTIL:
+                    densities.add((row(a), row(b)))
+            assert satisfies(word, program) == naive_eval(word, 1, as_formula(program, program.root))
+        if n > 2:
+            counts = {bin(x).count("1") for pair in densities for x in pair}
+            assert {0, 1, (n + 1) // 2, n - 1, n} <= counts
+
+    def test_rows_asked_in_any_order_are_the_same(self):
+        program = self.program()
+        ops = range(len(program.ops))
+        rng = random.Random(30)
+        for n in (1, 64, 65):
+            word = density_word(n, rng, Fraction(1, 2))
+            ascending = _evaluator(word, program)
+            expected = [ascending(2 * k) for k in ops]
+            for order in (ops[::-1], [len(ops) - 1, *ops], [len(ops) // 2, *ops[::-1]]):
+                row = _evaluator(word, program)
+                assert {k: row(2 * k + 1) for k in order} == {k: expected[k] ^ (1 << n) - 1 for k in ops}
+
+
+def assert_operands_first(program):
+    """Every op's operand references point to lower op indices."""
+    for k, (kind, a, b, _) in enumerate(program.ops):
+        if kind in (_AND, _UNTIL):
+            assert a >> 1 < k and b >> 1 < k, (program, k)
+    assert program.root >> 1 < len(program.ops)
+
+
+class TestOperandsComeFirst:
+    """The evaluator fills rows in op index order, so an op's operands must
+    have lower indices, whichever front end built it."""
+
+    def test_compiled_formulas(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            assert_operands_first(compile_formula(random_formula(rng, ["a", "b", "c"], 5)))
+
+    def test_parsed_texts(self):
+        rng = random.Random(27)
+        texts = [" & ".join(f"a{i % 7}" for i in range(3000)), "X " * 1000 + "a"]
+        for _ in range(100):
+            t = formats.serialize_formula(random_formula(rng, ["a", "b", "m!", "#"], 4))
+            texts += [f"({t}) & G ({t})", f"(({t}) & a) & (({t}) & b)", f"X ({t}) U[0,1] (({t}) -> a) & (({t}) -> b)"]
+        for text in texts:
+            assert_operands_first(formats.parse_program(text))
 
 
 class TestIncrementalMonitor:

@@ -430,6 +430,17 @@ def random_pta(rng: random.Random) -> Pta:
     return Pta(("a", "b"), locations, initial, clocks, ("p",), tuple(edges), final)
 
 
+def random_machine(rng: random.Random) -> ChannelMachine:
+    """A small channel machine over s0.. and m0..: 2-4 states, 1-2
+    messages and 1-8 transitions in random order, repeats included; the
+    target is its last state."""
+    states = tuple(f"s{i}" for i in range(rng.randint(2, 4)))
+    messages = tuple(f"m{i}" for i in range(rng.randint(1, 2)))
+    labels = ChannelMachine(states, states[0], messages, ()).labels()
+    transitions = tuple((rng.choice(states), rng.choice(labels), rng.choice(states)) for _ in range(rng.randint(1, 8)))
+    return ChannelMachine(states, states[0], messages, transitions)
+
+
 # -- random value generators (seeded, deterministic) ---------------------------
 
 _INTERVALS = [
