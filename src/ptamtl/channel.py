@@ -114,11 +114,11 @@ def step_exact(
     machine: ChannelMachine, config: Configuration, label: str
 ) -> frozenset[Configuration]:
     """Successors under the exact step relation; empty when nothing applies."""
-    kind, message = label_kind(label)
     found = set()
     for source, lab, target in machine.transitions:
         if source != config.state or lab != label:
             continue
+        kind, message = label_kind(label)
         if kind == "send":
             found.add(Configuration(target, config.channel + (message,)))
         elif kind == "recv":

@@ -162,10 +162,11 @@ def _cmd_encode(args) -> int:
     width = max_channel(computation)
     delta = formats.parse_rational(args.delta)
     try:
-        if args.slots:
-            layout = EncodingLayout(delta, tuple(formats.parse_rational(s) for s in args.slots.split(",")))
-        else:
+        if args.slots is None:
             layout = default_layout(width, delta)
+        else:
+            texts = args.slots.split(",") if args.slots else []  # an empty text gives no slots
+            layout = EncodingLayout(delta, tuple(formats.parse_rational(s) for s in texts))
     except ValueError as error:
         raise UsageError(f"bad layout: {error}") from None
     word = encode(machine, final, computation, layout)

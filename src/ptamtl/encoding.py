@@ -17,11 +17,14 @@ insertion error, and so is any extra display symbol not mandated by the
 rules.  Extra symbols are tolerated by the language (and from their first
 occurrence on they are subject to the same copy discipline), which is exactly
 why a separate automaton is needed to rule them out.
+
+A decoded block holds its display offsets once, in ticks of the word's integer
+scale; the checker compares ticks, and a message renders an offset as a rational.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -78,19 +81,15 @@ def default_layout(width: int, delta: Fraction = Fraction(0)) -> EncodingLayout:
 
 @dataclass(frozen=True)
 class ConfigBlock:
-    """One decoded block: state symbol, display symbols with offsets, trailer.
-    ``ticks`` are the offsets on the word's integer scale, by which the checker
-    compares them (the offsets themselves if not given); ``==`` ignores them."""
+    """One decoded block: state symbol, display symbols with their offsets in
+    ticks of the word's integer scale (``scale`` ticks to a time unit, as in
+    :attr:`TimedWord.ticks`), trailer.  ``offsets`` gives the rationals."""
 
     state: str
     start: Fraction
-    symbols: tuple[tuple[str, Fraction], ...]  # (symbol, offset in (0,1))
+    symbols: tuple[tuple[str, int], ...]  # (symbol, ticks after the state symbol)
     trailer: str  # a label, or the end marker for the final block
-    ticks: tuple = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.ticks is None:
-            object.__setattr__(self, "ticks", self.offsets)
+    scale: int  # ticks per time unit, the lcm of the word's denominators
 
     @property
     def width(self) -> int:
@@ -98,7 +97,7 @@ class ConfigBlock:
 
     @property
     def offsets(self) -> tuple[Fraction, ...]:
-        return tuple(o for _, o in self.symbols)
+        return tuple(Fraction(t, self.scale) for _, t in self.symbols)
 
     def messages(self) -> tuple[str, ...]:
         return tuple(s for s, _ in self.symbols if s != HASH)
@@ -134,7 +133,7 @@ def decompose(word: TimedWord, machine: ChannelMachine) -> list[ConfigBlock]:
         begin = ticks[i]
         close = begin + scale
         i += 1
-        shown: list[tuple[str, int]] = []  # (symbol, ticks) of the display
+        shown: list[tuple[str, int]] = []  # (symbol, ticks after the state symbol)
         previous = begin
         while i < len(events) and ticks[i] < close:
             s = events[i][0]
@@ -146,7 +145,7 @@ def decompose(word: TimedWord, machine: ChannelMachine) -> list[ConfigBlock]:
             if t <= previous:
                 fail(i, "display offsets must be strictly increasing")
             previous = t
-            shown.append((s, t))
+            shown.append((s, t - begin))
             i += 1
         if i == len(events):
             fail(i - 1, "block is not closed by a label or the end marker")
@@ -157,8 +156,7 @@ def decompose(word: TimedWord, machine: ChannelMachine) -> list[ConfigBlock]:
             fail(i + 1, "no event may follow the end marker")
         if trailer != STAR and trailer not in labels:
             fail(i, "expected a transition label or the end marker")
-        symbols = tuple((s, Fraction(t - begin, scale)) for s, t in shown)
-        blocks.append(ConfigBlock(symbol, start, symbols, trailer, tuple(t - begin for _, t in shown)))
+        blocks.append(ConfigBlock(symbol, start, tuple(shown), trailer, scale))
         if trailer == STAR:
             return blocks
         i += 1
@@ -185,6 +183,14 @@ def explain_membership(
 ) -> Optional[str]:
     """None when the word belongs to the encoding language with the given
     declared display width; otherwise the first violated condition."""
+    return _membership(word, machine, target, width)[1]
+
+
+def _membership(
+    word: TimedWord, machine: ChannelMachine, target: str, width: int
+) -> tuple[Optional[list[ConfigBlock]], Optional[str]]:
+    """The word's blocks (None if it does not decompose) and the first
+    violated condition of the encoding language (None for a member)."""
     if target not in machine.states:
         raise ValueError(f"target state {target!r} undeclared")
     if width < 0:
@@ -192,8 +198,8 @@ def explain_membership(
     try:
         blocks = decompose(word, machine)
     except DecodeStructureError as error:
-        return f"structure: {error}"
-    return _violation(blocks, machine, target, width)
+        return None, f"structure: {error}"
+    return blocks, _violation(blocks, machine, target, width)
 
 
 def _violation(
@@ -242,45 +248,43 @@ def _check_step(block: ConfigBlock, nxt: ConfigBlock, number: int) -> Optional[s
     """Copy/replace/append discipline between two adjacent blocks."""
     kind, message = label_kind(block.trailer)
     # offsets are compared by their ticks, and reported as rationals
-    landing = {t: symbol for (symbol, _), t in zip(nxt.symbols, nxt.ticks)}
+    landing = {t: symbol for symbol, t in nxt.symbols}
     symbols = block.symbols
-    ticks = block.ticks
     replaced = None  # the index of the hash a send replaces
     if kind == "empty":
         if any(s != HASH for s, _ in symbols):
             return f"block {number}: empty test over a non-empty display"
     elif kind == "send":
         replaced = next((j for j, (s, _) in enumerate(symbols) if s == HASH), None)
-        if replaced is not None and landing.get(ticks[replaced]) != message:
+        if replaced is not None and landing.get(symbols[replaced][1]) != message:
             return (
-                f"block {number}: first hash (offset {symbols[replaced][1]}) must become "
+                f"block {number}: first hash (offset {block.offsets[replaced]}) must become "
                 f"{message!r} two units later"
             )
     elif symbols and symbols[0][0] == message:
         # receive, head matches: shift left one slot, append a hash in the last slot
-        offsets = block.offsets
         for j in range(1, block.width):
-            if landing.get(ticks[j - 1]) != symbols[j][0]:
+            if landing.get(symbols[j - 1][1]) != symbols[j][0]:
                 return (
-                    f"block {number}: symbol at offset {offsets[j]} must shift to "
-                    f"offset {offsets[j - 1]} two units later"
+                    f"block {number}: symbol at offset {block.offsets[j]} must shift to "
+                    f"offset {block.offsets[j - 1]} two units later"
                 )
-        if landing.get(ticks[-1]) != HASH:
+        if landing.get(symbols[-1][1]) != HASH:
             return f"block {number}: a hash must appear in the freed last slot"
         return None
 
-    for j, (symbol, offset) in enumerate(symbols):
-        if j != replaced and landing.get(ticks[j]) != symbol:
+    for j, (symbol, t) in enumerate(symbols):
+        if j != replaced and landing.get(t) != symbol:
             noun = "hash" if kind == "empty" else "symbol"
-            return f"block {number}: {noun} at offset {offset} is not copied forward"
+            return f"block {number}: {noun} at offset {block.offsets[j]} is not copied forward"
     if kind == "empty" or replaced is not None:
         return None
     # a send on a full display appends its message right after the copied
     # display; a receive whose head does not match (or an empty display) is an
     # insertion error and appends a hash there
     expected = message if kind == "send" else HASH
-    anchor = ticks[-1] if ticks else 0
-    tail = [s for (s, _), t in zip(nxt.symbols, nxt.ticks) if t > anchor]
+    anchor = symbols[-1][1] if symbols else 0
+    tail = [s for s, t in nxt.symbols if t > anchor]
     if len(tail) != 1 or tail[0] != expected:
         return (
             f"block {number}: the appended {expected!r} must be the only display "
@@ -354,13 +358,7 @@ def decode(word: TimedWord, machine: ChannelMachine, target: str) -> Computation
     (i.e. its maximal display width must equal the declared width).
     """
     width = n_prefix(word)
-    if target not in machine.states:
-        raise ValueError(f"target state {target!r} undeclared")
-    try:
-        blocks = decompose(word, machine)
-    except DecodeStructureError as error:
-        raise DecodeStructureError(f"structure: {error}") from error
-    reason = _violation(blocks, machine, target, width)
+    blocks, reason = _membership(word, machine, target, width)
     if reason is not None:
         raise DecodeStructureError(reason)
     widest = max(block.width for block in blocks)
@@ -391,16 +389,16 @@ def frac_alignment(
     blocks = decompose(word, machine)
     maps: list[tuple[int, ...]] = []
     for index, block in enumerate(blocks[:-1]):
-        nxt_offsets = blocks[index + 1].offsets
-        positions = {offset: j + 1 for j, offset in enumerate(nxt_offsets)}
+        # one word has one scale, so equal ticks are equal offsets
+        positions = {t: j + 1 for j, (_, t) in enumerate(blocks[index + 1].symbols)}
         image = []
-        for offset in block.offsets:
-            if offset not in positions:
+        for j, (_, t) in enumerate(block.symbols):
+            if t not in positions:
                 raise AlignmentViolationError(
-                    f"offset {offset} of block {index + 1} has no counterpart in "
+                    f"offset {block.offsets[j]} of block {index + 1} has no counterpart in "
                     f"block {index + 2}"
                 )
-            image.append(positions[offset])
+            image.append(positions[t])
         maps.append(tuple(image))
     return maps
 
@@ -432,7 +430,7 @@ def insertion_mutants(
     blocks = decompose(word, machine)
     if len(blocks) < 2:
         return []
-    top = max((max(b.offsets) for b in blocks if b.symbols), default=Fraction(0))
+    top = Fraction(max((t for b in blocks for _, t in b.symbols), default=0), blocks[0].scale)
     mutants = []
     for rank in range(1, count + 1):
         block_index = 2 + (rank - 1) % (len(blocks) - 1)

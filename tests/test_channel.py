@@ -60,6 +60,10 @@ class TestStepExact:
     def test_receive_needs_head(self, c1):
         assert step_exact(c1, C("s1"), "m?") == frozenset()
 
+    def test_a_label_no_transition_carries_has_no_successor(self, c1):
+        # a malformed label included: only the machine's own labels are classified
+        assert step_exact(c1, C("s0"), "foo") == frozenset()
+
     def test_empty_test(self, m2):
         assert step_exact(m2, C("q0"), "eps") == frozenset({C("q0")})
         assert step_exact(m2, C("q0", "m1"), "eps") == frozenset()

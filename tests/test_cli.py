@@ -212,6 +212,21 @@ class TestPipelineCommands:
         assert main(["encode", str(machine_file), "s2", "s0 m! s1 m? s2"]) == 0
         assert capsys.readouterr().out.strip() == W_C1_TEXT
 
+    @pytest.mark.parametrize("label", ["foo", "x!"])
+    def test_a_label_without_a_step_is_a_parse_error(self, capsys, machine_file, label):
+        # a malformed label is refused like a well-formed undeclared one
+        assert main(["encode", str(machine_file), "s2", f"s0 {label} s1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: no exact step (s0, {label}, s1) with channel empty\n"
+
+    def test_empty_slots_are_no_slots(self, capsys, machine_file):
+        assert main(["encode", str(machine_file), "s2", "s0 m! s1 m? s2", "--slots", ""]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: layout has 0 slots, computation needs 1\n"
+        # a computation that never sends needs none
+        assert main(["encode", str(machine_file), "s0", "s0", "--slots", ""]) == 0
+        assert capsys.readouterr().out == "s0@0 *@1\n"
+
     def test_check_lcn(self, capsys, machine_file):
         assert main(["check-lcn", str(machine_file), "s2", "1", W_C1_TEXT]) == 0
         assert capsys.readouterr().out.strip() == "true"

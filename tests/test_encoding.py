@@ -29,6 +29,7 @@ from ptamtl.encoding import (
     n_prefix,
 )
 from ptamtl.errors import (
+    AlignmentViolationError,
     DecodeInsertionError,
     DecodeStructureError,
     EncodingPreconditionError,
@@ -119,15 +120,16 @@ class TestDecompose:
         assert blocks[2].messages() == ("m1", "m2")
 
     def test_blocks_carry_their_offsets_as_ticks(self, c1):
-        # the checker compares offsets by these integers; equality, hashing
-        # and repr read the rational offsets only
+        # the checker compares offsets by these integers; ``offsets`` renders
+        # them as rationals on the word's scale
         word = TimedWord(THIRDS)
         scale, _ = word.ticks
         for block in decompose(word, c1):
-            assert block.ticks == tuple(int(offset * scale) for offset in block.offsets)
-            assert all(type(t) is int for t in block.ticks)
-            by_hand = ConfigBlock(block.state, block.start, block.symbols, block.trailer)
-            assert by_hand.ticks == block.offsets
+            ticks = tuple(t for _, t in block.symbols)
+            assert block.scale == scale
+            assert ticks == tuple(int(offset * scale) for offset in block.offsets)
+            assert all(type(t) is int for t in ticks)
+            by_hand = ConfigBlock(block.state, block.start, block.symbols, block.trailer, scale)
             assert by_hand == block and hash(by_hand) == hash(block) and repr(by_hand) == repr(block)
 
 
@@ -226,7 +228,7 @@ class TestDecomposeOnTicks:
             events = iter(word.events)
             for block in blocks:
                 assert next(events) == (block.state, block.start)
-                for symbol, offset in block.symbols:
+                for (symbol, _), offset in zip(block.symbols, block.offsets):
                     s, t = next(events)
                     assert type(offset) is Fraction
                     assert (symbol, offset) == (s, t - block.start)
@@ -240,6 +242,12 @@ class TestDecomposeOnTicks:
         corpus, mutants = build_corpus(machine, target, step_bound=8, channel_bound=3)
         assert mutants > 0
         assert any(word.ticks[0] > 1 for word in corpus)
+        for word in corpus:
+            try:
+                blocks = decompose(word, machine)
+            except DecodeStructureError:
+                continue
+            assert fraction_decompose(word, machine) == blocks
         by_ticks = [outcomes(word, machine, target) for word in corpus]
         monkeypatch.setattr(encoding, "decompose", fraction_decompose)
         by_fractions = [outcomes(word, machine, target) for word in corpus]
@@ -348,7 +356,7 @@ class TestCheckMembership:
         assert "declared width" in reason
 
     @pytest.mark.parametrize(
-        "labels, displays, width, expected",
+        "labels, displays, width, expected, renamed",
         [
             (
                 ["m1!"],
@@ -356,42 +364,119 @@ class TestCheckMembership:
                 1,
                 "structure: event 2 (#@0): display symbols must come strictly after "
                 "the state symbol",
+                {},
             ),
             (
                 ["m1!"],
                 [[("m1", "1/2")], [("m1", "1/2")]],
                 1,
                 "the initial display must consist of hash symbols only",
+                {},
             ),
             (
                 ["m1!", "m2!"],
                 [[("#", "1/4"), ("#", "1/2")], [("m1", "1/4"), ("#", "1/2")]],
                 2,
                 "word ends in x1, not the target state",
+                {},
             ),
             (
                 ["m1!"],
                 [[("#", "1/2")], [("#", "1/4"), ("m1", "1/2")]],
                 1,
                 "block 2: hash symbols may only follow message symbols",
+                {},
             ),
             (
                 ["eps", "eps"],
                 [[], [("m1", "1/2")], []],
                 0,
                 "block 2: empty test over a non-empty display",
+                {},
             ),
             (
                 ["m1!", "m2!"],
                 [[("#", "1/2")], [("m1", "1/2")], [("m2", "3/4")]],
                 1,
                 "block 2: symbol at offset 1/2 is not copied forward",
+                {},
             ),
             (
                 ["m1!", "m2?"],
                 [[("#", "1/2")], [("m1", "1/2")], [("#", "3/4")]],
                 1,
                 "block 2: symbol at offset 1/2 is not copied forward",
+                {},
+            ),
+            # the cases below are timed in sixths and twelfths, so a tick
+            # count or an unreduced fraction in a message would show
+            (
+                ["m1!", "m2!", "m1?"],
+                [
+                    [("#", "1/6"), ("#", "3/4")],
+                    [("m1", "1/6"), ("#", "3/4")],
+                    [("m1", "1/6"), ("m2", "3/4")],
+                    [("m1", "1/6"), ("#", "3/4")],
+                ],
+                2,
+                "block 3: symbol at offset 3/4 must shift to offset 1/6 two units later",
+                {},
+            ),
+            (
+                ["m1!", "m2!"],
+                [[("#", "1/6"), ("#", "3/4")], [("m1", "1/6"), ("#", "3/4")], [("m1", "1/6"), ("#", "3/4")]],
+                2,
+                "block 2: first hash (offset 3/4) must become 'm2' two units later",
+                {},
+            ),
+            (
+                ["m1!", "m1?"],
+                [[("#", "1/6"), ("#", "3/4")], [("m1", "1/6"), ("#", "3/4")], [("#", "1/6")]],
+                2,
+                "block 2: a hash must appear in the freed last slot",
+                {},
+            ),
+            (
+                ["m1!", "m2?"],
+                [[("#", "5/12")], [("m1", "5/12")], [("m1", "5/12"), ("m2", "11/12")]],
+                1,
+                "block 2: the appended '#' must be the only display symbol after the copied ones",
+                {},
+            ),
+            (
+                ["m1!", "m2!"],
+                [[("#", "5/12")], [("m1", "5/12")], [("m2", "3/4")]],
+                1,
+                AlignmentViolationError("offset 5/12 of block 2 has no counterpart in block 3"),
+                {},
+            ),
+            (
+                ["m1!", "m2!"],
+                [[("#", "1/6")], [("m1", "1/6")], [("m1", "1/6"), ("m2", "3/4")]],
+                1,
+                "block 1: no transition (x0, m1!, x2)",
+                {"x1": "x2"},
+            ),
+            (
+                ["eps", "eps"],
+                [[("#", "1/6")], [("#", "1/6")], [("#", "1/6")]],
+                1,
+                "block 2: target state must be closed by the end marker",
+                {"x2": "x1"},
+            ),
+            (
+                ["m1!"],
+                [[("#", "1/6")], [("m1", "1/6")]],
+                1,
+                "word starts with x1, not the initial state",
+                {"x0": "x1"},
+            ),
+            (
+                ["m1!"],
+                [[("#", "1/6"), ("#", "3/4")], [("m1", "1/6"), ("#", "3/4")]],
+                1,
+                "initial display has 2 symbols, declared width is 1",
+                {},
             ),
         ],
         ids=[
@@ -402,12 +487,31 @@ class TestCheckMembership:
             "empty-test-non-empty-display",
             "full-send-uncopied",
             "mismatched-receive-uncopied",
+            "matching-receive-unshifted",
+            "send-first-hash-unreplaced",
+            "matching-receive-freed-slot-empty",
+            "mismatched-receive-append-not-alone",
+            "offset-without-counterpart",
+            "step-off-the-machine",
+            "target-before-the-end",
+            "starts-outside-initial",
+            "initial-width-mismatch",
         ],
     )
-    def test_each_outcome_has_its_message(self, labels, displays, width, expected):
+    def test_each_outcome_has_its_message(self, labels, displays, width, expected, renamed):
+        # ``renamed`` replaces state names in the word and the target, so a
+        # word can leave the chain machine's path; an AlignmentViolationError
+        # is what frac_alignment raises, a text what explain_membership returns
         machine = chain_machine("x", labels)
         word = block_word(machine, displays, labels[: len(displays) - 1])
-        assert explain_membership(word, machine, f"x{len(labels)}", width) == expected
+        word = TimedWord([(renamed.get(s, s), t) for s, t in word])
+        target = f"x{len(labels)}"
+        if isinstance(expected, AlignmentViolationError):
+            with pytest.raises(AlignmentViolationError) as caught:
+                frac_alignment(word, machine)
+            assert str(caught.value) == str(expected)
+        else:
+            assert explain_membership(word, machine, renamed.get(target, target), width) == expected
 
 
 class TestEncode:

@@ -499,7 +499,8 @@ def random_word(rng: random.Random, alphabet, max_len: int) -> TimedWord:
 def fraction_decompose(word: TimedWord, machine: ChannelMachine):
     """The blocks of ``encoding.decompose``, or the DecodeStructureError it
     raises, found by comparing and subtracting the word's ``Fraction``
-    timestamps directly, as the checker did before it read the tick view."""
+    timestamps directly; only the finished blocks turn their offsets into
+    ticks, on a scale this reference computes from the denominators itself."""
     from ptamtl.encoding import HASH, STAR, ConfigBlock
     from ptamtl.errors import DecodeStructureError
 
@@ -511,6 +512,12 @@ def fraction_decompose(word: TimedWord, machine: ChannelMachine):
     def fail(index: int, reason: str):
         symbol, time = events[index]
         raise DecodeStructureError(f"event {index + 1} ({symbol}@{time}): {reason}")
+
+    scale = lcm(*[time.denominator for _, time in events])
+
+    def block(state, start, symbols, trailer):
+        ticks = tuple((s, int(offset * scale)) for s, offset in symbols)
+        return ConfigBlock(state, start, ticks, trailer, scale)
 
     blocks = []
     i = 0
@@ -542,11 +549,11 @@ def fraction_decompose(word: TimedWord, machine: ChannelMachine):
         if trailer == STAR:
             if i + 1 != len(events):
                 fail(i + 1, "no event may follow the end marker")
-            blocks.append(ConfigBlock(symbol, start, tuple(symbols), STAR))
+            blocks.append(block(symbol, start, symbols, STAR))
             return blocks
         if trailer not in labels:
             fail(i, "expected a transition label or the end marker")
-        blocks.append(ConfigBlock(symbol, start, tuple(symbols), trailer))
+        blocks.append(block(symbol, start, symbols, trailer))
         i += 1
         if i == len(events):
             fail(i - 1, "a label must be followed by the next state symbol")
