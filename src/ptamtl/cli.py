@@ -139,9 +139,10 @@ def _cmd_reduce(args) -> int:
     machine, final = _reduction_input(args)
     bundle = build_bundle(machine, final)
     base = Path(args.out) if args.out else Path(args.machine).with_suffix("")
-    pta_path = base.with_suffix(".pta")
-    mtl_path = base.with_suffix(".mtl")
-    alphabet_path = base.with_suffix(".alphabet")
+    # each extension is appended, so a dotted basename keeps all its parts
+    pta_path = base.with_name(base.name + ".pta")
+    mtl_path = base.with_name(base.name + ".mtl")
+    alphabet_path = base.with_name(base.name + ".alphabet")
     texts = {
         pta_path: formats.serialize_pta(bundle.automaton),
         mtl_path: formats.serialize_formula(bundle.formula) + "\n",

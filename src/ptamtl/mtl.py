@@ -30,9 +30,8 @@ and shift by one pointer moving forward over the sorted ticks.  An until
 walks the set bits of its right operand (Maler & Nickovic, FORMATS/FTRTFT
 2004): each witness marks the earlier positions whose window holds it and
 from which the left operand holds up to it.  Rows fill in op index order,
-and the conjunctions at the top of the formula are evaluated at the
-position alone.  Results are checked
-against a naive evaluator of the ASTs in the tests.
+and a position's verdict is its bit of the root's row.  Results are
+checked against a naive evaluator of the ASTs in the tests.
 
 A search that extends prefixes one event at a time uses formula
 progression instead (Bacchus & Kabanza, AIJ 2000; Thati & Rosu, RV 2004).
@@ -408,32 +407,6 @@ def _evaluator(word: TimedWord, program: Program):
     return row
 
 
-def _value(program: Program, row, i: int) -> bool:
-    """Truth at the position with index i (0-based), reading bit i of the
-    rows of the untils and atoms from ``row(r)``.  The conjunctions above
-    them are evaluated at that position alone, left operand first, skipping
-    the right operand once the left decides the result."""
-    ops = program.ops
-    stack = []  # conjunctions r whose left operand, or ~r whose right one, is pending
-    r = program.root
-    while True:
-        kind, a, b, _ = ops[r >> 1]
-        if kind == _AND:
-            stack.append(r)
-            r = a
-            continue
-        value = row(r) >> i & 1 == 1
-        while stack:
-            r = stack.pop()
-            if r >= 0 and value:  # the left operand does not decide: b is the result
-                stack.append(~r)
-                r = ops[r >> 1][2]
-                break
-            value = value != (r & 1 if r >= 0 else ~r & 1)
-        else:
-            return value
-
-
 # -- formula progression ---------------------------------------------------------
 #
 # A residual is a signed reference to a hash-consed node, as a program child
@@ -702,11 +675,12 @@ class Progression:
 
 
 def eval_at(word: TimedWord, position: int, formula: Union[Formula, Program]) -> bool:
-    """Truth of ``formula`` at a 1-based position of ``word``."""
+    """Truth of ``formula`` at a 1-based position of ``word``: that
+    position's bit of the root's row."""
     if not 1 <= position <= len(word):
         raise IndexError(f"position {position} out of range 1..{len(word)}")
     program = compile_formula(formula)
-    return _value(program, _evaluator(word, program), position - 1)
+    return _evaluator(word, program)(program.root) >> position - 1 & 1 == 1
 
 
 def satisfies(word: TimedWord, formula: Union[Formula, Program]) -> bool:

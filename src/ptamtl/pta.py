@@ -142,21 +142,18 @@ class Pta:
     @cached_property
     def min_events_to_final(self) -> dict[str, int]:
         """The fewest events from each location to a final one, ignoring
-        guards, so a lower bound that is safe for pruning; ``len(locations)
-        + 1`` for a location that reaches no final one.  Breadth first from
-        the final locations over the edges reversed."""
+        guards, so a lower bound that is safe for pruning; a location that
+        reaches no final one is absent.  Breadth first from the final
+        locations over the edges reversed."""
         sources: dict[str, list[str]] = {}
         for edge in self.edges:
             sources.setdefault(edge.target, []).append(edge.source)
-        unreachable = len(self.locations) + 1
-        bound = dict.fromkeys(self.locations, unreachable)
         queue = deque(sorted(self.final))
-        for location in queue:
-            bound[location] = 0
+        bound = dict.fromkeys(queue, 0)
         while queue:
             location = queue.popleft()
             for source in sources.get(location, ()):
-                if bound[source] == unreachable:
+                if source not in bound:
                     bound[source] = bound[location] + 1
                     queue.append(source)
         return bound
@@ -419,7 +416,8 @@ def iter_accepted(
     holds each frontier's successors, by symbol, for the rest of the walk;
     every child with the same key gets the same frontier object, whose hash
     is computed once.  A state is dropped once it cannot reach a final
-    location, ignoring guards, within the events left.  :func:`membership`
+    location, ignoring guards, within the events left, and no move leads
+    into a location that reaches no final one at all.  :func:`membership`
     stays the exact reference.
     """
     grid = rat(grid)
@@ -440,7 +438,8 @@ def iter_accepted(
     moves: dict[str, list[_Move]] = {}
     for edge in automaton.edges:
         move = _grid_move(edge, clocks, parameters, rate)
-        if move is not None:
+        # a location that reaches no final one gets no move into it
+        if move is not None and edge.target in min_left:
             moves.setdefault(edge.source, []).append(move)
     bounds = [b for group in moves.values() for _, _, checks, _ in group for _, lo, hi in checks for b in (lo, hi)]
     cap = max((b for b in bounds if b is not None), default=0) + 1  # all ages from cap on pass the same guards

@@ -247,6 +247,19 @@ class TestPipelineCommands:
         assert formula == build_formula(send_receive_machine(), "s2")
         assert set(alphabet) == {"s0", "s1", "s2", "m", "m!", "m?", "eps", "#", "*"}
 
+    @pytest.mark.parametrize(
+        "machine_name, out, base",
+        [("c1.v2.cm", None, "c1.v2"), ("c1.cm", "run.2024", "run.2024")],
+    )
+    def test_reduce_appends_each_extension_to_a_dotted_basename(self, capsys, tmp_path, machine_name, out, base):
+        machine = tmp_path / machine_name
+        machine.write_text(formats.serialize_machine(send_receive_machine(), final="s2"))
+        argv = ["reduce", str(machine)] + ([] if out is None else ["--out", str(tmp_path / out)])
+        assert main(argv) == 0
+        written = [tmp_path / (base + ext) for ext in (".pta", ".mtl", ".alphabet")]
+        assert capsys.readouterr().out.split() == [str(path) for path in written]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([machine_name] + [p.name for p in written])
+
     def test_verify_reduction(self, capsys, machine_file):
         code = main(
             ["verify-reduction", str(machine_file), "s2", "--steps", "6", "--chan", "3", "--json"]

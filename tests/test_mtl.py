@@ -261,6 +261,17 @@ class TestEvalAt:
                 assert value == naive_eval(word, i + 1, formula), (word, i)
         assert verdicts == {False, True}
 
+    def test_a_position_is_judged_on_its_suffix_alone(self):
+        # every operator looks only forward, so bit i - 1 of the root's row
+        # is the verdict of the word that starts at position i
+        rng = random.Random(31)
+        alphabet = ["a", "b", "c"]
+        for _ in range(500):
+            formula = random_formula(rng, alphabet, 4)
+            word = random_word(rng, alphabet, 8)
+            for i in range(1, len(word) + 1):
+                assert eval_at(word, i, formula) == satisfies(TimedWord(word.events[i - 1 :]), formula), (formula, word, i)
+
 
 class TestSatisfies:
     def test_globally_all_a(self):

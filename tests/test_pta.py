@@ -259,16 +259,29 @@ class TestEventsToFinal:
             # with location 0 final, 1 and 2 may reach no final location
             for final in (automaton.final, frozenset({"0"})):
                 automaton = dataclasses.replace(automaton, final=final)
-                hops = _hops_to_final(automaton)
-                unreachable = len(automaton.locations) + 1
-                assert automaton.min_events_to_final == {loc: hops.get(loc, unreachable) for loc in automaton.locations}
+                assert automaton.min_events_to_final == _hops_to_final(automaton)
 
     def test_a_location_that_reaches_no_final_one(self, cadence_automaton):
         automaton = dataclasses.replace(cadence_automaton, edges=())
-        bound = automaton.min_events_to_final
-        assert {bound[loc] for loc in automaton.final} == {0}
-        others = set(automaton.locations) - automaton.final
-        assert {bound[loc] for loc in others} == {len(automaton.locations) + 1}
+        assert automaton.min_events_to_final == dict.fromkeys(automaton.final, 0)
+
+    def test_the_search_enters_no_location_that_reaches_no_final_one(self):
+        # a -x-> f is the only way to the final location; a -y-> s leads into
+        # a sink that loops on x and y, which no bound on the events reaches past
+        free = ClockConstraint()
+        edges = (
+            Edge("a", "x", free, frozenset(), "f"),
+            Edge("a", "y", free, frozenset(), "s"),
+            Edge("s", "x", free, frozenset(), "s"),
+            Edge("s", "y", free, frozenset(), "s"),
+        )
+        automaton = Pta(("x", "y"), ("a", "f", "s"), frozenset({"a"}), (), (), edges, frozenset({"f"}))
+        expected = [W(("x", t)) for t in range(7)]
+        for max_events in (4, 8, 12, 16):
+            stats = SearchStats()
+            words = list(iter_accepted(automaton, {}, F(1), F(6), max_events, stats=stats))
+            assert words == expected
+            assert vars(stats) == {"words_checked": 7, "nodes_expanded": 8, "memo_hits": 0}
 
 
 class TestEnumeration:
