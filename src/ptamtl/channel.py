@@ -1,15 +1,19 @@
 """Channel machines: finite control over an unbounded fifo channel.
 
 Labels are ``m!`` (append m to the tail), ``m?`` (consume m from the head),
-and ``eps`` (test the channel for emptiness).  Besides the exact step
-relation there is a faulty superset in which extra messages may appear on
-the channel around a step (insertion errors).
+and ``eps`` (test the channel for emptiness).  The exact step rule is stated
+once, in ``_successors``, which reads each state's transitions from the
+machine's own index, ``ChannelMachine.moves``; ``step_exact`` is its steps
+filtered by label.  Besides the exact step relation there is a faulty
+superset in which extra messages may appear on the channel around a step
+(insertion errors).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import ComputationValidationError
@@ -53,6 +57,8 @@ class ChannelMachine:
         if len(set(names)) != len(names):
             raise ValueError("state and message names must be distinct")
         for name in names:
+            if name.split() != [name]:  # the text format splits on whitespace
+                raise ValueError(f"name {name!r} is not one whitespace-free token")
             if name in ("#", "*", EPS) or name.endswith(("!", "?")):
                 raise ValueError(f"name {name!r} collides with a reserved spelling")
         valid = self.labels()
@@ -69,6 +75,16 @@ class ChannelMachine:
             out.append(recv_label(m))
         out.append(EPS)
         return tuple(out)
+
+    @cached_property
+    def moves(self) -> dict[str, tuple[tuple[str, str, Optional[str], str], ...]]:
+        """Each state's distinct transitions as (label, kind, message, target),
+        labels in machine order, then targets in sorted order."""
+        order = self.labels().index
+        moves: dict[str, list] = {}
+        for source, label, target in sorted(set(self.transitions), key=lambda t: (order(t[1]), t[2])):
+            moves.setdefault(source, []).append((label, *label_kind(label), target))
+        return {source: tuple(group) for source, group in moves.items()}
 
 
 @dataclass(frozen=True)
@@ -114,20 +130,7 @@ def step_exact(
     machine: ChannelMachine, config: Configuration, label: str
 ) -> frozenset[Configuration]:
     """Successors under the exact step relation; empty when nothing applies."""
-    found = set()
-    for source, lab, target in machine.transitions:
-        if source != config.state or lab != label:
-            continue
-        kind, message = label_kind(label)
-        if kind == "send":
-            found.add(Configuration(target, config.channel + (message,)))
-        elif kind == "recv":
-            if config.channel and config.channel[0] == message:
-                found.add(Configuration(target, config.channel[1:]))
-        else:  # empty test
-            if config.channel == ():
-                found.add(Configuration(target, ()))
-    return frozenset(found)
+    return frozenset(nxt for lab, nxt in _successors(machine, config) if lab == label)
 
 
 def step_insertion(
@@ -149,10 +152,7 @@ def step_insertion(
     suite.
     """
     kind, message = label_kind(label)
-    if not any(
-        source == before.state and lab == label and target == after.state
-        for source, lab, target in machine.transitions
-    ):
+    if (label, kind, message, after.state) not in machine.moves.get(before.state, ()):
         return False
     if kind == "send":
         return subword(before.channel + (message,), after.channel)
@@ -186,23 +186,12 @@ class SearchResult:
     truncated: bool  # True when some branch was cut by the bounds
 
 
-def _moves(machine: ChannelMachine) -> dict:
-    """Each state's distinct transitions as (label, kind, message, target),
-    labels in machine order, then targets in sorted order."""
-    order = machine.labels().index
-    moves: dict = {}
-    for source, label, target in sorted(set(machine.transitions), key=lambda t: (order(t[1]), t[2])):
-        moves.setdefault(source, []).append((label, *label_kind(label), target))
-    return moves
-
-
-def _successors(moves: dict, config: Configuration):
+def _successors(machine: ChannelMachine, config: Configuration):
     """The exact steps out of a configuration, as (label, successor) pairs:
-    labels in machine order, then successors by (state, channel).  ``moves``
-    is the machine's :func:`_moves`; the steps are those of
-    :func:`step_exact`, label by label."""
+    labels in machine order, then successors by (state, channel).  This is
+    the one statement of the exact step rule."""
     channel = config.channel
-    for label, kind, message, target in moves.get(config.state, ()):
+    for label, kind, message, target in machine.moves.get(config.state, ()):
         if kind == "send":
             yield label, Configuration(target, channel + (message,))
         elif channel[:1] == ((message,) if kind == "recv" else ()):  # the head read, or an empty channel
@@ -226,7 +215,6 @@ def search_error_free(
     start = Configuration(machine.initial, ())
     if start.state == target:
         return SearchResult(Computation(start), truncated=False)
-    moves = _moves(machine)
     parents: dict[Configuration, tuple[Configuration, str]] = {}
     seen = {start}
     queue = deque([(start, 0)])
@@ -235,10 +223,10 @@ def search_error_free(
         config, depth = queue.popleft()
         if depth == max_steps:
             # only a genuine cut if an unexplored successor exists
-            if any(nxt not in seen for _, nxt in _successors(moves, config)):
+            if any(nxt not in seen for _, nxt in _successors(machine, config)):
                 truncated = True
             continue
-        for label, nxt in _successors(moves, config):
+        for label, nxt in _successors(machine, config):
             if nxt in seen:
                 continue
             if len(nxt.channel) > max_channel_len:
@@ -280,8 +268,7 @@ def enumerate_error_free(
     steps: list[tuple[str, Configuration]] = []
     # depth first with an explicit stack: pending[d] yields the steps out of
     # the configuration after d steps, so steps[:d] leads to it
-    moves = _moves(machine)
-    pending = [_successors(moves, start)] if max_steps > 0 else []
+    pending = [_successors(machine, start)] if max_steps > 0 else []
     while pending:
         step = next(pending[-1], None)
         if step is None:
@@ -296,7 +283,7 @@ def enumerate_error_free(
         if nxt.state == target:
             results.append(Computation(start, tuple(steps)))
         elif len(steps) < max_steps:
-            pending.append(_successors(moves, nxt))
+            pending.append(_successors(machine, nxt))
             continue
         steps.pop()
     return results

@@ -32,7 +32,6 @@ from .channel import (
     ChannelMachine,
     Computation,
     Configuration,
-    EPS,
     is_error_free,
     label_kind,
     max_channel,

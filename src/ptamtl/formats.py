@@ -542,7 +542,7 @@ def parse_computation(machine: ChannelMachine, text: str):
         if not successors:
             raise ParseError(
                 f"no exact step ({current.state}, {label}, {nxt_state}) "
-                f"with channel {''.join(current.channel) or 'empty'}"
+                f"with channel {' '.join(current.channel) or 'empty'}"
             )
         current = successors[0]
         steps.append((label, current))

@@ -27,7 +27,6 @@ from .channel import (
     ChannelMachine,
     Computation,
     EPS,
-    label_kind,
     max_channel,
     recv_label,
     search_error_free,
@@ -253,13 +252,10 @@ def build_formula(machine: ChannelMachine, target: str) -> Formula:
 
     conjuncts.append(Or(Atom(target), Eventually(FULL, Atom(target))))
 
-    empty_sources = sorted({s for s, l, _ in transitions if l == EPS and s != target})
-    send_pairs = sorted(
-        {(s, label_kind(l)[1]) for s, l, _ in transitions if l.endswith("!") and s != target}
-    )
-    recv_pairs = sorted(
-        {(s, label_kind(l)[1]) for s, l, _ in transitions if l.endswith("?") and s != target}
-    )
+    kinds = {(kind, s, m) for s, moves in machine.moves.items() if s != target for _, kind, m, _ in moves}
+    empty_sources = sorted(s for kind, s, _ in kinds if kind == "empty")
+    send_pairs = sorted((s, m) for kind, s, m in kinds if kind == "send")
+    recv_pairs = sorted((s, m) for kind, s, m in kinds if kind == "recv")
 
     # empty tests: an all-hash display, copied forward
     for state in empty_sources:

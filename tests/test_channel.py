@@ -10,6 +10,7 @@ from ptamtl.channel import (
     Configuration,
     enumerate_error_free,
     is_error_free,
+    label_kind,
     max_channel,
     search_error_free,
     step_exact,
@@ -216,17 +217,25 @@ class TestSearch:
         assert enumerate_error_free(chain, "s1200", 1199, 1) == []
 
 
-def exact_steps(machine, config):
-    """The exact steps out of a configuration, label by label through
-    step_exact: labels in machine order, then successors by (state, channel)."""
+def minimal_faulty_steps(machine, config):
+    """The exact steps out of a configuration, read off the faulty relation
+    instead: for each label in machine order, the step_insertion successors
+    that insert nothing (the channel grows by one on a send, shrinks by one
+    on a receive and is empty after an empty test), by (state, channel)."""
+    k = len(config.channel)
     for label in machine.labels():
-        for nxt in sorted(step_exact(machine, config, label), key=lambda c: (c.state, c.channel)):
-            yield label, nxt
+        length = {"send": k + 1, "recv": k - 1, "empty": 0}[label_kind(label)[0]]
+        channels = list(itertools.product(machine.messages, repeat=length)) if length >= 0 else []
+        after = [Configuration(state, c) for state in machine.states for c in channels]
+        for nxt in sorted(after, key=lambda c: (c.state, c.channel)):
+            if step_insertion(machine, config, label, nxt):
+                yield label, nxt
 
 
 class TestSuccessorIndex:
-    """The searches read each state's transitions from an index; the steps
-    they see must be step_exact's, in its label-by-label order."""
+    """The searches read each state's transitions from the machine's index;
+    the steps they see must be the faulty relation's minimal ones, in its
+    label-by-label order."""
 
     def machines(self, c1, m2):
         rng = random.Random(29)
@@ -236,18 +245,17 @@ class TestSuccessorIndex:
         repeats = 0
         for machine in self.machines(c1, m2):
             repeats += len(set(machine.transitions)) < len(machine.transitions)
-            moves = channel._moves(machine)
             channels = [c for k in range(3) for c in itertools.product(machine.messages, repeat=k)]
             for state in machine.states:
                 for content in channels:
                     config = Configuration(state, content)
-                    assert list(channel._successors(moves, config)) == list(exact_steps(machine, config)), (machine, config)
+                    expected = list(minimal_faulty_steps(machine, config))
+                    assert list(channel._successors(machine, config)) == expected, (machine, config)
         assert repeats  # a repeated transition is one step
 
     def test_searches_are_those_of_the_label_by_label_steps(self, c1, m2, monkeypatch):
         cases = [(c1, "s2"), (m2, "q3")] + [(m, m.states[-1]) for m in self.machines(c1, m2)[2:]]
         indexed = [(enumerate_error_free(m, t, 6, 2), search_error_free(m, t, 6, 2)) for m, t in cases]
-        monkeypatch.setattr(channel, "_moves", lambda machine: machine)
-        monkeypatch.setattr(channel, "_successors", exact_steps)
+        monkeypatch.setattr(channel, "_successors", minimal_faulty_steps)
         assert indexed == [(enumerate_error_free(m, t, 6, 2), search_error_free(m, t, 6, 2)) for m, t in cases]
         assert sum(bool(found) for found, _ in indexed) > 10

@@ -212,12 +212,24 @@ class TestPipelineCommands:
         assert main(["encode", str(machine_file), "s2", "s0 m! s1 m? s2"]) == 0
         assert capsys.readouterr().out.strip() == W_C1_TEXT
 
-    @pytest.mark.parametrize("label", ["foo", "x!"])
-    def test_a_label_without_a_step_is_a_parse_error(self, capsys, machine_file, label):
-        # a malformed label is refused like a well-formed undeclared one
-        assert main(["encode", str(machine_file), "s2", f"s0 {label} s1"]) == 1
+    @pytest.mark.parametrize(
+        "machine, final, computation, step, channel",
+        [
+            # a malformed label is refused like a well-formed undeclared one
+            pytest.param(send_receive_machine(), "s2", "s0 foo s1", "(s0, foo, s1)", "empty", id="foo"),
+            pytest.param(send_receive_machine(), "s2", "s0 x! s1", "(s0, x!, s1)", "empty", id="x!"),
+            # the channel's messages are told apart
+            pytest.param(
+                two_message_machine(), "q3", "q0 m1! q1 m2! q2 m2? q3", "(q2, m2?, q3)", "m1 m2", id="two-messages"
+            ),
+        ],
+    )
+    def test_a_label_without_a_step_is_a_parse_error(self, capsys, tmp_path, machine, final, computation, step, channel):
+        path = tmp_path / "machine.cm"
+        path.write_text(formats.serialize_machine(machine, final=final))
+        assert main(["encode", str(path), final, computation]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err == f"error: no exact step (s0, {label}, s1) with channel empty\n"
+        assert out == "" and err == f"error: no exact step {step} with channel {channel}\n"
 
     def test_empty_slots_are_no_slots(self, capsys, machine_file):
         assert main(["encode", str(machine_file), "s2", "s0 m! s1 m? s2", "--slots", ""]) == 1

@@ -374,6 +374,20 @@ class TestMachineFormat:
             parsed, _ = formats.parse_machine(text)
             assert parsed == machine
 
+    @pytest.mark.parametrize(
+        "states, messages, transitions, name",
+        [
+            (("s", "t"), ("a b",), (("s", "a b!", "t"),), "'a b'"),
+            (("s", "t"), ("",), (("s", "!", "t"),), "''"),
+            (("s", "t\n"), ("m",), (("s", "m!", "t\n"),), "'t\\n'"),
+        ],
+        ids=["space", "empty", "newline"],
+    )
+    def test_a_name_the_text_format_cannot_hold_is_refused(self, states, messages, transitions, name):
+        # such a machine would serialize to text that parses to another machine, or to none
+        with pytest.raises(ValueError, match=f"name {re.escape(name)} is not one whitespace-free token"):
+            ChannelMachine(states, states[0], messages, transitions)
+
 
 class TestPtaFormat:
     def test_round_trip_cadence_automaton(self):

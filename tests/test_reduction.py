@@ -1,8 +1,10 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
-from ptamtl import reduction
+from ptamtl import formats, reduction
 from ptamtl.channel import (
     ChannelMachine,
     Computation,
@@ -29,6 +31,7 @@ from ptamtl.reduction import (
 )
 from ptamtl.timedwords import TimedWord
 
+import util
 from conftest import random_machine
 from util import build_corpus
 
@@ -355,11 +358,21 @@ class TestCheckTheorem:
 
 class TestBundle:
     def test_round_trips_through_text_formats(self, c1):
-        from ptamtl import formats
-
         bundle = build_bundle(c1, "s2")
         assert formats.parse_pta(formats.serialize_pta(bundle.automaton)) == bundle.automaton
         assert (
             formats.parse_formula(formats.serialize_formula(bundle.formula))
             == bundle.formula
         )
+
+    def test_the_reduce_output_is_pinned_byte_for_byte(self, c1, m2):
+        # the automaton, formula and alphabet texts that reduce writes, over
+        # c1, m2 and 20 random machines, each with its last state as target
+        rng = random.Random(32)
+        cases = [(c1, "s2"), (m2, "q3")] + [(m, m.states[-1]) for m in (util.random_machine(rng) for _ in range(20))]
+        digest = hashlib.sha256()
+        for machine, target in cases:
+            bundle = build_bundle(machine, target)
+            text = formats.serialize_pta(bundle.automaton) + serialize_formula(bundle.formula) + " ".join(bundle.alphabet)
+            digest.update(text.encode())
+        assert digest.hexdigest() == "1c8b16a9f86a7286899a9f633af94ae70966355f411b02481a7f92c3fc5c3ca0"

@@ -31,3 +31,19 @@ def test_no_module_imports_a_private_name_of_a_sibling(path):
         if alias.name.startswith("_")
     )
     assert not private, f"{path.name} imports private names {private}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"], ids=lambda path: path.name
+)
+def test_every_imported_name_is_used(path):
+    # __init__.py only re-exports, so it is left out
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - used, f"{path.name} imports {sorted(imported - used)} and never uses them"
