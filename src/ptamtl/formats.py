@@ -448,6 +448,10 @@ _EDGE_LINE = re.compile(
 def parse_pta(text: str) -> Pta:
     header: dict[str, list[str]] = {}
     edges: list[Edge] = []
+    # each distinct guard and resets text is read once, so edges with equal
+    # guards share one constraint; a bad text fails at its first line
+    guards: dict[str, ClockConstraint] = {}
+    resets: dict[str, frozenset[str]] = {}
     for number, key, rest in _key_lines(text):
         if key == "edge":
             match = _EDGE_LINE.match(rest.strip())
@@ -456,10 +460,18 @@ def parse_pta(text: str) -> Pta:
                     'edge needs: <src> <symbol> "<guard>" {<resets>} <dst>', line=number
                 )
             source, symbol, guard_text, resets_text, target = match.groups()
-            resets = frozenset(
-                token for token in re.split(r"[,\s]+", resets_text.strip()) if token
-            )
-            edges.append(Edge(source, symbol, parse_guard(guard_text), resets, target))
+            guard = guards.get(guard_text)
+            if guard is None:
+                try:
+                    guard = guards[guard_text] = parse_guard(guard_text)
+                except ParseError as error:
+                    raise ParseError(str(error), line=number) from None
+            reset = resets.get(resets_text)
+            if reset is None:
+                reset = resets[resets_text] = frozenset(
+                    token for token in re.split(r"[,\s]+", resets_text.strip()) if token
+                )
+            edges.append(Edge(source, symbol, guard, reset, target))
         elif key in ("alphabet", "clocks", "params", "locations", "init", "final"):
             header.setdefault(key, []).extend(rest.split())
         else:

@@ -30,7 +30,7 @@ no guard code with :func:`membership`, which re-checks the words it finds.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -119,17 +119,21 @@ class Pta:
         if not self.final <= locations:
             raise ValueError("final locations must be declared locations")
         for edge in self.edges:
+            # named by its source, symbol and target, and the names listed
+            # sorted, so that no message follows the hash seed
+            name = f"edge {edge.source} {edge.symbol} {edge.target}"
             if edge.source not in locations or edge.target not in locations:
-                raise ValueError(f"edge endpoints undeclared: {edge}")
+                undeclared = {edge.source, edge.target} - locations
+                raise ValueError(f"{name}: endpoints undeclared: {', '.join(sorted(undeclared))}")
             if edge.symbol not in alphabet:
-                raise ValueError(f"edge symbol undeclared: {edge}")
+                raise ValueError(f"{name}: symbol undeclared: {edge.symbol}")
             if not edge.resets <= clocks:
-                raise ValueError(f"edge resets undeclared clocks: {edge}")
+                raise ValueError(f"{name}: resets undeclared clocks: {', '.join(sorted(edge.resets - clocks))}")
             for atom in edge.guard.atoms:
                 if atom.clock not in clocks:
-                    raise ValueError(f"guard uses undeclared clock {atom.clock!r}")
+                    raise ValueError(f"{name}: guard uses undeclared clock {atom.clock!r}")
                 if isinstance(atom.bound, str) and atom.bound not in parameters:
-                    raise ValueError(f"guard uses undeclared parameter {atom.bound!r}")
+                    raise ValueError(f"{name}: guard uses undeclared parameter {atom.bound!r}")
 
     @cached_property
     def edge_index(self) -> dict[tuple[str, str], tuple[Edge, ...]]:
@@ -138,6 +142,22 @@ class Pta:
         for edge in self.edges:
             index.setdefault((edge.source, edge.symbol), []).append(edge)
         return {key: tuple(group) for key, group in index.items()}
+
+    @cached_property
+    def guard_index(self) -> dict[ClockConstraint, tuple[tuple[str, str, str, tuple[int, ...]], ...]]:
+        """Each distinct guard once, in order of first use, with the edges
+        that carry it in declaration order as (source, symbol, target, the
+        indices of the clocks reset): :func:`iter_accepted` compiles each
+        key once per walk.  An edge into a location that reaches no final
+        one is left out, as no search takes it; its guard stays a key."""
+        live = self.min_events_to_final
+        index: dict[ClockConstraint, list] = {}
+        for edge in self.edges:
+            group = index.setdefault(edge.guard, [])
+            if edge.target in live:
+                resets = tuple(i for i, clock in enumerate(self.clocks) if clock in edge.resets)
+                group.append((edge.source, edge.symbol, edge.target, resets))
+        return {guard: tuple(group) for guard, group in index.items()}
 
     @cached_property
     def min_events_to_final(self) -> dict[str, int]:
@@ -311,25 +331,24 @@ def is_deterministic(automaton: Pta) -> bool:
     return True
 
 
-# A grid move out of a location: (symbol, target, checks, reset flags).  Each
-# check (clock index, lo, hi) bounds a clock's age in ticks, hi None when
-# unbounded; reset flags say which clocks the edge resets.
-_Move = tuple[str, str, tuple[tuple[int, int, Optional[int]], ...], tuple[bool, ...]]
+# A guard compiled to ticks: checks (clock index, lo, hi), each bounding a
+# clock's age in ticks, hi None when unbounded.
+_Checks = tuple[tuple[int, int, Optional[int]], ...]
 
 
-def _grid_move(
-    edge: Edge,
+def _compile_guard(
+    guard: ClockConstraint,
     clocks: tuple[str, ...],
     parameters: Mapping[str, Fraction],
     rate: Fraction,
-) -> Optional[_Move]:
-    """The edge with its guard compiled to tick ranges at ``rate`` ticks to
-    a time unit, or None when a clock's range holds no tick (an equality that
-    pins it between two grid points, say).  An atom ``clock ~ bound`` allows
-    the ages from 0 (``<``, ``<=``) or the bound up to the bound or, for
-    ``>=`` and ``>``, unbounded; only a strict relation opens its end."""
+) -> Optional[_Checks]:
+    """The guard compiled to tick ranges at ``rate`` ticks to a time unit,
+    or None when a clock's range holds no tick (an equality that pins it
+    between two grid points, say).  An atom ``clock ~ bound`` allows the
+    ages from 0 (``<``, ``<=``) or the bound up to the bound or, for ``>=``
+    and ``>``, unbounded; only a strict relation opens its end."""
     ranges: dict[int, tuple[int, Optional[int]]] = {}
-    for atom in edge.guard.atoms:
+    for atom in guard.atoms:
         if isinstance(atom.bound, str):
             if atom.bound not in parameters:
                 raise KeyError(f"undeclared parameter {atom.bound!r}")
@@ -350,12 +369,11 @@ def _grid_move(
         if hi is not None and lo > hi:
             return None
         ranges[index] = (lo, hi)
-    checks = tuple(
+    return tuple(
         (index, lo, hi)
         for index, (lo, hi) in sorted(ranges.items())
         if lo > 0 or hi is not None
     )
-    return edge.symbol, edge.target, checks, tuple(clock in edge.resets for clock in clocks)
 
 
 @dataclass
@@ -405,20 +423,20 @@ def iter_accepted(
     This is sound whatever the caller does: a state must fix the steps and
     the verdicts of every extension, as a residual does.
 
-    Time is counted in integer ticks of ``grid``: each guard is compiled
-    once per call into integer ranges on a clock's age in ticks (see
-    :func:`_grid_move`), so no guard check here uses rational arithmetic,
-    and a :class:`TimedWord` is built only for a yielded word.  A frontier
-    state is a location with each clock's age capped at one above the
-    largest finite guard bound, so the memo key holds the frontier as it
-    is.  A delay of cap ticks or more ages every state to the cap or resets
-    it, so a table keyed by (frontier, delay capped at cap, events left)
-    holds each frontier's successors, by symbol, for the rest of the walk;
-    every child with the same key gets the same frontier object, whose hash
-    is computed once.  A state is dropped once it cannot reach a final
-    location, ignoring guards, within the events left, and no move leads
-    into a location that reaches no final one at all.  :func:`membership`
-    stays the exact reference.
+    Time is counted in integer ticks of ``grid``: each distinct guard is
+    compiled once per walk into integer ranges on a clock's age in ticks
+    (see :func:`_compile_guard`), so no guard check here uses rational
+    arithmetic, and a :class:`TimedWord` is built only for a yielded word.
+    A frontier state is a location with each clock's age capped at one
+    above the largest finite guard bound, so the memo key holds the
+    frontier as it is.  A delay of cap ticks or more ages every state to
+    the cap or resets it, so a table keyed by (frontier, delay capped at
+    cap, events left) holds each frontier's successors, by symbol, for the
+    rest of the walk; every child with the same key gets the same frontier
+    object, whose hash and final flag are computed once.  A state is
+    dropped once it cannot reach a final location, ignoring guards, within
+    the events left, and no move leads into a location that reaches no
+    final one at all.  :func:`membership` stays the exact reference.
     """
     grid = rat(grid)
     horizon = rat(horizon)
@@ -435,26 +453,32 @@ def iter_accepted(
     clocks = automaton.clocks
     last_tick = horizon // grid
     rate = 1 / grid  # ticks to a time unit
-    moves: dict[str, list[_Move]] = {}
-    for edge in automaton.edges:
-        move = _grid_move(edge, clocks, parameters, rate)
-        # a location that reaches no final one gets no move into it
-        if move is not None and edge.target in min_left:
-            moves.setdefault(edge.source, []).append(move)
-    bounds = [b for group in moves.values() for _, _, checks, _ in group for _, lo, hi in checks for b in (lo, hi)]
-    cap = max((b for b in bounds if b is not None), default=0) + 1  # all ages from cap on pass the same guards
+    # a location's moves, (symbol, target, checks, the indices of the clocks
+    # reset): each distinct guard is compiled once, and a location that
+    # reaches no final one gets no move into it
+    moves: dict[str, list] = {}
+    cap = 1  # one above the largest finite bound of a move: all ages from cap on pass the same guards
+    for guard, group in automaton.guard_index.items():
+        checks = _compile_guard(guard, clocks, parameters, rate)
+        if checks is None or not group:
+            continue
+        cap = max([cap] + [b + 1 for _, lo, hi in checks for b in (lo, hi) if b is not None])
+        for source, symbol, target, resets in group:
+            moves.setdefault(source, []).append((symbol, target, checks, resets))
     table: dict = {}  # (frontier, tick, depth, state) -> the words of a subtree that yielded none
     covers: dict = {}  # (frontier, state) -> the minimal (tick, depth) pairs of subtrees that reached no word
     steps: dict = {}  # the successor table: (frontier, capped delay, events left) -> successors
 
     def successors(frontier, delay, remaining):
-        # the frontier's successors ``delay`` ticks later, as (symbol, frontier)
-        # pairs sorted by symbol; a state needing more events than remain is
-        # dropped: its successors need at most one fewer, so they would be
-        # dropped a level down
-        found: dict[str, set] = {}
+        # the frontier's successors ``delay`` ticks later, as (symbol, frontier,
+        # whether it holds a final location) triples sorted by symbol; a state
+        # needing more events than remain is dropped: its successors need at
+        # most one fewer, so they would be dropped a level down
+        found: defaultdict[str, set] = defaultdict(set)
+        final = set()  # the symbols with a move into a final location
         for location, ages in frontier:
-            for symbol, target, checks, flags in moves.get(location, ()):
+            aged = tuple([min(age + delay, cap) for age in ages])
+            for symbol, target, checks, resets in moves.get(location, ()):
                 if min_left[target] > remaining:
                     continue
                 for clock, lo, hi in checks:
@@ -462,9 +486,16 @@ def iter_accepted(
                     if age < lo or (hi is not None and age > hi):
                         break
                 else:
-                    aged = tuple(0 if f else min(a + delay, cap) for f, a in zip(flags, ages))
-                    found.setdefault(symbol, set()).add((target, aged))
-        return tuple((symbol, frozenset(found[symbol])) for symbol in sorted(found))
+                    state = aged
+                    if resets:
+                        state = list(aged)
+                        for clock in resets:
+                            state[clock] = 0
+                        state = tuple(state)
+                    found[symbol].add((target, state))
+                    if target in finals:
+                        final.add(symbol)
+        return tuple([(symbol, frozenset(found[symbol]), symbol in final) for symbol in sorted(found)])
 
     def children(prefix: tuple, key: tuple):
         # the subtrees below a prefix, (tick, symbol) ascending, each with its
@@ -482,7 +513,7 @@ def iter_accepted(
             found = steps.get(step)
             if found is None:
                 found = steps[step] = successors(frontier, step[1], remaining)
-            for symbol, targets in found:
+            for symbol, targets, final in found:
                 child = monitor.step(state, symbol, delay)
                 if child:
                     below = (targets, t, depth, child)
@@ -496,7 +527,7 @@ def iter_accepted(
                             stats.memo_hits += 1
                             break
                     else:
-                        yield prefix + ((symbol, t),), below
+                        yield prefix + ((symbol, t),), below, final
 
     # The open subtrees, root first, each with its memo key, the words
     # reached and yielded before it and its children: an explicit stack, so
@@ -517,9 +548,9 @@ def iter_accepted(
                 pairs[:] = [(u, d) for u, d in pairs if u < tick or d < depth]
                 pairs.append((tick, depth))
             continue
-        prefix, key = entering
+        prefix, key, final = entering
         stack.append((key, stats.words_checked, yielded, children(prefix, key)))
-        if any(loc in finals for loc, _ in key[0]):
+        if final:
             stats.words_checked += 1
             if monitor.accepts(key[3]):
                 yielded += 1

@@ -115,6 +115,29 @@ class TestBasicCommands:
         assert "declared both as clock and parameter: p" in captured.err
 
     @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (['l0 a "" {x,y,z,w} l1'], "edge l0 a l1: resets undeclared clocks: w, y, z"),
+            (['l9 a "" {} l8'], "edge l9 a l8: endpoints undeclared: l8, l9"),
+            (['l0 b "" {} l1'], "edge l0 b l1: symbol undeclared: b"),
+            (['l0 a "z = p" {} l1'], "edge l0 a l1: guard uses undeclared clock 'z'"),
+            (['l0 a "x < q" {} l1'], "edge l0 a l1: guard uses undeclared parameter 'q'"),
+            (['l0 a "x<<p" {x} l1'], "bad guard atom 'x<<p' (line 7)"),
+            # a guard text is read once: a repeat of a bad one fails at its first line
+            (['l0 a "x=p" {x} l1', 'l0 a "x<<p" {x} l1', 'l0 a "x<<p" {} l1'], "bad guard atom 'x<<p' (line 8)"),
+        ],
+        ids=["resets", "endpoints", "symbol", "clock", "parameter", "guard-atom", "guard-atom-repeated"],
+    )
+    def test_a_bad_edge_is_named_the_same_under_every_hash_seed(self, capsys, tmp_path, edges, message):
+        # the edge is named by its source, symbol and target, and undeclared
+        # names are listed sorted, so the text does not follow the hash seed
+        header = ["alphabet: a", "clocks: x", "params: p", "locations: l0 l1", "init: l0", "final: l1"]
+        path = tmp_path / "bad.pta"
+        path.write_text("\n".join(header + ["edge: " + edge for edge in edges]) + "\n")
+        assert main(["det-check", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "header, message",
         [
             ("alphabet: a a", "declared twice in alphabet: a"),
@@ -636,6 +659,34 @@ class TestDeterminism:
         pta_file.write_text(formats.serialize_pta(build_automaton(machine, target)))
         formula_file.write_text("!(" + formats.serialize_formula(build_formula(machine, target)) + ")")
         assert main(["mc-bounded", str(pta_file), f"@{formula_file}", *bounds, "--strict-only", "--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    # the horizon and the events are the benchmark's mc-property bounds: 3
+    # and 6 where the property fails; 5/2 and 6 where it holds, 5 on the
+    # two-message machine or under G
+    @pytest.mark.parametrize(
+        "machine, target, text, horizon, events, digest",
+        [
+            (send_receive_machine(), "s2", "F *", "5/2", 6, "13859a2f21925309d7023d861d274195f40812baf7390096c6c938555369c7fe"),
+            (send_receive_machine(), "s2", "F T", "5/2", 6, "0c81f0999848dff1c1cda6949c2d0e32eddc9d584e966a9e50128589f69e6b0c"),
+            (send_receive_machine(), "s2", "G (T -> F *)", "5/2", 5, "d41c38b7ebb0d0a0da2ee3e04ae05b36675aeef13d86bf5418226edc41726615"),
+            (send_receive_machine(), "s2", "G !T", "3", 6, "a3bae288d10e7ade126c1338485a03c0f0920a2bdef492a1351e161128bc2df0"),
+            (send_receive_machine(), "s2", "!F *", "3", 6, "ca36df8cdf69789d300c95112857287006a64f3dc3aa987dec70aeb61d352dde"),
+            (two_message_machine(), "q3", "F *", "5/2", 5, "b329f649f3fd12bd0d04821a28460c7a52d1e85b4a32ad46e9ae7b4dc3b17bc9"),
+            (two_message_machine(), "q3", "F T", "5/2", 5, "f7ae087a5ed8a2eef55b4affe871669a65c594fb6ac35eb5edcd0e38b9c04dcc"),
+            (two_message_machine(), "q3", "G (T -> F *)", "5/2", 5, "8858efb4f09957399589e5d1b0c16a3e5af6e4608ea356f1e0c6e16dc36cdb48"),
+            (two_message_machine(), "q3", "G !T", "3", 6, "6a0beccc0baeaac6b941496199a7a95f1a177fc21f32326dc69a1c1ca2cb666d"),
+            (two_message_machine(), "q3", "!F *", "3", 6, "28c215879f35c267f09c81071c363bc70e39e4916238c30c93e39fe2230131a2"),
+        ],
+        ids=[f"{m}-{s}" for m in ("c1", "m2") for s in ("F*", "FT", "G(T->F*)", "G!T", "!F*")],
+    )  # fmt: skip
+    def test_the_whole_json_report_on_small_properties_holds(self, capsys, tmp_path, machine, target, text, horizon, events, digest):
+        # the benchmark's mc-property shapes, T the target, counts included
+        pta_file = tmp_path / "reduction.pta"
+        pta_file.write_text(formats.serialize_pta(build_automaton(machine, target)))
+        argv = ["mc-bounded", str(pta_file), text.replace("T", target), "--k", "2", "--grid", "1/2",
+                "--horizon", horizon, "--max-events", str(events), "--strict-only", "--json"]  # fmt: skip
+        assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

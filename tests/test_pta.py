@@ -6,6 +6,7 @@ from math import ceil
 
 import pytest
 
+from ptamtl import pta
 from ptamtl.formats import parse_formula
 from ptamtl.modelcheck import bounded_modelcheck
 from ptamtl.pta import (
@@ -14,7 +15,7 @@ from ptamtl.pta import (
     Edge,
     Pta,
     SearchStats,
-    _grid_move,
+    _compile_guard,
     constraint_feasible,
     constraint_sat,
     enumerate_accepted,
@@ -27,7 +28,7 @@ from ptamtl.mtl import Progression
 from ptamtl.reduction import build_automaton, build_formula
 from ptamtl.timedwords import TimedWord
 
-from conftest import two_message_machine, two_phase_automaton
+from conftest import send_receive_machine, two_message_machine, two_phase_automaton
 from util import _hops_to_final, brute_accepted, feasible_on_grid, random_pta
 
 F = Fraction
@@ -84,7 +85,7 @@ class TestDeclarations:
         Pta(("a",), ("1",), frozenset({"1"}), ("x",), ("p", "q"), (), frozenset())
 
 
-class TestGridMove:
+class TestCompileGuard:
     """Guards compiled to tick ranges against the rational rule, at every age."""
 
     PARAMETERS = (F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2))
@@ -92,19 +93,19 @@ class TestGridMove:
 
     @staticmethod
     def compiled(guard, p, grid):
-        # the edge's move, checked against constraint_sat at every age: a
-        # move of None must stand for a guard that no age satisfies
-        edge = Edge("0", "a", ClockConstraint(guard), frozenset(), "1")
-        move = _grid_move(edge, ("x",), {"p": p}, 1 / grid)
+        # the guard's checks, compared with constraint_sat at every age:
+        # checks of None must stand for a guard that no age satisfies
+        guard = ClockConstraint(guard)
+        checks = _compile_guard(guard, ("x",), {"p": p}, 1 / grid)
         cap = ceil(4 / grid) + 1  # above every bound in ticks
         for age in range(3 * cap + 1):
-            holds = constraint_sat({"x": age * grid}, {"p": p}, edge.guard)
-            if move is None:
+            holds = constraint_sat({"x": age * grid}, {"p": p}, guard)
+            if checks is None:
                 assert not holds, (guard, p, grid, age)
             else:
-                fits = all(lo <= age and (hi is None or age <= hi) for _, lo, hi in move[2])
+                fits = all(lo <= age and (hi is None or age <= hi) for _, lo, hi in checks)
                 assert fits == holds, (guard, p, grid, age)
-        return move
+        return checks
 
     def test_matches_constraint_sat(self):
         atoms = [ConstraintAtom("x", r, b) for r in ("<", "<=", "=", ">=", ">") for b in (0, 1, 2, 3, 4, "p")]
@@ -320,6 +321,32 @@ class TestGridSearch:
                 for grid in self.GRIDS:
                     yield automaton, {"p": p}, grid, horizon
 
+    # guard values that edges share; x=p is off the grid for p = 1/3 on grid
+    # 1/2 and p = 1/2 on grid 1/3, so it never fires there
+    SHARED_GUARDS = ((), (("x", "=", "p"),), (("y", "=", "p"),), (("y", "<=", 1), ("x", ">=", "p")))
+
+    def shared_guard_cases(self):
+        # one- and two-clock automata whose edges draw their guards from two
+        # to four values, each edge its own equal copy, with their own resets,
+        # symbols and targets: what the search compiles once per guard must
+        # not carry one edge's resets, or a guard that never fires, to another
+        rng = random.Random(31)
+        for clocks in (("x",), ("x", "y")):
+            guards = [g for g in self.SHARED_GUARDS if all(c in clocks for c, _, _ in g)]
+            for _ in range(4):
+                edges = [
+                    Edge(source, rng.choice("ab"), ClockConstraint.of(*rng.choice(guards)),
+                         frozenset(c for c in clocks if rng.random() < 0.5), target)
+                    for source, target in [("0", "1"), ("1", "2")] + [
+                        (rng.choice("012"), rng.choice("012")) for _ in range(rng.randint(3, 6))
+                    ]
+                ]  # fmt: skip
+                automaton = Pta(("a", "b"), ("0", "1", "2"), frozenset({"0"}), clocks, ("p",), tuple(edges), frozenset({"2"}))
+                assert len(automaton.guard_index) < len(edges)
+                for p in self.PARAMETERS:
+                    for grid in self.GRIDS:
+                        yield automaton, {"p": p}, grid, F(2)
+
     @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("rejecting", [False, True])
     def test_matches_brute_force(self, strict, rejecting):
@@ -329,7 +356,7 @@ class TestGridSearch:
             return not (rejecting and len(word) % 2 == 0 and word[-1][0] == "b")
 
         total = 0
-        for automaton, rho, grid, horizon in self.cases():
+        for automaton, rho, grid, horizon in itertools.chain(self.cases(), self.shared_guard_cases()):
             offered = []
 
             class Recording:
@@ -357,6 +384,25 @@ class TestGridSearch:
             assert len(set(offered)) == len(offered)
             total += len(words)
         assert total > 0
+
+    @pytest.mark.parametrize("machine, target, edges", [(send_receive_machine(), "s2", 17), (two_message_machine(), "q3", 24)])
+    def test_each_distinct_guard_is_compiled_once_per_walk(self, monkeypatch, machine, target, edges):
+        # a reduction automaton has many edges but two guards, x=p and the
+        # empty one, so each candidate's walk compiles two
+        compile_guard = pta._compile_guard
+        compiled = []
+
+        def counting(guard, *args):
+            compiled.append(guard)
+            return compile_guard(guard, *args)
+
+        monkeypatch.setattr(pta, "_compile_guard", counting)
+        automaton = build_automaton(machine, target)
+        assert (len(automaton.edges), len(automaton.guard_index)) == (edges, 2)
+        candidates = [{"p": F(1)}, {"p": F(1, 2)}, {"p": F(1, 3)}]
+        bounded_modelcheck(automaton, parse_formula("G (T -> F *)".replace("T", target)), candidates, F(1, 2), F(5, 2), 5, True)
+        assert len(compiled) == len(candidates) * 2
+        assert set(compiled) == set(automaton.guard_index)
 
     def test_memo_counts_every_word(self):
         hits = 0
