@@ -142,6 +142,18 @@ def _everywhere(body: Formula) -> Formula:
     return And(body, Globally(FULL, body))
 
 
+def _step(state: str, label: Formula, body: Formula) -> Formula:
+    """The step rule: wherever the state is followed, one unit later, by the
+    label of its move, the body holds."""
+    return _everywhere(Implies(And(Atom(state), _exactly(1, label)), body))
+
+
+def _lands(read: Formula, landing: Formula) -> Formula:
+    """The landing rule: when the next event reads ``read``, ``landing``
+    holds exactly two units after the current one."""
+    return Implies(Next(FULL, read), _exactly(2, landing))
+
+
 _WITHIN_UNIT = Interval(0, 1, True, False)  # [0,1)
 _OPEN_UNIT = Interval(0, 1, False, False)  # (0,1)
 _SECOND_UNIT = Interval(1, 2, False, False)  # (1,2)
@@ -155,11 +167,8 @@ def _appended(label: Formula, symbol: Formula, trailer: Formula) -> tuple[Formul
     position: two units after the last display slot (the event before the
     label), its copy is followed by the symbol and then a trailer; with an
     empty display, the symbol and a trailer follow the next state symbol."""
-    after_last_slot = Globally(
-        _WITHIN_UNIT,
-        Implies(Next(FULL, label), _exactly(2, And(Next(FULL, symbol), Next(FULL, Next(FULL, trailer))))),
-    )
-    after_state = Implies(Next(FULL, label), _exactly(2, Next(FULL, And(symbol, Next(FULL, trailer)))))
+    after_last_slot = Globally(_WITHIN_UNIT, _lands(label, And(Next(FULL, symbol), Next(FULL, Next(FULL, trailer)))))
+    after_state = _lands(label, Next(FULL, And(symbol, Next(FULL, trailer))))
     return after_last_slot, after_state
 
 
@@ -259,14 +268,7 @@ def build_formula(machine: ChannelMachine, target: str) -> Formula:
 
     # empty tests: an all-hash display, copied forward
     for state in empty_sources:
-        conjuncts.append(
-            _everywhere(
-                Implies(
-                    And(Atom(state), _exactly(1, Atom(EPS))),
-                    And(Globally(_OPEN_UNIT, Not(any_message)), copy_hashes),
-                )
-            )
-        )
+        conjuncts.append(_step(state, Atom(EPS), And(Globally(_OPEN_UNIT, Not(any_message)), copy_hashes)))
 
     # sends: the first hash becomes the message, everything else is copied;
     # with no free hash, the message is appended right after the copies
@@ -285,12 +287,7 @@ def build_formula(machine: ChannelMachine, target: str) -> Formula:
         after_last_slot, empty_display = _appended(label, msg, trailer)
         no_hash = Implies(Not(Eventually(_WITHIN_UNIT, hash_)), after_last_slot)
         conjuncts.append(
-            _everywhere(
-                Implies(
-                    And(Atom(state), _exactly(1, label)),
-                    and_all([copy_messages, first_slot_hash, later_hash, no_hash, empty_display]),
-                )
-            )
+            _step(state, label, and_all([copy_messages, first_slot_hash, later_hash, no_hash, empty_display]))
         )
 
     # receives: a matching head shifts the display one slot left and frees a
@@ -299,26 +296,13 @@ def build_formula(machine: ChannelMachine, target: str) -> Formula:
     for state, message in recv_pairs:
         label = Atom(recv_label(message))
         msg = Atom(message)
-        shift = and_all(
-            [Implies(Next(FULL, Atom(m)), _exactly(2, Atom(m))) for m in messages]
-            + [
-                Implies(Next(FULL, hash_), _exactly(2, hash_)),
-                Implies(Next(FULL, label), _exactly(2, hash_)),
-            ]
-        )
+        shift = and_all([_lands(Atom(m), Atom(m)) for m in messages] + [_lands(hash_, hash_), _lands(label, hash_)])
         head_matches = Implies(Next(FULL, msg), Until(FULL, shift, label))
         head_differs = Implies(
             Next(FULL, Not(msg)),
             and_all([copy_messages, copy_hashes, *_appended(label, hash_, trailer)]),
         )
-        conjuncts.append(
-            _everywhere(
-                Implies(
-                    And(Atom(state), _exactly(1, label)),
-                    And(head_matches, head_differs),
-                )
-            )
-        )
+        conjuncts.append(_step(state, label, And(head_matches, head_differs)))
 
     return and_all(conjuncts)
 

@@ -3,19 +3,22 @@
 All time values in this package are ``fractions.Fraction`` instances, never
 floats: the constructions downstream hinge on exact timestamp equalities
 (copies exactly two time units apart, guards of the form x = p), which
-floating point would silently break.  ``Fraction``s remain the API; a word
-also offers :attr:`TimedWord.ticks`, the same times as integers on one scale,
-computed once per word, for readers that compare and subtract times in bulk.
+floating point would silently break.  ``Fraction``s remain the API.  A word
+is a frozen dataclass; its :attr:`TimedWord.ticks`, the same times as
+integers on one scale, is a view cached on first use, for readers that
+compare and subtract times in bulk.
 The view is exact, so it decides every equality as the ``Fraction``s do.
 One tick rule, :func:`tick_range`, serves MTL windows and the search's guards.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from numbers import Rational
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import ConcatOrderError
 
@@ -49,18 +52,20 @@ def tick_range(
     return lo, q - (r == 0 and not upper_closed)
 
 
+@dataclass(frozen=True)
 class TimedWord:
     """A non-empty finite sequence of (symbol, timestamp) events.
 
-    Timestamps are non-negative rationals and non-decreasing along the word.
+    Built from any iterable of (symbol, time) pairs, with times as :func:`rat`
+    takes them; timestamps are non-negative and non-decreasing along the word.
     Instances are immutable and hashable; equality, hash and repr read the
     events only, never the cached :attr:`ticks` view.
     """
 
-    __slots__ = ("events", "_ticks")
+    events: tuple[tuple[str, Fraction], ...]
 
-    def __init__(self, events: Iterable[tuple[str, RationalLike]]):
-        normalized = tuple((str(symbol), rat(time)) for symbol, time in events)
+    def __post_init__(self):
+        normalized = tuple((str(symbol), rat(time)) for symbol, time in self.events)
         if not normalized:
             raise ValueError("a timed word must contain at least one event")
         previous = None
@@ -72,9 +77,6 @@ class TimedWord:
             previous = time
         object.__setattr__(self, "events", normalized)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TimedWord is immutable")
-
     def __len__(self) -> int:
         return len(self.events)
 
@@ -84,28 +86,17 @@ class TimedWord:
     def __getitem__(self, index: int) -> tuple[str, Fraction]:
         return self.events[index]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TimedWord) and self.events == other.events
-
-    def __hash__(self) -> int:
-        return hash(self.events)
-
     def __repr__(self) -> str:
         inside = " ".join(f"({s},{t})" for s, t in self.events)
         return f"TimedWord[{inside}]"
 
-    @property
+    @cached_property
     def ticks(self) -> tuple[int, tuple[int, ...]]:
         """``(scale, ticks)``, with ``scale`` the lcm of the timestamps'
         denominators and ``Fraction(ticks[i], scale)`` the i-th timestamp
         (0-based): computed on first use and kept on the word."""
-        try:
-            return self._ticks
-        except AttributeError:
-            scale = lcm(*[time.denominator for _, time in self.events])
-            view = (scale, tuple(time.numerator * (scale // time.denominator) for _, time in self.events))
-            object.__setattr__(self, "_ticks", view)
-            return view
+        scale = lcm(*[time.denominator for _, time in self.events])
+        return scale, tuple(time.numerator * (scale // time.denominator) for _, time in self.events)
 
     @property
     def symbols(self) -> tuple[str, ...]:

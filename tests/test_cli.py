@@ -268,6 +268,12 @@ class TestPipelineCommands:
         assert main(["check-lcn", str(machine_file), "s2", "2", W_C1_TEXT]) == 0
         assert capsys.readouterr().out.strip() == "false"
 
+    def test_check_lcn_explains_a_rejection_only_when_asked(self, capsys, machine_file):
+        assert main(["check-lcn", str(machine_file), "s2", "2", W_C1_TEXT, "--explain"]) == 0
+        assert capsys.readouterr() == ("false\n", "initial display has 1 symbols, declared width is 2\n")
+        assert main(["check-lcn", str(machine_file), "s2", "2", W_C1_TEXT]) == 0
+        assert capsys.readouterr() == ("false\n", "")
+
     def test_decode(self, capsys, machine_file):
         assert main(["decode", str(machine_file), "s2", W_C1_TEXT]) == 0
         assert capsys.readouterr().out.strip() == "s0 m! s1 m? s2"
@@ -762,3 +768,78 @@ class TestVerdictReverification:
         monkeypatch.setattr(modelcheck, "Progression", Lying)
         with pytest.raises(AssertionError, match="re-verification"):
             bounded_modelcheck(automaton, formula, [{}], F(1), F(1), 1)
+
+    def test_a_wrong_engine_verdict_exits_2(self, capsys, monkeypatch, tmp_path):
+        from ptamtl import modelcheck
+
+        path = tmp_path / "one_a.pta"
+        path.write_text(formats.serialize_pta(self.one_a_automaton()))
+
+        class Lying:
+            """A progression that never prunes and calls every word a
+            violation."""
+
+            start = 2
+
+            def __init__(self, formula, unit):
+                pass
+
+            def step(self, residual, symbol, ticks):
+                return 2
+
+            def accepts(self, residual):
+                return True
+
+        monkeypatch.setattr(modelcheck, "Progression", Lying)
+        assert main(["mc-bounded", str(path), "a | b", "--grid", "1", "--horizon", "1", "--max-events", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal invariant violation: counterexample failed exact re-verification")
+
+
+class TestInternalErrors:
+    def test_an_unexpected_exception_exits_2_with_its_type(self, capsys, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "satisfies", boom)
+        assert main(["eval", "a", "a@0"]) == 2
+        assert capsys.readouterr() == ("", "internal error: RuntimeError: boom\n")
+
+
+class TestTextFormatErrors:
+    """Each error of the machine, automaton, valuation, word and computation
+    formats keeps its message, and its line where it has one, through the
+    command line."""
+
+    MACHINE = "states: s0 s1\ninit: s0\nmessages: m\ntrans: s0 m! s1\n"
+    PTA = 'alphabet: a\nclocks: x\nparams: p\nlocations: l0 l1\nedge: l0 a "x = p" {x} l1\ninit: l0\nfinal: l1\n'
+
+    SEARCH = ["search", "BAD", "s0", "--steps", "1", "--chan", "1"]
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (SEARCH, "states: s0\ninit s0\n", "expected 'key: values', got 'init s0' (line 2)"),
+            (SEARCH, "states: s0 s1\ninit: s0 s1\n", "init needs exactly one state (line 2)"),
+            (SEARCH, MACHINE + "trans: s0 m!\n", "trans needs 'source label target' (line 5)"),
+            (SEARCH, MACHINE + "final: s0 s1\n", "final needs exactly one state (line 5)"),
+            (SEARCH, MACHINE + "start: s0\n", "unknown key 'start' (line 5)"),
+            (SEARCH, "states: s0\nmessages: m\n", "missing init: line"),
+            (["det-check", "BAD"], PTA + "start: l0\n", "unknown key 'start' (line 8)"),
+            (["det-check", "BAD"], PTA.replace("final: l1\n", ""), "missing final: line"),
+            (["det-check", "BAD"], PTA.replace('"x = p" {x}', "x=p {x}"), 'edge needs: <src> <symbol> "<guard>" {<resets>} <dst> (line 5)'),
+            (["member", "CADENCE", "p", "a@1/2"], None, "bad assignment 'p': expected name=value"),
+            (["eval", "a", "b@0 @1"], None, "bad event token '@1': empty symbol"),
+            (["eval", "a", "a@1/0"], None, "bad rational '1/0': Fraction(1, 0)"),
+            (["encode", "MACHINE", "s2", "s0 m!"], None, "computation must alternate state label state ... state"),
+            (["encode", "MACHINE", "s2", "s1 m? s2"], None, "computation must start at 's0'"),
+        ],
+    )
+    def test_an_error_keeps_its_message_and_line(self, capsys, tmp_path, machine_file, cadence_file, argv, text, message):
+        bad = tmp_path / "bad"
+        if text is not None:
+            bad.write_text(text)
+        files = {"BAD": str(bad), "MACHINE": str(machine_file), "CADENCE": str(cadence_file)}
+        assert main([files.get(arg, arg) for arg in argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
